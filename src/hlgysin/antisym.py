@@ -1,128 +1,51 @@
-"""Alternating sums over S_n and exact quotients by the Vandermonde.
+"""Divided differences: the one primitive behind every push-forward.
 
-Every symmetrization in this package reduces to the same two steps: form a
-signed sum of permuted copies of a polynomial, then divide exactly by
-prod_{i<j}(x_i - x_j).  Both steps are organized around a simple fact: the
-signed S_n-orbit sum of a monomial vanishes unless its x-exponents are
-pairwise distinct, and for distinct exponents it depends only on the sorted
-exponent vector (up to the sign of the sorting permutation).  Grouping terms
-by sorted exponent vector lets us divide block by block with a cache instead
-of materializing n!-fold expansions.
+For 1-based indices i != j the divided difference is
 
-The blockwise quotient is only valid for genuinely alternating input, so
-``alternating_vandermonde_quotient`` verifies alternation term by term while
-scanning and falls back to honest synthetic division when the input is not
-alternating.  Nothing here ever weakens the exactness contract: a dividend
-that is not a multiple of the Vandermonde raises NotDivisibleError on every
-path.
+    d_ij f = (f - s_ij f) / (x_i - x_j),
+
+where s_ij swaps x_i and x_j.  It is computed term by term in closed form:
+a term x_i^a x_j^b with a > b maps to sum_{k < a-b} x_i^(b+k) x_j^(a-1-k),
+one with a < b to minus the same sum with a and b exchanged, and one with
+a == b to zero.  No division is performed, so nothing can fail and nothing
+is left to check.
+
+Push-forwards in the Chern-root model are composites of the adjacent
+d_a = d_{a,a+1} along reduced words (Bernstein-Gelfand-Gelfand 1973;
+Demazure 1974).  Along a reduced word of the longest element w0 of S_n the
+composite is the Jacobi symmetrizer
+
+    d_w0 f = (sum over w in S_n of sign(w) w(f)) / prod_{i<j} (x_i - x_j),
+
+which is how full-flag push-forwards and alternant quotients are formed
+without ever building the n!-term signed sum.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from functools import lru_cache
-
-from .polyring import Polynomial, divide_by_vandermonde
+from .polyring import Polynomial
 from .symgroup import ensure_within_bound
 
 
-@lru_cache(maxsize=None)
-def _signed_images(n):
-    """All of S_n as raw image tuples with their signs, lexicographic order."""
-    out = []
-    for images in itertools.permutations(range(n)):
-        inv = 0
-        for a in range(n):
-            for b in range(a + 1, n):
-                if images[a] > images[b]:
-                    inv += 1
-        out.append((images, -1 if inv & 1 else 1))
-    return tuple(out)
-
-
-def sort_desc_with_sign(exponents):
-    """Sort x-exponents decreasingly; return (sorted, sign) or None on repeats.
-
-    The sign is that of the permutation carrying the input to sorted order.
-    """
-    order = sorted(range(len(exponents)), key=lambda i: -exponents[i])
-    beta = tuple(exponents[i] for i in order)
-    for a in range(len(beta) - 1):
-        if beta[a] == beta[a + 1]:
-            return None
-    inv = 0
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            if order[a] > order[b]:
-                inv += 1
-    return beta, (-1 if inv & 1 else 1)
-
-
-@lru_cache(maxsize=None)
-def _block_quotient(beta, n):
-    """Exact quotient (sum_w sign(w) w(x^beta)) / Vandermonde for strict beta."""
-    terms = {}
-    for images, sign in _signed_images(n):
-        key = [0] * (n + 1)
-        for src, dst in enumerate(images):
-            key[dst] = beta[src]
-        terms[tuple(key)] = sign
-    return divide_by_vandermonde(Polynomial._raw(n, terms))
-
-
-def jacobi_symmetrizer(p, bound=None):
-    """Exact value of  (sum over w in S_n of sign(w) w(p)) / prod_{i<j}(x_i - x_j).
-
-    Monomials with a repeated x-exponent cancel in the signed orbit sum and
-    are dropped up front; the rest are grouped by sorted exponent vector and
-    divided blockwise.
-    """
-    n = p.arity
-    ensure_within_bound(n, bound)
-    blocks = {}
-    for key, c in p.terms.items():
-        hit = sort_desc_with_sign(key[:n])
-        if hit is None:
-            continue
-        beta, sign = hit
-        bucket = blocks.setdefault(beta, {})
-        s = bucket.get(key[n], 0) + sign * c
-        if s:
-            bucket[key[n]] = s
-        else:
-            del bucket[key[n]]
+def divided_difference(f, i, j):
+    """(f - s_ij f) / (x_i - x_j) for 1-based variable indices i != j."""
+    n = f.arity
+    if i == j or not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"need two distinct indices in 1..{n}, got {i} and {j}")
+    i, j = i - 1, j - 1
     out = {}
-    for beta, bucket in blocks.items():
-        if not bucket:
+    for key, c in f.terms.items():
+        a, b = key[i], key[j]
+        if a == b:
             continue
-        quotient = _block_quotient(beta, n)
-        for qkey, qc in quotient.terms.items():
-            base = qkey[:n]
-            for texp, tc in bucket.items():
-                key = base + (qkey[n] + texp,)
-                s = out.get(key, 0) + qc * tc
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-    return Polynomial._raw(n, out)
-
-
-def signed_permutation_sum(p, perms):
-    """sum over the given permutations w of sign(w) * w(p)."""
-    n = p.arity
-    out = {}
-    items = list(p.terms.items())
-    for w in perms:
-        src = [0] * (n + 1)
-        for i, img in enumerate(w.images):
-            src[img - 1] = i
-        src[n] = n
-        sign = w.sign()
-        for key, c in items:
-            nk = tuple(key[s] for s in src)
-            s = out.get(nk, 0) + sign * c
+        if a < b:
+            a, b, c = b, a, -c
+        k = list(key)
+        for e in range(b, a):
+            k[i] = e
+            k[j] = a + b - 1 - e
+            nk = tuple(k)
+            s = out.get(nk, 0) + c
             if s:
                 out[nk] = s
             else:
@@ -130,53 +53,17 @@ def signed_permutation_sum(p, perms):
     return Polynomial._raw(n, out)
 
 
-def alternating_vandermonde_quotient(p, bound=None):
-    """Exact quotient p / Vandermonde, fast when p is alternating.
+def longest_word(m):
+    """A reduced word of the longest element of S_m, letters 1..m-1, to be
+    applied first letter first: [m-1, m-2, m-1, ..., 1, 2, ..., m-1]."""
+    return [j for k in range(m - 1, 0, -1) for j in range(k, m)]
 
-    Verifies while scanning that p really is an alternating polynomial
-    (each signed orbit complete and sign-consistent); if so, divides block
-    by block through the cache.  Otherwise falls back to plain synthetic
-    division, preserving the NotDivisibleError probe for dividends that are
-    not multiples of the Vandermonde.
-    """
+
+def jacobi_symmetrizer(p):
+    """Exact value of  (sum over w in S_n of sign(w) w(p)) / prod_{i<j}(x_i - x_j),
+    computed as the divided difference along the longest element of S_n."""
     n = p.arity
-    if p.is_zero:
-        return p
-    try:
-        ensure_within_bound(n, bound)
-    except Exception:
-        return divide_by_vandermonde(p)
-    group_order = math.factorial(n)
-    blocks = {}
-    counts = {}
-    alternating = True
-    for key, c in p.terms.items():
-        hit = sort_desc_with_sign(key[:n])
-        if hit is None:
-            alternating = False
-            break
-        beta, sign = hit
-        bkey = (beta, key[n])
-        expected = sign * c
-        prev = blocks.get(bkey)
-        if prev is None:
-            blocks[bkey] = expected
-            counts[bkey] = 1
-        elif prev != expected:
-            alternating = False
-            break
-        else:
-            counts[bkey] += 1
-    if alternating and all(v == group_order for v in counts.values()):
-        out = {}
-        for (beta, texp), c in blocks.items():
-            quotient = _block_quotient(beta, n)
-            for qkey, qc in quotient.terms.items():
-                key = qkey[:n] + (qkey[n] + texp,)
-                s = out.get(key, 0) + qc * c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return Polynomial._raw(n, out)
-    return divide_by_vandermonde(p)
+    ensure_within_bound(n)
+    for a in longest_word(n):
+        p = divided_difference(p, a, a + 1)
+    return p

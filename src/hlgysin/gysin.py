@@ -7,10 +7,13 @@ subgroup preserving each block,
     push(f) = sum over coset representatives w of
               w( f / prod (x_i - x_j) over cross-block pairs i < j ).
 
-All flavors (full flag, Grassmannian, partial flag, leading flag) reduce to
-the single implementation partial_flag_pushforward via the identity
-f / cross = f * within / Vandermonde, so the full Vandermonde is the only
-divisor ever used and exactness is checked on every call.
+In Chern roots such a sum is a composite of divided differences
+(Bernstein-Gelfand-Gelfand 1973; Demazure 1974), and that is how every
+flavor (full flag, Grassmannian, partial flag, leading flag) is computed:
+the blocks are relabelled into consecutive runs and merged from the last
+one backwards, each merge being the Grassmann push-forward along the
+reduced word of its longest minimal coset representative.  No n!-term sum
+is formed and no division can fail.
 """
 
 from __future__ import annotations
@@ -19,13 +22,9 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .antisym import (
-    alternating_vandermonde_quotient,
-    jacobi_symmetrizer,
-    signed_permutation_sum,
-)
-from .polyring import ArityMismatchError, Polynomial, difference_product
-from .symgroup import BlockStructure, Permutation, coset_reps, ensure_within_bound
+from .antisym import divided_difference, jacobi_symmetrizer, longest_word
+from .polyring import ArityMismatchError
+from .symgroup import Permutation, ensure_within_bound
 
 
 class NonInvariantInputError(ValueError):
@@ -84,10 +83,6 @@ class RootSplit:
             len(b) * (len(b) - 1) // 2 for b in self.blocks
         )
 
-    def _within_pairs(self):
-        for b in self.blocks:
-            yield from itertools.combinations(b, 2)
-
     def block_symmetry_generators(self):
         """Transpositions of consecutive members of each block; they generate
         the Young subgroup preserving the split."""
@@ -108,9 +103,13 @@ def partial_flag_pushforward(f, split):
     """Push f forward along the flag of quotients determined by the split.
 
     f must be invariant under permutations within each block (checked).
-    Computed as divide_exact(sum over coset reps of sign(w) * w(f * within),
-    Vandermonde), where within is the product of (x_i - x_j) over same-block
-    pairs i < j.
+    One variable permutation w relabels the blocks, in their given order,
+    into consecutive runs.  w keeps the order inside each block, so its
+    sign is the parity of the cross-block pairs i < j it reverses, and the
+    push-forward changes by that sign.  The runs are then merged from the
+    last one backwards: merging the run of q variables after offset into
+    the r variables after it is the Grassmann push-forward, d_a along the
+    word [offset + j for k = q..1 for j = k..k+r-1], first letter first.
     """
     if f.arity != split.n:
         raise ArityMismatchError(
@@ -120,15 +119,23 @@ def partial_flag_pushforward(f, split):
     _check_block_symmetric(f, split)
     if len(split.blocks) == 1:
         return f
-    within = difference_product(split.n, split._within_pairs())
-    reps = coset_reps(BlockStructure.from_classes(split.blocks))
-    numerator = signed_permutation_sum(f * within, reps)
-    return alternating_vandermonde_quotient(numerator)
+    w = Permutation(itertools.chain.from_iterable(split.blocks)).inverse()
+    f = f.permute_vars(w)
+    sizes = [len(b) for b in split.blocks]
+    r = sizes[-1]
+    offset = split.n - r
+    for q in reversed(sizes[:-1]):
+        offset -= q
+        for k in range(q, 0, -1):
+            for a in range(offset + k, offset + k + r):
+                f = divided_difference(f, a, a + 1)
+        r += q
+    return -f if w.sign() < 0 else f
 
 
 def full_flag_pushforward(f, n):
     """Push forward along the full flag: the Jacobi symmetrizer
-    divide_exact(sum over all w of sign(w) w(f), Vandermonde).  No symmetry
+    (sum over all w of sign(w) w(f)) / Vandermonde.  No symmetry
     precondition (all blocks are singletons)."""
     if f.arity != n:
         raise ArityMismatchError(f"polynomial arity {f.arity} does not match n = {n}")
@@ -152,28 +159,15 @@ def blockwise_full_flag(f, split):
 
     Composing this with partial_flag_pushforward along the same split
     reproduces full_flag_pushforward; that factorization is a correctness
-    check for the whole operator family.
+    check for the whole operator family.  Inside a block b the longest
+    word's letters a act as d along the pair (b[a-1], b[a]).
     """
     if f.arity != split.n:
         raise ArityMismatchError(
             f"polynomial arity {f.arity} does not match split on {split.n} variables"
         )
     ensure_within_bound(split.n)
-    n = split.n
-    out = f
     for b in split.blocks:
-        if len(b) == 1:
-            continue
-        perms = []
-        for images in itertools.permutations(b):
-            full = list(range(1, n + 1))
-            for src, dst in zip(b, images):
-                full[src - 1] = dst
-            perms.append(Permutation(full))
-        numerator = signed_permutation_sum(out, perms)
-        out = numerator
-        for i, j in itertools.combinations(b, 2):
-            out = out.divide_exact(
-                Polynomial.x(n, i) - Polynomial.x(n, j)
-            )
-    return out
+        for a in longest_word(len(b)):
+            f = divided_difference(f, b[a - 1], b[a])
+    return f

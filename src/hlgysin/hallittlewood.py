@@ -8,9 +8,17 @@ lam = (lam_1, ..., lam_n) of nonnegative integers:
 
 and the normalized class P_lam = R_lam / v_lam(t), where v_lam(t) is the
 product of t-factorials of the value multiplicities of lam.  Every rational
-sum is evaluated exactly: terms are cleared against the full Vandermonde,
-summed, and divided once at the end, so a failed exactness assumption
-surfaces as NotDivisibleError instead of a silent approximation.
+sum is evaluated exactly, as a composite of divided differences (see
+antisym): R_lam is the tower of projective-bundle push-forwards
+
+    R_lam = d_{n-1} ... d_1 ( x_1^lam_1 prod_{j>1} (x_1 - t x_j)
+                              * R_{lam_2..lam_n}(x_2..x_n) ),
+
+the juxtaposition identity at q = 1.  The one explicit sum over coset
+representatives left is the coset form of R, whose dependence on the
+chosen representatives is itself under study; its numerator must be an
+exact multiple of the Vandermonde, and a failed division surfaces as
+NotDivisibleError instead of a silent approximation.
 
 At t = 0 the P-classes of partitions become Schur polynomials and at
 t = -1 the P-classes of strict partitions become Schur P-polynomials; both
@@ -23,14 +31,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 
-from .antisym import (
-    alternating_vandermonde_quotient,
-    jacobi_symmetrizer,
-    signed_permutation_sum,
-)
-from .polyring import NotDivisibleError, Polynomial, difference_product
+from .antisym import divided_difference, jacobi_symmetrizer
+from .gysin import leading_flag_pushforward
+from .polyring import NotDivisibleError, Polynomial, divide_by_vandermonde
 from .symgroup import block_structure, coset_reps, ensure_within_bound
 
 
@@ -119,8 +125,10 @@ def t_twisted_vandermonde(n):
 def hall_littlewood_r(n, seq):
     """R_seq(x_1..x_n; t), the signed-symmetrization numerator class.
 
-    Computed as the exact quotient of sum_w sign(w) w(x^seq * prod_{i<j}
-    (x_i - t x_j)) by the Vandermonde determinant.
+    Equal to the exact quotient of sum_w sign(w) w(x^seq * prod_{i<j}
+    (x_i - t x_j)) by the Vandermonde determinant; computed as the tower
+    d_{n-1} ... d_1 (row * R_{seq_2..seq_n}(x_2..x_n)) with
+    row = x_1^seq_1 prod_{j>1} (x_1 - t x_j).
     """
     return _hall_littlewood_r(n, as_int_sequence(seq))
 
@@ -130,8 +138,16 @@ def _hall_littlewood_r(n, seq):
     if n < 1 or len(seq) != n:
         raise ValueError(f"sequence of length {len(seq)} does not match n = {n}")
     ensure_within_bound(n)
-    numerator_core = Polynomial.monomial(n, seq) * t_twisted_vandermonde(n)
-    return jacobi_symmetrizer(numerator_core)
+    x1, t = Polynomial.x(n, 1), Polynomial.t(n)
+    row = x1 ** seq[0]
+    for j in range(2, n + 1):
+        row = row * (x1 - t * Polynomial.x(n, j))
+    if n == 1:
+        return row
+    f = row * _hall_littlewood_r(n - 1, seq[1:]).embed(n, offset=1)
+    for a in range(1, n):
+        f = divided_difference(f, a, a + 1)
+    return f
 
 
 def hall_littlewood_r_coset(n, seq):
@@ -142,9 +158,13 @@ def hall_littlewood_r_coset(n, seq):
 
         w( x^seq * prod_{seq_i != seq_j} (x_i - t x_j) / (x_i - x_j) ),
 
-    each term cleared against the full Vandermonde.  Must agree with
-    hall_littlewood_r; disagreement (or a failed division) is a genuine
-    finding about the sequence, not an artifact.
+    each term cleared against the full Vandermonde, so the signed sum N of
+    the cleared terms is divided by the Vandermonde once.  When N is
+    alternating (s_a N == -N for every adjacent a) it is the alternant of
+    its terms with strictly decreasing exponents, and the quotient is their
+    Jacobi symmetrizer; otherwise N goes through synthetic division.  Must
+    agree with hall_littlewood_r; disagreement (or a failed division) is a
+    genuine finding about the sequence, not an artifact.
     """
     seq = as_int_sequence(seq)
     if n < 1 or len(seq) != n:
@@ -158,8 +178,35 @@ def hall_littlewood_r_coset(n, seq):
             core = core * (Polynomial.x(n, i) - t * Polynomial.x(n, j))
         else:
             core = core * (Polynomial.x(n, i) - Polynomial.x(n, j))
-    numerator = signed_permutation_sum(core, coset_reps(blocks))
-    quotient = alternating_vandermonde_quotient(numerator)
+    # Permuted inline with itemgetter: through permute_vars (a generator per
+    # key, a polynomial per image) this sum takes about 1.5 times as long.
+    terms = {}
+    for w in coset_reps(blocks):
+        src = [0] * (n + 1)
+        for i, img in enumerate(w.images):
+            src[img - 1] = i
+        src[n] = n
+        image_of = operator.itemgetter(*src)
+        sign = w.sign()
+        for key, c in core.terms.items():
+            image = image_of(key)
+            s = terms.get(image, 0) + sign * c
+            if s:
+                terms[image] = s
+            else:
+                del terms[image]
+    if all(
+        terms.get(key[:a] + (key[a + 1], key[a]) + key[a + 2:]) == -c
+        for a in range(n - 1)
+        for key, c in terms.items()
+    ):
+        leading = {
+            key: c for key, c in terms.items()
+            if all(key[a] > key[a + 1] for a in range(n - 1))
+        }
+        quotient = jacobi_symmetrizer(Polynomial._raw(n, leading))
+    else:
+        quotient = divide_by_vandermonde(Polynomial._raw(n, terms))
     return t_factorial_product(seq).embed(n) * quotient
 
 
@@ -294,8 +341,8 @@ def schur_p_coset(nu, n):
     """Schur P-polynomial of a strict partition, by the closed coset formula.
 
     P_nu(x_1..x_n) = sum over cosets of S_1^k x S_{n-k} of
-    w( x^nu * prod_{i<=k, i<j<=n} (x_i + x_j) / (x_i - x_j) ), cleared
-    against the full Vandermonde.
+    w( x^nu * prod_{i<=k, i<j<=n} (x_i + x_j) / (x_i - x_j) ), which is the
+    leading-flag push-forward of x^nu * prod_{i<=k, i<j<=n} (x_i + x_j).
     """
     nu = as_int_sequence(nu)
     if not is_strict_partition(nu):
@@ -309,16 +356,11 @@ def _schur_p_coset(nu, n):
     if k > n:
         raise ValueError(f"strict partition {nu!r} needs more than {n} variables")
     ensure_within_bound(n)
-    lam = nu + (0,) * (n - k)
-    core = Polynomial.monomial(n, lam)
+    core = Polynomial.monomial(n, nu + (0,) * (n - k))
     for i in range(1, k + 1):
         for j in range(i + 1, n + 1):
             core = core * (Polynomial.x(n, i) + Polynomial.x(n, j))
-    core = core * difference_product(
-        n, itertools.combinations(range(k + 1, n + 1), 2)
-    )
-    numerator = signed_permutation_sum(core, coset_reps(block_structure(lam)))
-    return alternating_vandermonde_quotient(numerator)
+    return leading_flag_pushforward(core, k, n)
 
 
 def schur_p_recursive(nu, n):

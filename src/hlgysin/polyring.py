@@ -38,9 +38,9 @@ def _validated_terms(arity, terms):
         key = tuple(key)
         if len(key) != arity + 1:
             raise ValueError(f"exponent tuple {key!r} does not match arity {arity}")
-        if any(e < 0 or not isinstance(e, int) for e in key):
+        if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in key):
             raise ValueError(f"exponents must be nonnegative integers, got {key!r}")
-        if not isinstance(coeff, int):
+        if not isinstance(coeff, int) or isinstance(coeff, bool):
             raise ValueError(f"coefficients must be integers, got {coeff!r}")
         if coeff:
             clean[key] = clean.get(key, 0) + coeff

@@ -5,10 +5,14 @@ import pytest
 
 from hlgysin import (
     ArityMismatchError,
+    BlockStructure,
     NonInvariantInputError,
     Polynomial,
     RootSplit,
+    all_permutations,
     blockwise_full_flag,
+    difference_product,
+    divide_by_vandermonde,
     full_flag_pushforward,
     grassmann_pushforward,
     hall_littlewood_p,
@@ -16,6 +20,8 @@ from hlgysin import (
     leading_flag_pushforward,
     partial_flag_pushforward,
     schur_p_coset,
+    stabilizer_elements,
+    stabilizer_order,
     t_twisted_vandermonde,
 )
 
@@ -38,6 +44,28 @@ def set_partitions(items):
         yield ((first,),) + sub
         for i, block in enumerate(sub):
             yield sub[:i] + ((first,) + block,) + sub[i + 1 :]
+
+
+def naive_alternant_quotient(g):
+    """(sum over all w in S_n of sign(w) w(g)) / Vandermonde, the n!-term
+    signed sum formed explicitly and divided by synthetic division."""
+    alternant = Polynomial.zero(g.arity)
+    for w in all_permutations(g.arity):
+        alternant = alternant + w.sign() * g.permute_vars(w)
+    return divide_by_vandermonde(alternant)
+
+
+def naive_pushforward(f, split):
+    """Push-forward of a block-symmetric f as the signed sum over all of S_n
+    of f times the same-block differences, over the Vandermonde and the
+    order of the block stabilizer."""
+    within = difference_product(
+        split.n, [p for b in split.blocks for p in itertools.combinations(b, 2)]
+    )
+    stabilizer = BlockStructure.from_classes(split.blocks)
+    return naive_alternant_quotient(f * within).divide_exact(
+        stabilizer_order(stabilizer)
+    )
 
 
 # --- RootSplit --------------------------------------------------------------
@@ -194,10 +222,28 @@ def test_full_flag_factors_through_any_split(n):
 
 
 def test_r_class_is_full_flag_pushforward():
-    for n in (2, 3):
+    for n in (1, 2, 3, 4):
         for lam in itertools.product(range(3), repeat=n):
             f = Polynomial.monomial(n, lam) * t_twisted_vandermonde(n)
-            assert full_flag_pushforward(f, n) == hall_littlewood_r(n, lam)
+            r = hall_littlewood_r(n, lam)
+            assert full_flag_pushforward(f, n) == r
+            assert naive_alternant_quotient(f) == r, lam
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_partial_flag_matches_naive_alternant(n):
+    """Every set partition, blocks in the order set_partitions lists them,
+    so non-contiguous blocks and blocks out of order are both covered."""
+    rng = random.Random(31 * n)
+    for split_blocks in set_partitions(list(range(1, n + 1))):
+        split = RootSplit(n, split_blocks)
+        group = stabilizer_elements(BlockStructure.from_classes(split.blocks))
+        for _ in range(2):
+            g = random_polynomial(rng, n)
+            f = Polynomial.zero(n)
+            for w in group:
+                f = f + g.permute_vars(w)
+            assert partial_flag_pushforward(f, split) == naive_pushforward(f, split), split
 
 
 def test_p_class_is_leading_flag_pushforward():

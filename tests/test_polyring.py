@@ -40,6 +40,28 @@ def test_validation_errors():
         Polynomial.x(2, 1) * Polynomial.x(3, 1)
 
 
+def test_validation_rejects_non_integer_exponents_with_value_error():
+    with pytest.raises(ValueError):
+        Polynomial(1, {("a", 0): 1})
+    with pytest.raises(ValueError):
+        Polynomial(1, {(1.0, 0): 1})
+    with pytest.raises(ValueError):
+        Polynomial(1, {(None, 0): 1})
+
+
+def test_validation_rejects_bool_exponents_and_coefficients():
+    with pytest.raises(ValueError):
+        Polynomial(1, {(True, 0): 1})
+    with pytest.raises(ValueError):
+        Polynomial(1, {(1, False): 1})
+    with pytest.raises(ValueError):
+        Polynomial.monomial(2, (1, True))
+    with pytest.raises(ValueError):
+        Polynomial(1, {(1, 0): True})
+    with pytest.raises(ValueError):
+        Polynomial.monomial(1, (1,), coeff=True)
+
+
 def test_arithmetic_small_examples():
     x1, x2 = Polynomial.x(2, 1), Polynomial.x(2, 2)
     square = (x1 + x2) ** 2
