@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from functools import lru_cache
 
 from .antisym import divided_difference, jacobi_symmetrizer
@@ -159,12 +158,9 @@ def hall_littlewood_r_coset(n, seq):
         w( x^seq * prod_{seq_i != seq_j} (x_i - t x_j) / (x_i - x_j) ),
 
     each term cleared against the full Vandermonde, so the signed sum N of
-    the cleared terms is divided by the Vandermonde once.  When N is
-    alternating (s_a N == -N for every adjacent a) it is the alternant of
-    its terms with strictly decreasing exponents, and the quotient is their
-    Jacobi symmetrizer; otherwise N goes through synthetic division.  Must
-    agree with hall_littlewood_r; disagreement (or a failed division) is a
-    genuine finding about the sequence, not an artifact.
+    the cleared terms is divided by the Vandermonde once, by synthetic
+    division.  Must agree with hall_littlewood_r; disagreement (or a failed
+    division) is a genuine finding about the sequence, not an artifact.
     """
     seq = as_int_sequence(seq)
     if n < 1 or len(seq) != n:
@@ -178,35 +174,16 @@ def hall_littlewood_r_coset(n, seq):
             core = core * (Polynomial.x(n, i) - t * Polynomial.x(n, j))
         else:
             core = core * (Polynomial.x(n, i) - Polynomial.x(n, j))
-    # Permuted inline with itemgetter: through permute_vars (a generator per
-    # key, a polynomial per image) this sum takes about 1.5 times as long.
     terms = {}
     for w in coset_reps(blocks):
-        src = [0] * (n + 1)
-        for i, img in enumerate(w.images):
-            src[img - 1] = i
-        src[n] = n
-        image_of = operator.itemgetter(*src)
         sign = w.sign()
-        for key, c in core.terms.items():
-            image = image_of(key)
-            s = terms.get(image, 0) + sign * c
+        for key, c in core.permute_vars(w).terms.items():
+            s = terms.get(key, 0) + sign * c
             if s:
-                terms[image] = s
+                terms[key] = s
             else:
-                del terms[image]
-    if all(
-        terms.get(key[:a] + (key[a + 1], key[a]) + key[a + 2:]) == -c
-        for a in range(n - 1)
-        for key, c in terms.items()
-    ):
-        leading = {
-            key: c for key, c in terms.items()
-            if all(key[a] > key[a + 1] for a in range(n - 1))
-        }
-        quotient = jacobi_symmetrizer(Polynomial._raw(n, leading))
-    else:
-        quotient = divide_by_vandermonde(Polynomial._raw(n, terms))
+                del terms[key]
+    quotient = divide_by_vandermonde(Polynomial._raw(n, terms))
     return t_factorial_product(seq).embed(n) * quotient
 
 

@@ -20,6 +20,7 @@ catch it to paper over a failure.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from functools import lru_cache
 
@@ -244,14 +245,16 @@ class Polynomial:
             raise ArityMismatchError(
                 f"permutation degree {len(images)} vs arity {n}"
             )
+        if n == 0:
+            return self
         src = [0] * (n + 1)
         for i, img in enumerate(images):
             src[img - 1] = i
         src[n] = n
-        out = {}
-        for key, c in self.terms.items():
-            out[tuple(key[s] for s in src)] = c
-        return Polynomial._raw(n, out)
+        image_of = operator.itemgetter(*src)
+        return Polynomial._raw(
+            n, {image_of(key): c for key, c in self.terms.items()}
+        )
 
     def substitute_t(self, value):
         """Substitute an integer for t."""

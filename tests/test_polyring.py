@@ -116,6 +116,14 @@ def test_permute_vars_examples():
     assert v.permute_vars(swap) == -v
 
 
+def test_permute_vars_keeps_keys_at_low_arity():
+    c = Polynomial.one(0) + 3 * Polynomial.t(0)
+    assert c.permute_vars(Permutation(())) == c
+    p = Polynomial.x(1, 1) ** 2 * Polynomial.t(1)
+    q = p.permute_vars(Permutation.identity(1))
+    assert q == p and all(isinstance(key, tuple) for key in q.terms)
+
+
 def test_eval_is_ring_morphism(rng, random_poly):
     for _ in range(5):
         a, b = random_poly(2), random_poly(2)
