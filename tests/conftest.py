@@ -1,8 +1,14 @@
+import operator
 import random
 
 import pytest
 
 from hlgysin import Polynomial
+
+try:
+    import hypothesis
+except ImportError:  # the property tests skip themselves with importorskip
+    hypothesis = None
 
 
 def build(arity, *terms):
@@ -36,3 +42,29 @@ def random_poly(rng):
         return out
 
     return make
+
+
+if hypothesis is not None:
+    st = hypothesis.strategies
+
+    def settings(max_examples):
+        """Fixed examples on every run, so the suite's verdict is reproducible."""
+        return hypothesis.settings(
+            max_examples=max_examples, deadline=None, derandomize=True, database=None
+        )
+
+    @st.composite
+    def polynomials(draw, n, max_terms=5, max_exp=4, max_t=2, bases=(0,)):
+        """Sparse integer polynomials in x_1..x_n and t.  Each exponent is
+        one of ``bases`` plus an offset of at most ``max_exp`` (for x) or
+        ``max_t`` (for t)."""
+        x_exp, t_exp = st.integers(0, max_exp), st.integers(0, max_t)
+        if bases != (0,):
+            x_exp = st.builds(operator.add, st.sampled_from(bases), x_exp)
+            t_exp = st.builds(operator.add, st.sampled_from(bases), t_exp)
+        size = draw(st.integers(0, max_terms))
+        terms = {}
+        for _ in range(size):
+            key = tuple(draw(x_exp) for _ in range(n)) + (draw(t_exp),)
+            terms[key] = terms.get(key, 0) + draw(st.integers(-3, 3))
+        return Polynomial(n, terms)

@@ -13,24 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given = hypothesis.given
 
-
-def settings(max_examples):
-    """Fixed examples on every run, so the suite's verdict is reproducible."""
-    return hypothesis.settings(
-        max_examples=max_examples, deadline=None, derandomize=True, database=None
-    )
-
-
-@st.composite
-def polynomials(draw, n, max_terms=5, max_exp=4):
-    """Sparse integer polynomials in x_1..x_n and t with small exponents."""
-    size = draw(st.integers(0, max_terms))
-    terms = {}
-    for _ in range(size):
-        key = tuple(draw(st.integers(0, max_exp)) for _ in range(n))
-        key += (draw(st.integers(0, 2)),)
-        terms[key] = terms.get(key, 0) + draw(st.integers(-3, 3))
-    return Polynomial(n, terms)
+from conftest import polynomials, settings  # noqa: E402
 
 
 @st.composite

@@ -2,6 +2,7 @@ import pytest
 
 from hlgysin import (
     ArityMismatchError,
+    ExponentOverflowError,
     NotDivisibleError,
     Polynomial,
     difference_product,
@@ -9,6 +10,27 @@ from hlgysin import (
     vandermonde,
 )
 from hlgysin.symgroup import Permutation, all_permutations
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+given = hypothesis.given
+
+from conftest import polynomials, settings  # noqa: E402
+
+# Exponents within 2 of 2**7, 2**8, 2**15, ...: alone or summed in a
+# product they straddle 2**8, 2**16 and 2**32, where the packed product
+# changes its field width.
+FIELD_EDGE_BASES = (0,) + tuple(2**k - 2 for k in (7, 8, 15, 16, 31, 32))
+
+
+def tuple_loop_product(p, q):
+    """Reference product: every term pair, exponents added as tuples."""
+    out = {}
+    for ka, ca in p.terms.items():
+        for kb, cb in q.terms.items():
+            key = tuple(ea + eb for ea, eb in zip(ka, kb))
+            out[key] = out.get(key, 0) + ca * cb
+    return Polynomial(p.arity, out)
 
 
 def test_constructors_and_queries():
@@ -73,14 +95,51 @@ def test_arithmetic_small_examples():
     assert -(-x1) == x1
 
 
-def test_ring_axioms_on_random_inputs(random_poly):
-    for _ in range(5):
-        a, b, c = (random_poly(3) for _ in range(3))
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-        assert (a * b) * c == a * (b * c)
+@st.composite
+def polynomials_of_one_arity(draw, count, bases=(0,)):
+    n = draw(st.integers(0, 3))
+    return tuple(draw(polynomials(n, bases=bases)) for _ in range(count))
+
+
+def field_edge_example(edge):
+    """Exponent sums of edge - 1 and edge, beside fields that stay small."""
+    p = Polynomial(2, {(edge - 1, 0, 1): 1, (1, edge - 2, 0): -2})
+    q = Polynomial(2, {(1, 1, edge - 1): 3, (0, 1, 0): 1, (0, 0, 0): 5})
+    return p, q, Polynomial.x(2, 2)
+
+
+@settings(150)
+@given(polynomials_of_one_arity(3, FIELD_EDGE_BASES))
+@hypothesis.example(field_edge_example(2**8))
+@hypothesis.example(field_edge_example(2**16))
+@hypothesis.example(field_edge_example(2**32))
+def test_ring_axioms_on_random_inputs(triple):
+    a, b, c = triple
+    assert a * b == tuple_loop_product(a, b)
+    assert a * b == b * a
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a * (b + c) == a * b + a * c
+    assert (a * b) * c == a * (b * c)
+
+
+@settings(100)
+@given(polynomials_of_one_arity(2))
+def test_product_divided_by_a_nonzero_factor_gives_the_other(pair):
+    p, q = pair
+    hypothesis.assume(not q.is_zero)
+    assert (p * q).divide_exact(q) == p
+
+
+def test_exponent_sums_reaching_2_to_the_64_raise_a_typed_error():
+    half = 2**63
+    p = Polynomial.monomial(2, (half, 1), half - 1)
+    below = Polynomial.monomial(2, (half - 1, 0), half - 1)
+    assert p * below == Polynomial.monomial(2, (2**64 - 1, 1), 2**64 - 2)
+    for at in [Polynomial.monomial(2, (half, 0)), Polynomial.monomial(2, (0, 0), half)]:
+        with pytest.raises(ExponentOverflowError):
+            p * at
+    assert issubclass(ExponentOverflowError, ValueError)
 
 
 def test_pow():
@@ -180,6 +239,11 @@ def test_divide_general_path(random_poly):
         )
     with pytest.raises(ZeroDivisionError):
         Polynomial.one(2).divide_exact(Polynomial.zero(2))
+
+
+def test_linear_difference_division_of_zero_is_zero():
+    for n, i, j in [(2, 0, 1), (3, 2, 0)]:
+        assert Polynomial.zero(n)._div_linear_difference(i, j) == Polynomial.zero(n)
 
 
 def test_vandermonde_and_difference_product(random_poly):
