@@ -11,7 +11,7 @@ Multiplication packs each exponent tuple into one int, a fixed-width
 unsigned field per exponent, so a monomial product is one int addition
 (Monagan & Pearce, "Sparse polynomial multiplication and division in
 Maple 14", 2009).  The field width, 1, 2, 4 or 8 bytes, is chosen per
-product to hold the sum of the operands' largest exponents, so no field
+product to hold the largest exponent sum in any one field, so no field
 can carry into its neighbour; a sum of 2**64 or more raises
 ExponentOverflowError.  Storage stays tuples: permuting variables and
 dividing by x_i - x_j index single exponents, which tuples do faster than
@@ -45,7 +45,7 @@ class NotDivisibleError(ArithmeticError):
 
 
 class ExponentOverflowError(ValueError):
-    """A product's largest exponents sum to 2**64 or more."""
+    """A product would have an exponent of 2**64 or more."""
 
 
 # struct codes of the unsigned field widths a product may pack at, in bytes
@@ -242,8 +242,9 @@ class Polynomial:
         if len(a) < len(b):
             a, b = b, a
         # Packed keys (see the module docstring): fields wide enough for the
-        # largest exponent sum, so ka + kb never carries between fields.
-        width = _field_width(max(map(max, a)) + max(map(max, b)))
+        # largest exponent sum in any field, so ka + kb never carries.
+        top = max(map(operator.add, map(max, zip(*a)), map(max, zip(*b))))
+        width = _field_width(top)
         layout = _key_layout(self.arity + 1, width)
         pack, from_bytes = layout.pack, int.from_bytes
         packed_a = [(from_bytes(pack(*ka), "big"), ca) for ka, ca in a.items()]
