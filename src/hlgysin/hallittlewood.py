@@ -158,8 +158,8 @@ def hall_littlewood_r_coset(n, seq):
         w( x^seq * prod_{seq_i != seq_j} (x_i - t x_j) / (x_i - x_j) ),
 
     each term cleared against the full Vandermonde, so the signed sum N of
-    the cleared terms is divided by the Vandermonde once, by synthetic
-    division.  Must agree with hall_littlewood_r; disagreement (or a failed
+    the cleared terms is divided by the Vandermonde once, one factor
+    x_i - x_j at a time.  Must agree with hall_littlewood_r; disagreement (or a failed
     division) is a genuine finding about the sequence, not an artifact.
     """
     seq = as_int_sequence(seq)

@@ -53,12 +53,18 @@ if hypothesis is not None:
         )
 
     @st.composite
-    def polynomials(draw, n, max_terms=5, max_exp=4):
-        """Sparse integer polynomials in x_1..x_n and t with small exponents."""
+    def polynomials(draw, n, max_terms=5, exponents=None):
+        """Sparse integer polynomials in x_1..x_n and t.
+
+        Every exponent is drawn from the strategy ``exponents``; by default
+        x-exponents lie in 0..4 and t-exponents in 0..2.
+        """
+        x_exponents = st.integers(0, 4) if exponents is None else exponents
+        t_exponents = st.integers(0, 2) if exponents is None else exponents
         size = draw(st.integers(0, max_terms))
         terms = {}
         for _ in range(size):
-            key = tuple(draw(st.integers(0, max_exp)) for _ in range(n))
-            key += (draw(st.integers(0, 2)),)
+            key = tuple(draw(x_exponents) for _ in range(n))
+            key += (draw(t_exponents),)
             terms[key] = terms.get(key, 0) + draw(st.integers(-3, 3))
         return Polynomial(n, terms)

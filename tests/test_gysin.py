@@ -48,7 +48,7 @@ def set_partitions(items):
 
 def naive_alternant_quotient(g):
     """(sum over all w in S_n of sign(w) w(g)) / Vandermonde, the n!-term
-    signed sum formed explicitly and divided by synthetic division."""
+    signed sum formed explicitly and divided by divide_by_vandermonde."""
     alternant = Polynomial.zero(g.arity)
     for w in all_permutations(g.arity):
         alternant = alternant + w.sign() * g.permute_vars(w)

@@ -204,7 +204,7 @@ def test_embed_offset():
         p.embed(2, offset=1)
 
 
-# --- exact division, all three code paths ---------------------------------
+# --- exact division ------------------------------------------------------
 
 
 def test_divide_linear_difference_path():
@@ -225,21 +225,39 @@ def test_divide_t_only_path(poly):
 
 
 def test_divide_general_path(random_poly):
+    x1, x2, x3 = (Polynomial.x(3, i) for i in (1, 2, 3))
+    # e_2 has a top coefficient of two terms in every variable, so its
+    # levels are divided by a recursive exact division
+    e2 = x1 * x2 + x1 * x3 + x2 * x3
     for _ in range(6):
         p = random_poly(3)
-        q = random_poly(3, n_terms=3) + Polynomial.one(3)
-        assert (p * q).divide_exact(q) == p
-    with pytest.raises(NotDivisibleError):
-        (Polynomial.x(2, 1) + Polynomial.one(2)).divide_exact(
-            Polynomial.x(2, 1) * Polynomial.x(2, 2) + Polynomial.x(2, 2)
-        )
+        for q in (random_poly(3, n_terms=3) + Polynomial.one(3), e2):
+            assert (p * q).divide_exact(q) == p
+    y1, y2 = Polynomial.x(2, 1), Polynomial.x(2, 2)
+    for f, q in [(y1 + 1, y1 * y2 + y2), (x1 * x2**2, e2)]:
+        with pytest.raises(NotDivisibleError):
+            f.divide_exact(q)
     with pytest.raises(ZeroDivisionError):
         Polynomial.one(2).divide_exact(Polynomial.zero(2))
 
 
 def test_linear_difference_division_of_zero_is_zero():
-    for n, i, j in [(2, 0, 1), (3, 2, 0)]:
-        assert Polynomial.zero(n)._div_linear_difference(i, j) == Polynomial.zero(n)
+    for n, i, j in [(2, 1, 2), (3, 3, 1)]:
+        zero = Polynomial.zero(n)
+        assert zero.divide_exact(Polynomial.x(n, i) - Polynomial.x(n, j)) == zero
+        assert divide_by_vandermonde(zero) == zero
+
+
+def test_division_cost_follows_the_terms_not_the_exponents():
+    # each quotient is one term; a loop over every degree level would run
+    # 2**40 times
+    big = 2**40
+    x1, x2, t = Polynomial.x(2, 1), Polynomial.x(2, 2), Polynomial.t(2)
+    x1_big = Polynomial.monomial(2, (big, 0))
+    t_big = Polynomial.monomial(2, (0, 0), big)
+    assert (x1_big * (x1 - x2)).divide_exact(x1 - x2) == x1_big
+    assert (3 * t_big).divide_exact(3) == t_big
+    assert (t_big * (1 + t)).divide_exact(1 + t) == t_big
 
 
 def test_vandermonde_and_difference_product(random_poly):
