@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .antisym import divided_difference, jacobi_symmetrizer, longest_word
+from .antisym import divided_difference, jacobi_symmetrizer
 from .polyring import ArityMismatchError
 from .symgroup import Permutation, ensure_within_bound
 
@@ -152,22 +152,3 @@ def leading_flag_pushforward(f, k, n):
     """Push forward along the flag of quotient ranks k, k-1, ..., 1:
     singleton blocks {1}..{k} followed by the block {k+1..n}."""
     return partial_flag_pushforward(f, RootSplit.leading_flag(k, n))
-
-
-def blockwise_full_flag(f, split):
-    """Apply the full-flag symmetrizer separately inside every block.
-
-    Composing this with partial_flag_pushforward along the same split
-    reproduces full_flag_pushforward; that factorization is a correctness
-    check for the whole operator family.  Inside a block b the longest
-    word's letters a act as d along the pair (b[a-1], b[a]).
-    """
-    if f.arity != split.n:
-        raise ArityMismatchError(
-            f"polynomial arity {f.arity} does not match split on {split.n} variables"
-        )
-    ensure_within_bound(split.n)
-    for b in split.blocks:
-        for a in longest_word(len(b)):
-            f = divided_difference(f, b[a - 1], b[a])
-    return f

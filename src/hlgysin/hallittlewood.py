@@ -21,10 +21,9 @@ exact multiple of the Vandermonde, and a failed division surfaces as
 NotDivisibleError instead of a silent approximation.
 
 At t = 0 the P-classes of partitions become Schur polynomials and at
-t = -1 the P-classes of strict partitions become Schur P-polynomials; both
-specializations are implemented independently (Jacobi-Trudi determinant,
-hook sums and two-row recursion, closed coset formulas) so they can be
-played against the Hall-Littlewood engine as cross-checks.
+t = -1 the P-classes of strict partitions become Schur P-polynomials.
+Both rest on divided differences too: s_lam is the Demazure character
+pi_w0(x^lam), and P_nu the leading-flag push-forward of its coset form.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .antisym import divided_difference, jacobi_symmetrizer
+from .antisym import divided_difference, longest_word
 from .gysin import leading_flag_pushforward
 from .polyring import NotDivisibleError, Polynomial, divide_by_vandermonde
 from .symgroup import block_structure, coset_reps, ensure_within_bound
@@ -109,16 +108,6 @@ def gaussian_binomial_at_minus_one(a, b):
 
 # ---------------------------------------------------------------------- #
 # Hall-Littlewood classes
-
-
-@lru_cache(maxsize=None)
-def t_twisted_vandermonde(n):
-    """prod_{i<j} (x_i - t x_j)."""
-    out = Polynomial.one(n)
-    t = Polynomial.t(n)
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        out = out * (Polynomial.x(n, i) - t * Polynomial.x(n, j))
-    return out
 
 
 def hall_littlewood_r(n, seq):
@@ -205,29 +194,8 @@ def _hall_littlewood_p(n, seq):
         ) from None
 
 
-def hall_littlewood_p_specialized(n, seq, t_value):
-    """P_seq with an integer substituted for t (0 gives Schur S, -1 Schur P)."""
-    return hall_littlewood_p(n, seq).substitute_t(t_value)
-
-
 # ---------------------------------------------------------------------- #
 # Schur polynomials (the t = 0 shadow)
-
-
-@lru_cache(maxsize=None)
-def complete_homogeneous(degree, n):
-    """h_degree(x_1..x_n): sum of all monomials of the given total degree."""
-    if degree < 0:
-        return Polynomial.zero(n)
-    if degree == 0:
-        return Polynomial.one(n)
-    terms = {}
-    for combo in itertools.combinations_with_replacement(range(n), degree):
-        key = [0] * (n + 1)
-        for idx in combo:
-            key[idx] += 1
-        terms[tuple(key)] = 1
-    return Polynomial._raw(n, terms)
 
 
 def _as_partition_of_length(seq, n):
@@ -244,47 +212,22 @@ def _as_partition_of_length(seq, n):
 
 
 def schur_s(partition, n):
-    """Schur polynomial via the Jacobi-Trudi determinant det(h_{lam_i - i + j})."""
+    """Schur polynomial s_lam(x_1..x_n) = pi_w0(x^lam), pi_a f = d_a(x_a f).
+
+    The Demazure character formula (Demazure 1974; Lascoux 2003, ch. 1),
+    along the reduced word of antisym.longest_word.  Every intermediate
+    pi_v(x^lam) is a key polynomial whose monomials are among those of
+    s_lam, so no step holds more terms than the answer.
+    """
     return _schur_s(_as_partition_of_length(partition, n), n)
 
 
 @lru_cache(maxsize=None)
 def _schur_s(lam, n):
-    cache = {}
-
-    def minor(rows):
-        # Determinant of the submatrix on these rows and columns
-        # n - len(rows) .. n - 1 (0-based), expanded along its first column.
-        if not rows:
-            return Polynomial.one(n)
-        got = cache.get(rows)
-        if got is not None:
-            return got
-        col = n - len(rows)
-        out = Polynomial.zero(n)
-        sign = 1
-        for pos, row in enumerate(rows):
-            entry = complete_homogeneous(lam[row] - row + col, n)
-            if not entry.is_zero:
-                sub = minor(rows[:pos] + rows[pos + 1:])
-                out = out + sign * (entry * sub)
-            sign = -sign
-        cache[rows] = out
-        return out
-
-    return minor(tuple(range(n)))
-
-
-def schur_s_bialternant(partition, n):
-    """Schur polynomial as the one-row alternant quotient.
-
-    antisymmetrize(x^(lam + delta)) / Vandermonde with delta = (n-1, ..., 0);
-    an independent route that must match the Jacobi-Trudi determinant.
-    """
-    lam = _as_partition_of_length(partition, n)
-    ensure_within_bound(n)
-    staircase = tuple(lam[i] + n - 1 - i for i in range(n))
-    return jacobi_symmetrizer(Polynomial.monomial(n, staircase))
+    p = Polynomial.monomial(n, lam)
+    for a in longest_word(n):
+        p = divided_difference(Polynomial.x(n, a) * p, a, a + 1)
+    return p
 
 
 def straighten_schur_s(seq):
@@ -338,68 +281,6 @@ def _schur_p_coset(nu, n):
         for j in range(i + 1, n + 1):
             core = core * (Polynomial.x(n, i) + Polynomial.x(n, j))
     return leading_flag_pushforward(core, k, n)
-
-
-def schur_p_recursive(nu, n):
-    """Schur P-polynomial by hook sums and the two-row recursion.
-
-    One-row: P_m = sum of Schur polynomials of the hooks (m - j, 1^j).
-    Two-row: P_{i,j} = P_i P_j + 2 * sum_{d=1}^{j-1} (-1)^d P_{i+d} P_{j-d}
-    + (-1)^j P_{i+j}.  Longer strict partitions expand along the first row
-    (odd length) or into two-row minors (even length).
-    """
-    nu = as_int_sequence(nu)
-    if not is_strict_partition(nu):
-        raise ValueError(f"not a strict partition: {nu!r}")
-    if len(nu) > n:
-        raise ValueError(f"strict partition {nu!r} needs more than {n} variables")
-    return _schur_p_rec(nu, n)
-
-
-@lru_cache(maxsize=None)
-def _schur_p_one_row(m, n):
-    if m == 0:
-        return Polynomial.one(n)
-    out = Polynomial.zero(n)
-    for j in range(m):
-        if j + 1 > n:
-            break  # hooks with more rows than variables vanish
-        hook = (m - j,) + (1,) * j
-        out = out + schur_s(hook, n)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _schur_p_two_rows(i, j, n):
-    out = _schur_p_one_row(i, n) * _schur_p_one_row(j, n)
-    for d in range(1, j):
-        term = _schur_p_one_row(i + d, n) * _schur_p_one_row(j - d, n)
-        out = out + (2 if d % 2 == 0 else -2) * term
-    out = out + (1 if j % 2 == 0 else -1) * _schur_p_one_row(i + j, n)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _schur_p_rec(nu, n):
-    k = len(nu)
-    if k == 0:
-        return Polynomial.one(n)
-    if k == 1:
-        return _schur_p_one_row(nu[0], n)
-    if k == 2:
-        return _schur_p_two_rows(nu[0], nu[1], n)
-    out = Polynomial.zero(n)
-    if k % 2:
-        for a in range(k):
-            rest = nu[:a] + nu[a + 1:]
-            term = _schur_p_one_row(nu[a], n) * _schur_p_rec(rest, n)
-            out = out + (term if a % 2 == 0 else -term)
-    else:
-        for b in range(1, k):
-            rest = nu[1:b] + nu[b + 1:]
-            term = _schur_p_two_rows(nu[0], nu[b], n) * _schur_p_rec(rest, n)
-            out = out + (term if b % 2 else -term)
-    return out
 
 
 def straighten_schur_p(seq):

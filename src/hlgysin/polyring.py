@@ -134,6 +134,12 @@ def _level_divider(lead, v, arity):
     return divide
 
 
+def _checked_arity(arity):
+    if not isinstance(arity, int) or arity < 0:
+        raise ValueError(f"arity must be a nonnegative integer, got {arity!r}")
+    return arity
+
+
 def _validated_terms(arity, terms):
     clean = {}
     for key, coeff in terms.items():
@@ -157,9 +163,7 @@ class Polynomial:
     __slots__ = ("arity", "terms")
 
     def __init__(self, arity, terms=None):
-        if not isinstance(arity, int) or arity < 0:
-            raise ValueError(f"arity must be a nonnegative integer, got {arity!r}")
-        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "arity", _checked_arity(arity))
         object.__setattr__(self, "terms", _validated_terms(arity, terms or {}))
 
     @classmethod
@@ -178,13 +182,13 @@ class Polynomial:
 
     @classmethod
     def zero(cls, arity):
-        return cls._raw(arity, {})
+        return cls._raw(_checked_arity(arity), {})
 
     @classmethod
     def constant(cls, arity, value):
         if not value:
             return cls.zero(arity)
-        return cls._raw(arity, {(0,) * (arity + 1): int(value)})
+        return cls._raw(_checked_arity(arity), {(0,) * (arity + 1): int(value)})
 
     @classmethod
     def one(cls, arity):
@@ -202,13 +206,12 @@ class Polynomial:
     @classmethod
     def t(cls, arity):
         """The parameter t as an element of the arity-n ring."""
-        key = (0,) * arity + (1,)
-        return cls._raw(arity, {key: 1})
+        return cls._raw(_checked_arity(arity), {(0,) * arity + (1,): 1})
 
     @classmethod
     def monomial(cls, arity, x_exponents, t_exponent=0, coeff=1):
         x_exponents = tuple(x_exponents)
-        if len(x_exponents) != arity:
+        if len(x_exponents) != _checked_arity(arity):
             raise ArityMismatchError(
                 f"{len(x_exponents)} x-exponents for arity {arity}"
             )
@@ -618,22 +621,6 @@ class Polynomial:
 
 # ---------------------------------------------------------------------- #
 # module-level helpers
-
-
-def difference_product(arity, pairs):
-    """prod (x_i - x_j) over the given 1-based index pairs."""
-    out = Polynomial.one(arity)
-    for i, j in pairs:
-        out = out * (Polynomial.x(arity, i) - Polynomial.x(arity, j))
-    return out
-
-
-@lru_cache(maxsize=None)
-def vandermonde(arity):
-    """prod_{i<j} (x_i - x_j)."""
-    return difference_product(
-        arity, tuple(itertools.combinations(range(1, arity + 1), 2))
-    )
 
 
 def divide_by_vandermonde(p):

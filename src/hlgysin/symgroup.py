@@ -16,9 +16,7 @@ guards the n! blowup.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 DEFAULT_PERMUTATION_BOUND = 8
 
@@ -106,17 +104,6 @@ class Permutation:
         return f"Permutation({list(self.images)})"
 
 
-@lru_cache(maxsize=None)
-def all_permutations(n, bound=None):
-    """All of S_n in lexicographic one-line order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    ensure_within_bound(n, bound)
-    return tuple(
-        Permutation(images) for images in itertools.permutations(range(1, n + 1))
-    )
-
-
 @dataclass(frozen=True)
 class BlockStructure:
     """Decomposition of {1..n} into classes, with the sequence that induced it.
@@ -158,14 +145,6 @@ def block_structure(sequence):
     return BlockStructure(sequence, classes, tuple(len(c) for c in classes))
 
 
-def stabilizer_order(blocks):
-    """Order of the Young subgroup fixing every class: prod m_i!."""
-    out = 1
-    for m in blocks.multiplicities:
-        out *= math.factorial(m)
-    return out
-
-
 def coset_reps(blocks, bound=None):
     """Canonical transversal of S_n / S_n^B.
 
@@ -191,23 +170,3 @@ def coset_reps(blocks, bound=None):
 
     assign(0, tuple(range(1, n + 1)))
     return tuple(reps)
-
-
-def stabilizer_elements(blocks, bound=None):
-    """All elements of the Young subgroup fixing every class."""
-    n = blocks.degree
-    ensure_within_bound(n, bound)
-    per_class = []
-    for positions in blocks.classes:
-        arrangements = []
-        for perm in itertools.permutations(positions):
-            arrangements.append(tuple(zip(positions, perm)))
-        per_class.append(arrangements)
-    out = []
-    for combo in itertools.product(*per_class):
-        images = [0] * n
-        for pairs in combo:
-            for pos, val in pairs:
-                images[pos - 1] = val
-        out.append(Permutation(images))
-    return tuple(out)

@@ -29,19 +29,21 @@ from hlgysin import (
     gaussian_binomial_at_minus_one,
     grassmann_pushforward,
     hall_littlewood_p,
-    hall_littlewood_p_specialized,
     hall_littlewood_r,
     hall_littlewood_r_coset,
     is_partition,
     jacobi_symmetrizer,
     schur_p_coset,
-    schur_p_recursive,
     schur_s,
-    schur_s_bialternant,
     straighten_schur_s,
     t_factorial,
 )
 from hlgysin.identities import InstanceFamily, run_suite
+from hlgysin.oracles import (
+    hall_littlewood_p_specialized,
+    schur_p_recursive,
+    schur_s_jacobi_trudi,
+)
 
 RANDOM_SEED = 20260814
 
@@ -253,7 +255,7 @@ def test_criterion_schur_p_triangle():
         for n in range(1, 6):
             for lam in itertools.product(range(5), repeat=n):
                 if is_partition(lam):
-                    assert schur_s(lam, n) == schur_s_bialternant(lam, n)
+                    assert schur_s(lam, n) == schur_s_jacobi_trudi(lam, n)
 
 
 def test_criterion_hand_anchors():

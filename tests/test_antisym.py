@@ -3,11 +3,10 @@ import pytest
 from hlgysin import (
     Permutation,
     Polynomial,
-    all_permutations,
     divided_difference,
     jacobi_symmetrizer,
-    vandermonde,
 )
+from hlgysin.oracles import all_permutations, vandermonde
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies

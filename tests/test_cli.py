@@ -104,6 +104,15 @@ def test_compute_malformed_sequence_exit_2():
     assert result.returncode == 2
 
 
+def test_compute_negative_n_exit_2(capsys):
+    code, out, err = run_main(
+        capsys, "compute", "--kind", "schur-s", "--n", "-1", "--lambda", "()"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_compute_interleaved_p_is_a_finding_exit_1():
     result = run_cli("compute", "--kind", "p", "--n", "4", "--lambda", "0,2,0,2")
     assert result.returncode == 1

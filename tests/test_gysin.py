@@ -9,9 +9,6 @@ from hlgysin import (
     NonInvariantInputError,
     Polynomial,
     RootSplit,
-    all_permutations,
-    blockwise_full_flag,
-    difference_product,
     divide_by_vandermonde,
     full_flag_pushforward,
     grassmann_pushforward,
@@ -20,6 +17,11 @@ from hlgysin import (
     leading_flag_pushforward,
     partial_flag_pushforward,
     schur_p_coset,
+)
+from hlgysin.oracles import (
+    all_permutations,
+    blockwise_full_flag,
+    difference_product,
     stabilizer_elements,
     stabilizer_order,
     t_twisted_vandermonde,
@@ -161,7 +163,7 @@ def test_errors():
 
 
 def symmetrize(f):
-    from hlgysin import all_permutations
+    from hlgysin.oracles import all_permutations
 
     out = Polynomial.zero(f.arity)
     for w in all_permutations(f.arity):

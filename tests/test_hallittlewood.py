@@ -5,25 +5,27 @@ import pytest
 from hlgysin import (
     NotDivisibleError,
     Polynomial,
-    all_permutations,
-    complete_homogeneous,
     gaussian_binomial,
     gaussian_binomial_at_minus_one,
     hall_littlewood_p,
-    hall_littlewood_p_specialized,
     hall_littlewood_r,
     hall_littlewood_r_coset,
     is_partition,
     is_strict_partition,
     jacobi_symmetrizer,
     schur_p_coset,
-    schur_p_recursive,
     schur_s,
-    schur_s_bialternant,
     straighten_schur_p,
     straighten_schur_s,
     t_factorial,
     t_factorial_product,
+)
+from hlgysin.oracles import (
+    all_permutations,
+    complete_homogeneous,
+    hall_littlewood_p_specialized,
+    schur_p_recursive,
+    schur_s_jacobi_trudi,
 )
 
 
@@ -200,11 +202,20 @@ def test_schur_s_examples():
         schur_s((2, 1, 1), 2)
 
 
-def test_schur_s_equals_bialternant():
+def test_schur_s_equals_jacobi_trudi_and_bialternant():
+    """Three constructions of s_lam: the engine's Demazure form pi_w0(x^lam),
+    the Jacobi-Trudi determinant and the bialternant d_w0(x^(lam + delta))."""
     for n in range(1, 5):
+        delta = tuple(range(n - 1, -1, -1))
         for lam in itertools.product(range(4), repeat=n):
             if is_partition(lam):
-                assert schur_s(lam, n) == schur_s_bialternant(lam, n)
+                staircase = tuple(a + d for a, d in zip(lam, delta))
+                bialternant = jacobi_symmetrizer(Polynomial.monomial(n, staircase))
+                assert schur_s(lam, n) == schur_s_jacobi_trudi(lam, n) == bialternant
+    # schur_s enumerates nothing, so no permutation bound applies to it
+    for n in range(9, 13):
+        for lam in [(1,), (1, 1), (2, 1)]:
+            assert schur_s(lam, n) == schur_s_jacobi_trudi(lam, n)
 
 
 def test_straighten_schur_s_examples():

@@ -5,11 +5,10 @@ from hlgysin import (
     ExponentOverflowError,
     NotDivisibleError,
     Polynomial,
-    difference_product,
     divide_by_vandermonde,
-    vandermonde,
 )
-from hlgysin.symgroup import Permutation, all_permutations
+from hlgysin.oracles import all_permutations, difference_product, vandermonde
+from hlgysin.symgroup import Permutation
 
 # Exponents within 2 of 2**7, 2**8, 2**15, ...: alone or summed in a
 # product they straddle 2**8, 2**16 and 2**32, where the packed product
@@ -54,6 +53,19 @@ def test_validation_errors():
         Polynomial.x(2, 1) + Polynomial.x(3, 1)
     with pytest.raises(ArityMismatchError):
         Polynomial.x(2, 1) * Polynomial.x(3, 1)
+
+
+def test_constructors_reject_a_negative_arity():
+    for make in (
+        Polynomial,
+        Polynomial.zero,
+        Polynomial.one,
+        Polynomial.t,
+        lambda arity: Polynomial.constant(arity, 5),
+        lambda arity: Polynomial.monomial(arity, ()),
+    ):
+        with pytest.raises(ValueError, match="arity must be a nonnegative integer"):
+            make(-1)
 
 
 def test_validation_rejects_non_integer_exponents_with_value_error():

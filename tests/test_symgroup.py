@@ -7,9 +7,11 @@ from hlgysin import (
     BlockStructure,
     BoundExceededError,
     Permutation,
-    all_permutations,
     block_structure,
     coset_reps,
+)
+from hlgysin.oracles import (
+    all_permutations,
     stabilizer_elements,
     stabilizer_order,
 )
