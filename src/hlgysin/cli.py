@@ -6,8 +6,9 @@ built, and verification lines omit wall-clock timings on stdout (timed
 lines go to the report file under --out instead).
 
 Exit codes: 0 success / all checks passed; 1 a verification failed or a
-computation was impossible (a divisibility finding); 2 malformed input or
-unknown identity; 3 permutation bound exceeded.
+computation was impossible (a divisibility finding); 2 malformed input,
+unknown identity or an --out path that cannot be written; 3 permutation
+bound exceeded.
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def main(argv=None):
     except NotDivisibleError as exc:
         print(f"not divisible: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .antisym import divided_difference, jacobi_symmetrizer
 from .polyring import ArityMismatchError
@@ -75,13 +74,6 @@ class RootSplit:
         if k == n:
             return cls(n, head)
         return cls(n, head + (tuple(range(k + 1, n + 1)),))
-
-    @cached_property
-    def cross_pair_count(self):
-        """Number of pairs i < j lying in different blocks."""
-        return (self.n * (self.n - 1)) // 2 - sum(
-            len(b) * (len(b) - 1) // 2 for b in self.blocks
-        )
 
     def block_symmetry_generators(self):
         """Transpositions of consecutive members of each block; they generate

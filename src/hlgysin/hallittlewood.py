@@ -34,7 +34,7 @@ from functools import lru_cache
 
 from .antisym import divided_difference, longest_word
 from .gysin import leading_flag_pushforward
-from .polyring import NotDivisibleError, Polynomial, divide_by_vandermonde
+from .polyring import NotDivisibleError, Polynomial, divide_by_vandermonde, linear_factor_product
 from .symgroup import block_structure, coset_reps, ensure_within_bound
 
 
@@ -126,10 +126,9 @@ def _hall_littlewood_r(n, seq):
     if n < 1 or len(seq) != n:
         raise ValueError(f"sequence of length {len(seq)} does not match n = {n}")
     ensure_within_bound(n)
-    x1, t = Polynomial.x(n, 1), Polynomial.t(n)
-    row = x1 ** seq[0]
-    for j in range(2, n + 1):
-        row = row * (x1 - t * Polynomial.x(n, j))
+    row = Polynomial.x(n, 1) ** seq[0] * linear_factor_product(
+        n, ((1, j) for j in range(2, n + 1)), Polynomial.t(n)
+    )
     if n == 1:
         return row
     f = row * _hall_littlewood_r(n - 1, seq[1:]).embed(n, offset=1)
@@ -155,16 +154,16 @@ def hall_littlewood_r_coset(n, seq):
     if n < 1 or len(seq) != n:
         raise ValueError(f"sequence of length {len(seq)} does not match n = {n}")
     ensure_within_bound(n)
-    blocks = block_structure(seq)
-    t = Polynomial.t(n)
-    core = Polynomial.monomial(n, seq)
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        if seq[i - 1] != seq[j - 1]:
-            core = core * (Polynomial.x(n, i) - t * Polynomial.x(n, j))
-        else:
-            core = core * (Polynomial.x(n, i) - Polynomial.x(n, j))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    unequal = [(i, j) for i, j in pairs if seq[i - 1] != seq[j - 1]]
+    equal = [(i, j) for i, j in pairs if seq[i - 1] == seq[j - 1]]
+    core = (
+        Polynomial.monomial(n, seq)
+        * linear_factor_product(n, unequal, Polynomial.t(n))
+        * linear_factor_product(n, equal, 1)
+    )
     terms = {}
-    for w in coset_reps(blocks):
+    for w in coset_reps(block_structure(seq)):
         sign = w.sign()
         for key, c in core.permute_vars(w).terms.items():
             s = terms.get(key, 0) + sign * c
@@ -276,10 +275,10 @@ def _schur_p_coset(nu, n):
     if k > n:
         raise ValueError(f"strict partition {nu!r} needs more than {n} variables")
     ensure_within_bound(n)
-    core = Polynomial.monomial(n, nu + (0,) * (n - k))
-    for i in range(1, k + 1):
-        for j in range(i + 1, n + 1):
-            core = core * (Polynomial.x(n, i) + Polynomial.x(n, j))
+    pairs = ((i, j) for i in range(1, k + 1) for j in range(i + 1, n + 1))
+    core = Polynomial.monomial(n, nu + (0,) * (n - k)) * linear_factor_product(
+        n, pairs, -1
+    )
     return leading_flag_pushforward(core, k, n)
 
 

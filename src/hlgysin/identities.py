@@ -26,12 +26,12 @@ from dataclasses import dataclass
 
 from .gysin import grassmann_pushforward
 from .hallittlewood import (
+    _as_partition_of_length,
     as_int_sequence,
     gaussian_binomial,
     gaussian_binomial_at_minus_one,
     hall_littlewood_p,
     hall_littlewood_r,
-    is_partition,
     is_strict_partition,
     schur_p_coset,
     schur_s,
@@ -40,7 +40,7 @@ from .hallittlewood import (
     t_factorial,
     t_factorial_product,
 )
-from .polyring import NotDivisibleError, Polynomial
+from .polyring import NotDivisibleError, Polynomial, linear_factor_product
 
 
 @dataclass
@@ -118,21 +118,14 @@ class InstanceFamily:
 # shared helpers
 
 
-def _cross_factor(n, q, t_value=None):
-    """prod over i <= q < j of (x_i - t x_j), or of (x_i + x_j) at t = -1."""
-    out = Polynomial.one(n)
-    for i in range(1, q + 1):
-        for j in range(q + 1, n + 1):
-            xi, xj = Polynomial.x(n, i), Polynomial.x(n, j)
-            if t_value is None:
-                out = out * (xi - Polynomial.t(n) * xj)
-            else:
-                out = out * (xi - t_value * xj)
-    return out
+def _cross_factor(n, q, c):
+    """prod over i <= q < j of (x_i - c x_j): c = t, or c = -1 at t = -1."""
+    pairs = ((i, j) for i in range(1, q + 1) for j in range(q + 1, n + 1))
+    return linear_factor_product(n, pairs, c)
 
 
-def _finish(name, instance, lhs, rhs, started, detail=None):
-    witness = lhs - rhs
+def _report(name, instance, witness, started, detail=None):
+    """The report of one check; it passes when the witness is zero."""
     passed = witness.is_zero
     return VerificationReport(
         identity_name=name,
@@ -166,7 +159,7 @@ def verify_lemma_sum(n):
     started = time.perf_counter()
     lhs = hall_littlewood_r(n, (0,) * n)
     rhs = t_factorial(n).embed(n)
-    return _finish("lemma-sum", {"n": n}, lhs, rhs, started)
+    return _report("lemma-sum", {"n": n}, lhs - rhs, started)
 
 
 def verify_prop_juxtaposition(n, q, lam, mu):
@@ -175,17 +168,17 @@ def verify_prop_juxtaposition(n, q, lam, mu):
     started = time.perf_counter()
     lam, mu, r = _split_params(n, q, lam, mu)
     f = (
-        _cross_factor(n, q)
+        _cross_factor(n, q, Polynomial.t(n))
         * hall_littlewood_r(q, lam).embed(n)
         * hall_littlewood_r(r, mu).embed(n, offset=q)
     )
     lhs = grassmann_pushforward(f, q, r)
     rhs = hall_littlewood_r(n, lam + mu)
     instance = {"n": n, "q": q, "lambda": lam, "mu": mu}
-    return _finish("prop-juxtaposition", instance, lhs, rhs, started)
+    return _report("prop-juxtaposition", instance, lhs - rhs, started)
 
 
-def _checked_theorem(name, n, q, lam, mu, coefficient):
+def _checked_theorem(name, instance, started, n, q, lam, mu, coefficient):
     """Shared body for the P-class push-forward identity.
 
     coefficient is the arity-0 polynomial scaling the right side.  When a
@@ -194,14 +187,13 @@ def _checked_theorem(name, n, q, lam, mu, coefficient):
     offending t-factorials — an exactly equivalent statement — and the
     detail field records the fallback.
     """
-    started = time.perf_counter()
     r = n - q
-    instance = {"n": n, "q": q, "lambda": lam, "mu": mu}
+    cross = _cross_factor(n, q, Polynomial.t(n))
     notes = []
 
     try:
         f = (
-            _cross_factor(n, q)
+            cross
             * hall_littlewood_p(q, lam).embed(n)
             * hall_littlewood_p(r, mu).embed(n, offset=q)
         )
@@ -210,7 +202,7 @@ def _checked_theorem(name, n, q, lam, mu, coefficient):
         # clear the left side: multiply both sides by v_lam * v_mu
         notes.append("input-class-undefined(v-does-not-divide-R); cleared-form")
         f = (
-            _cross_factor(n, q)
+            cross
             * hall_littlewood_r(q, lam).embed(n)
             * hall_littlewood_r(r, mu).embed(n, offset=q)
         )
@@ -220,27 +212,18 @@ def _checked_theorem(name, n, q, lam, mu, coefficient):
     multiplier = coefficient * scale
     v_joined = t_factorial_product(lam + mu)
     try:
-        rhs = multiplier.embed(n) * hall_littlewood_p(n, lam + mu)
+        witness = lhs - multiplier.embed(n) * hall_littlewood_p(n, lam + mu)
     except NotDivisibleError:
         # clear the right side: multiplier * P = (multiplier * R) / v_joined
         notes.append("juxtaposed-class-undefined(v-does-not-divide-R); reduced-form")
         joined_r = hall_littlewood_r(n, lam + mu)
         try:
             rhs = (multiplier.embed(n) * joined_r).divide_exact(v_joined.embed(n))
+            witness = lhs - rhs
         except NotDivisibleError:
             notes.append("reduced-form-not-divisible")
             witness = lhs * v_joined.embed(n) - multiplier.embed(n) * joined_r
-            return VerificationReport(
-                identity_name=name,
-                instance=instance,
-                passed=witness.is_zero,
-                witness=None if witness.is_zero else witness,
-                elapsed=time.perf_counter() - started,
-                detail="; ".join(notes),
-            )
-    return _finish(
-        name, instance, lhs, rhs, started, "; ".join(notes) if notes else None
-    )
+    return _report(name, instance, witness, started, "; ".join(notes) or None)
 
 
 def verify_theorem_main(n, q, lam, mu):
@@ -254,15 +237,13 @@ def verify_theorem_main(n, q, lam, mu):
     try:
         coefficient = t_factorial_product(lam + mu).divide_exact(v_lam_mu)
     except NotDivisibleError:
-        return VerificationReport(
-            identity_name="theorem-main",
-            instance=instance,
-            passed=False,
-            witness=t_factorial_product(lam + mu),
-            elapsed=time.perf_counter() - started,
-            detail="coefficient-not-divisible",
+        witness = t_factorial_product(lam + mu)
+        return _report(
+            "theorem-main", instance, witness, started, "coefficient-not-divisible"
         )
-    return _checked_theorem("theorem-main", n, q, lam, mu, coefficient)
+    return _checked_theorem(
+        "theorem-main", instance, started, n, q, lam, mu, coefficient
+    )
 
 
 def verify_t0_jlp(n, q, lam, mu):
@@ -271,7 +252,7 @@ def verify_t0_jlp(n, q, lam, mu):
     concatenation."""
     started = time.perf_counter()
     r = n - q
-    lam, mu = _pad_partition(lam, q), _pad_partition(mu, r)
+    lam, mu = _as_partition_of_length(lam, q), _as_partition_of_length(mu, r)
     f = (
         Polynomial.monomial(n, (r,) * q + (0,) * r)
         * schur_s(lam, q).embed(n)
@@ -285,18 +266,7 @@ def verify_t0_jlp(n, q, lam, mu):
         sign, shape = straightened
         rhs = sign * schur_s(shape, n)
     instance = {"n": n, "q": q, "lambda": lam, "mu": mu}
-    return _finish("t0-jlp", instance, lhs, rhs, started)
-
-
-def _pad_partition(seq, length):
-    seq = as_int_sequence(seq)
-    if not is_partition(seq):
-        raise ValueError(f"not a partition: {seq!r}")
-    if len(seq) > length:
-        if any(seq[length:]):
-            raise ValueError(f"partition {seq!r} has more than {length} nonzero parts")
-        seq = seq[:length]
-    return seq + (0,) * (length - len(seq))
+    return _report("t0-jlp", instance, lhs - rhs, started)
 
 
 def d_coefficient(n, q, k, h):
@@ -329,7 +299,7 @@ def verify_t_minus1(n, q, nu, sigma):
     nu, sigma, r = _strict_pair_params(n, q, nu, sigma)
     k, h = len(nu), len(sigma)
     f = (
-        _cross_factor(n, q, t_value=-1)
+        _cross_factor(n, q, -1)
         * schur_p_coset(nu, q).embed(n)
         * schur_p_coset(sigma, r).embed(n, offset=q)
     )
@@ -341,7 +311,7 @@ def verify_t_minus1(n, q, nu, sigma):
         sign, shape = straighten_schur_p(nu + sigma)
         rhs = (d * sign) * schur_p_coset(shape, n)
     instance = {"n": n, "q": q, "nu": nu, "sigma": sigma}
-    return _finish("t-minus1", instance, lhs, rhs, started, detail=f"d={d}")
+    return _report("t-minus1", instance, lhs - rhs, started, f"d={d}")
 
 
 def verify_cor_gaussian(n, q, nu, sigma):
@@ -358,19 +328,14 @@ def verify_cor_gaussian(n, q, nu, sigma):
         t_factorial_product(lam) * t_factorial_product(mu)
     )
     instance = {"n": n, "q": q, "nu": nu, "sigma": sigma}
-    if claimed != v_ratio:
-        return VerificationReport(
-            identity_name="cor-gaussian",
-            instance=instance,
-            passed=False,
-            witness=claimed - v_ratio,
-            elapsed=time.perf_counter() - started,
-            detail="gaussian-coefficient-mismatch",
+    mismatch = claimed - v_ratio
+    if mismatch:
+        return _report(
+            "cor-gaussian", instance, mismatch, started, "gaussian-coefficient-mismatch"
         )
-    report = _checked_theorem("cor-gaussian", n, q, lam, mu, claimed)
-    report.instance = instance
-    report.elapsed = time.perf_counter() - started
-    return report
+    return _checked_theorem(
+        "cor-gaussian", instance, started, n, q, lam, mu, claimed
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -407,8 +372,11 @@ def _split_instances(family, sequence_source):
     else:
         rng = random.Random(family.seed)
         n = family.n_range[1]
+        qs = family.qs(n)
+        if not qs:
+            return
         for _ in range(family.count):
-            q = rng.randint(1, n - 1)
+            q = rng.randint(qs.start, qs.stop - 1)
             lam = tuple(rng.randint(0, family.entry_bound) for _ in range(q))
             mu = tuple(rng.randint(0, family.entry_bound) for _ in range(n - q))
             yield n, q, lam, mu
@@ -478,6 +446,9 @@ IDENTITY_SUITES = {
     "cor-gaussian": _suite_cor_gaussian,
 }
 
+# the suites that draw their instances through _split_instances
+_SAMPLED_IDENTITIES = frozenset({"prop-juxtaposition", "theorem-main", "t0-jlp"})
+
 
 def run_suite(identity, family):
     """All reports for one identity over one instance family, in
@@ -488,4 +459,9 @@ def run_suite(identity, family):
         raise KeyError(
             f"unknown identity {identity!r}; choose from {sorted(IDENTITY_SUITES)}"
         ) from None
+    if family.mode == "randomized" and identity not in _SAMPLED_IDENTITIES:
+        raise ValueError(
+            f"identity {identity!r} has no randomized mode; "
+            f"randomized mode samples {', '.join(sorted(_SAMPLED_IDENTITIES))}"
+        )
     return list(suite(family))

@@ -65,11 +65,11 @@ def t_twisted_vandermonde(n):
 
 
 @lru_cache(maxsize=None)
-def all_permutations(n, bound=None):
+def all_permutations(n):
     """All of S_n in lexicographic one-line order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    ensure_within_bound(n, bound)
+    ensure_within_bound(n)
     return tuple(
         Permutation(images) for images in itertools.permutations(range(1, n + 1))
     )
@@ -83,10 +83,10 @@ def stabilizer_order(blocks):
     return out
 
 
-def stabilizer_elements(blocks, bound=None):
+def stabilizer_elements(blocks):
     """All elements of the Young subgroup fixing every class."""
     n = blocks.degree
-    ensure_within_bound(n, bound)
+    ensure_within_bound(n)
     per_class = []
     for positions in blocks.classes:
         arrangements = []

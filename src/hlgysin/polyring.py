@@ -37,7 +37,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-import re
 import struct
 from functools import lru_cache
 
@@ -224,28 +223,10 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def x_degree(self):
-        """Total degree in the x-variables (-1 for the zero polynomial)."""
-        n = self.arity
-        return max((sum(k[:n]) for k in self.terms), default=-1)
-
-    def t_degree(self):
-        n = self.arity
-        return max((k[n] for k in self.terms), default=-1)
-
-    def is_homogeneous_in_x(self):
-        n = self.arity
-        degrees = {sum(k[:n]) for k in self.terms}
-        return len(degrees) <= 1
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.arity == other.arity and self.terms == other.terms
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash((self.arity, frozenset(self.terms.items())))
@@ -562,62 +543,6 @@ class Polynomial:
             for key, c in self.sorted_terms()
         ]
 
-    _T_TERM = re.compile(r"(?:(-)|(-?\d+)\*)?t(?:\^(\d+))?$")
-    _X_FACTOR = re.compile(r"x(\d+)\^(\d+)$")
-
-    @classmethod
-    def parse(cls, text, arity):
-        """Inverse of to_text for the given arity."""
-        text = text.strip()
-        if text == "0":
-            return cls.zero(arity)
-        terms = {}
-
-        def put(key, c):
-            s = terms.get(key, 0) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-
-        for piece in text.split(" + "):
-            piece = piece.strip()
-            if not piece:
-                raise ValueError("empty term")
-            if re.fullmatch(r"-?\d+", piece):
-                put((0,) * arity + (0,), int(piece))
-                continue
-            m = cls._T_TERM.fullmatch(piece)
-            if m:
-                neg, num, exp = m.groups()
-                c = -1 if neg else int(num) if num else 1
-                k = int(exp) if exp else 1
-                put((0,) * arity + (k,), c)
-                continue
-            parts = piece.split(" * ")
-            if len(parts) < 2:
-                raise ValueError(f"cannot parse term {piece!r}")
-            c = int(parts[0])
-            k = 0
-            rest = parts[1:]
-            tm = cls._T_TERM.fullmatch(rest[-1])
-            if tm and tm.group(1) is None and tm.group(2) is None:
-                k = int(tm.group(3)) if tm.group(3) else 1
-                rest = rest[:-1]
-            if len(rest) != 1:
-                raise ValueError(f"cannot parse term {piece!r}")
-            exps = [0] * arity
-            for factor in rest[0].split():
-                fm = cls._X_FACTOR.fullmatch(factor)
-                if not fm:
-                    raise ValueError(f"cannot parse factor {factor!r}")
-                idx, e = int(fm.group(1)), int(fm.group(2))
-                if not 1 <= idx <= arity:
-                    raise ValueError(f"variable x{idx} out of range for arity {arity}")
-                exps[idx - 1] += e
-            put(tuple(exps) + (k,), c)
-        return cls(arity, terms)
-
 
 # ---------------------------------------------------------------------- #
 # module-level helpers
@@ -629,3 +554,12 @@ def divide_by_vandermonde(p):
     for x_i, x_j in itertools.combinations(xs, 2):
         p = p.divide_exact(x_i - x_j)
     return p
+
+
+def linear_factor_product(arity, pairs, c):
+    """prod (x_i - c x_j) over the given 1-based index pairs (i, j); ``c`` is
+    an int or Polynomial.t(arity)."""
+    out = Polynomial.one(arity)
+    for i, j in pairs:
+        out = out * (Polynomial.x(arity, i) - c * Polynomial.x(arity, j))
+    return out

@@ -9,8 +9,8 @@ from each coset the unique element whose restriction to every class is
 increasing.
 
 Everything here is exact and deterministic; enumeration order is fixed so
-downstream reductions are reproducible.  A configurable bound (default 8)
-guards the n! blowup.
+downstream reductions are reproducible.  A fixed bound, n <= 8
+(DEFAULT_PERMUTATION_BOUND), guards the n! blowup.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ DEFAULT_PERMUTATION_BOUND = 8
 
 
 class BoundExceededError(ValueError):
-    """Requested an enumeration beyond the configured permutation bound."""
+    """Requested an enumeration beyond the permutation bound."""
 
 
-def ensure_within_bound(n, bound=None):
-    limit = DEFAULT_PERMUTATION_BOUND if bound is None else bound
-    if n > limit:
-        raise BoundExceededError(f"n = {n} exceeds permutation bound {limit}")
+def ensure_within_bound(n):
+    if n > DEFAULT_PERMUTATION_BOUND:
+        raise BoundExceededError(
+            f"n = {n} exceeds permutation bound {DEFAULT_PERMUTATION_BOUND}"
+        )
 
 
 class Permutation:
@@ -120,20 +121,6 @@ class BlockStructure:
     def degree(self):
         return sum(self.multiplicities)
 
-    @classmethod
-    def from_classes(cls, classes):
-        """Build from explicit classes; the source sequence maps positions to class index."""
-        classes = tuple(tuple(sorted(block)) for block in classes)
-        seen = [pos for block in classes for pos in block]
-        n = len(seen)
-        if sorted(seen) != list(range(1, n + 1)):
-            raise ValueError(f"classes do not partition 1..{n}: {classes!r}")
-        seq = [0] * n
-        for idx, block in enumerate(classes):
-            for pos in block:
-                seq[pos - 1] = idx
-        return cls(tuple(seq), classes, tuple(len(b) for b in classes))
-
 
 def block_structure(sequence):
     """Level sets of a sequence grouped by value, ordered by first occurrence."""
@@ -145,7 +132,7 @@ def block_structure(sequence):
     return BlockStructure(sequence, classes, tuple(len(c) for c in classes))
 
 
-def coset_reps(blocks, bound=None):
+def coset_reps(blocks):
     """Canonical transversal of S_n / S_n^B.
 
     Each representative is increasing on every class; there are
@@ -153,7 +140,7 @@ def coset_reps(blocks, bound=None):
     lexicographic order of the chosen value sets.
     """
     n = blocks.degree
-    ensure_within_bound(n, bound)
+    ensure_within_bound(n)
     classes = blocks.classes
     reps = []
     images = [0] * n

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hlgysin import Polynomial
+from hlgysin import BlockStructure, Polynomial
 
 try:
     import hypothesis
@@ -16,6 +16,42 @@ def build(arity, *terms):
     for coeff, x_exponents, t_exponent in terms:
         out = out + Polynomial.monomial(arity, x_exponents, t_exponent, coeff)
     return out
+
+
+def x_degree(p):
+    """Total degree in the x-variables (-1 for the zero polynomial)."""
+    return max((sum(k[: p.arity]) for k in p.terms), default=-1)
+
+
+def t_degree(p):
+    """Degree in t (-1 for the zero polynomial)."""
+    return max((k[p.arity] for k in p.terms), default=-1)
+
+
+def is_homogeneous_in_x(p):
+    return len({sum(k[: p.arity]) for k in p.terms}) <= 1
+
+
+def blocks_from_classes(classes):
+    """BlockStructure of explicit classes; the source sequence maps each
+    position to the index of its class."""
+    classes = tuple(tuple(sorted(block)) for block in classes)
+    seen = [pos for block in classes for pos in block]
+    n = len(seen)
+    if sorted(seen) != list(range(1, n + 1)):
+        raise ValueError(f"classes do not partition 1..{n}: {classes!r}")
+    seq = [0] * n
+    for idx, block in enumerate(classes):
+        for pos in block:
+            seq[pos - 1] = idx
+    return BlockStructure(tuple(seq), classes, tuple(len(b) for b in classes))
+
+
+def cross_pair_count(split):
+    """Number of pairs i < j lying in different blocks of a RootSplit."""
+    return split.n * (split.n - 1) // 2 - sum(
+        len(b) * (len(b) - 1) // 2 for b in split.blocks
+    )
 
 
 @pytest.fixture

@@ -92,6 +92,16 @@ def test_compute_writes_out_file(tmp_path, capsys):
     assert out == "1 + t\n"
 
 
+def test_compute_unwritable_out_exit_2(tmp_path, capsys):
+    code, out, err = run_main(
+        capsys, "compute", "--kind", "v", "--m", "2",
+        "--out", str(tmp_path / "missing" / "poly.txt"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_compute_missing_flags_exit_2():
     result = run_cli("compute", "--kind", "r", "--n", "2")
     assert result.returncode == 2
@@ -175,6 +185,37 @@ def test_verify_randomized_seed(capsys):
     assert len(first.strip().split("\n")) == 5
 
 
+def test_verify_randomized_honours_q(capsys):
+    code, out, _ = run_main(
+        capsys, "verify", "--identity", "theorem-main", "--n-min", "4", "--n-max", "4",
+        "--mode", "randomized", "--count", "6", "--seed", "3", "--q", "1",
+    )
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert len(lines) == 6
+    assert all(line.startswith("theorem-main, n=4 q=1 ") for line in lines)
+
+
+@pytest.mark.parametrize("identity", ["lemma-sum", "t-minus1", "cor-gaussian"])
+def test_verify_randomized_without_a_sampler_exit_2(capsys, identity):
+    code, out, err = run_main(
+        capsys, "verify", "--identity", identity, "--mode", "randomized", "--count", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_verify_out_is_a_file_exit_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, _, err = run_main(
+        capsys, "verify", "--identity", "lemma-sum", "--n-max", "2", "--out", str(taken)
+    )
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_failure_exit_1_and_witness_dump(tmp_path, capsys, monkeypatch):
     import hlgysin.identities as identities
 
@@ -246,6 +287,16 @@ def test_table_p_marks_undefined_entries(capsys):
     payload = json.loads(out_json)
     undefined = [e for e in payload if e["terms"] is None]
     assert {"n": 4, "lambda": [0, 2, 0, 2]} in [e["params"] for e in undefined]
+
+
+def test_table_unwritable_out_exit_2(tmp_path, capsys):
+    code, out, err = run_main(
+        capsys, "table", "--kind", "v", "--m-max", "1",
+        "--out", str(tmp_path / "missing" / "table.txt"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_table_requires_kind_flags():

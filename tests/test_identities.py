@@ -175,6 +175,26 @@ def test_run_suite_randomized_is_reproducible():
     assert first != third
 
 
+def test_run_suite_randomized_draws_q_from_its_range():
+    fam = InstanceFamily(
+        n_range=(4, 4), q_range=(3, 3), entry_bound=1, mode="randomized", count=5, seed=3
+    )
+    reports = run_suite("prop-juxtaposition", fam)
+    assert len(reports) == 5
+    assert all(r.instance["q"] == 3 for r in reports)
+    beyond = InstanceFamily(
+        n_range=(3, 3), q_range=(5, 5), mode="randomized", count=5, seed=3
+    )
+    assert run_suite("prop-juxtaposition", beyond) == []
+
+
+@pytest.mark.parametrize("identity", ["lemma-sum", "t-minus1", "cor-gaussian"])
+def test_run_suite_randomized_needs_a_sampler(identity):
+    fam = InstanceFamily(n_range=(2, 3), mode="randomized", count=3)
+    with pytest.raises(ValueError, match="no randomized mode"):
+        run_suite(identity, fam)
+
+
 def test_cor_gaussian_suite_skips_and_probes_shared_parts():
     fam = InstanceFamily(n_range=(4, 4), entry_bound=2)
     reports = run_suite("cor-gaussian", fam)

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import is_homogeneous_in_x, t_degree, x_degree
 from hlgysin import (
     ArityMismatchError,
     ExponentOverflowError,
@@ -31,13 +32,13 @@ def test_constructors_and_queries():
     assert zero.is_zero and not zero
     assert Polynomial.constant(2, 0) == zero
     one = Polynomial.one(2)
-    assert one.x_degree() == 0 and one.t_degree() == 0
+    assert x_degree(one) == 0 and t_degree(one) == 0
     x1 = Polynomial.x(2, 1)
-    assert x1.x_degree() == 1
-    assert Polynomial.t(2).t_degree() == 1
+    assert x_degree(x1) == 1
+    assert t_degree(Polynomial.t(2)) == 1
     m = Polynomial.monomial(3, (1, 0, 2), 4, -7)
-    assert m.x_degree() == 3 and m.t_degree() == 4
-    assert zero.x_degree() == -1
+    assert x_degree(m) == 3 and t_degree(m) == 4
+    assert x_degree(zero) == -1
 
 
 def test_validation_errors():
@@ -159,9 +160,9 @@ def test_pow():
 
 
 def test_is_homogeneous_in_x(poly):
-    assert poly(2, (1, (2, 0), 0), (3, (1, 1), 5)).is_homogeneous_in_x()
-    assert not poly(2, (1, (2, 0), 0), (1, (1, 0), 0)).is_homogeneous_in_x()
-    assert Polynomial.zero(2).is_homogeneous_in_x()
+    assert is_homogeneous_in_x(poly(2, (1, (2, 0), 0), (3, (1, 1), 5)))
+    assert not is_homogeneous_in_x(poly(2, (1, (2, 0), 0), (1, (1, 0), 0)))
+    assert is_homogeneous_in_x(Polynomial.zero(2))
 
 
 def test_permute_vars_is_group_action(rng, random_poly):
@@ -298,21 +299,6 @@ def test_to_text_pinned_formats(poly):
     assert (
         poly(2, (-2, (1, 0), 3)).to_text() == "-2 * x1^1 * t^3"
     )
-
-
-def test_text_round_trip(random_poly):
-    for arity in (0, 1, 3):
-        for _ in range(4):
-            p = random_poly(arity)
-            assert Polynomial.parse(p.to_text(), arity) == p
-    assert Polynomial.parse("0", 2) == Polynomial.zero(2)
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        Polynomial.parse("1 + spam", 2)
-    with pytest.raises(ValueError):
-        Polynomial.parse("x3^1", 2)
 
 
 def test_to_latex():
