@@ -19,9 +19,17 @@ composite is the Jacobi symmetrizer
 
 which is how full-flag push-forwards and alternant quotients are formed
 without ever building the n!-term signed sum.
+
+The composite d_{n-1} ... d_1 of a class symmetric in x_2..x_n, the tower
+that builds R_lam, keeps a block symmetry at every step, so it is run on one
+term per orbit (_divided_difference_tower) and expanded to all terms once,
+at the end.
 """
 
 from __future__ import annotations
+
+import operator
+from functools import lru_cache
 
 from .polyring import Polynomial
 from .symgroup import ensure_within_bound
@@ -67,3 +75,89 @@ def jacobi_symmetrizer(p):
     for a in longest_word(n):
         p = divided_difference(p, a, a + 1)
     return p
+
+
+def _divided_difference_tower(f):
+    """d_{n-1} ... d_1 f, d_1 applied first, for f symmetric in x_2..x_n.
+
+    The precondition is not checked.  It makes every intermediate
+    f_a = d_a ... d_1 f symmetric in x_1..x_{a+1} and in x_{a+2}..x_n:
+    f_a is the push-forward along the bundle of lines in a rank a+1 space,
+    or directly, d_a maps a class symmetric in x_1..x_a and x_{a+1}..x_n to
+    one symmetric in x_1..x_{a+1} and x_{a+2}..x_n.  So each f_a is carried
+    as a plain dict of the terms whose exponents weakly decrease within both
+    blocks, one per orbit, with the coefficient of that orbit.
+
+    From the (a | n-a) representatives the (a+1 | n-a-1) ones come without
+    building the orbits: a block-dominant key of d_a f_{a-1} agrees outside
+    positions a, a+1 with a term of f_{a-1} whose block 1 is a
+    representative's first block less one copy of a value u, placed at
+    position a, and whose block 2 is its second block less one copy of a
+    value v, placed at a+1.  Of the closed-form terms x_a^e x_{a+1}^(u+v-1-e)
+    of d_a(x_a^u x_{a+1}^v), only those with rest1[-1] >= e >= u+v-1-e keep
+    the key dominant.  The symmetric answer is expanded over the distinct
+    rearrangements of its partition keys last, so that step costs in
+    proportion to the answer.
+    """
+    n = f.arity
+    reps = {
+        key: c
+        for key, c in f.terms.items()
+        if all(map(operator.ge, key[1 : n - 1], key[2:n]))
+    }
+    for a in range(1, n):
+        out = {}
+        get = out.get
+        for key, c in reps.items():
+            # (v, block 2 less one v, t) for each distinct v of block 2
+            tails = []
+            for i in range(a, n):
+                if i == a or key[i] != key[i - 1]:
+                    tails.append((key[i], key[a:i] + key[i + 1:]))
+            block1 = key[:a]
+            for i, u in enumerate(block1):
+                if i and u == block1[i - 1]:
+                    continue
+                rest1 = block1[:i] + block1[i + 1:]
+                # no bound from block 1 when u is its only entry
+                cap = rest1[-1] if rest1 else u + key[a]
+                for v, rest2 in tails:
+                    # e runs over lo..top: lo keeps e >= s - e, top is the
+                    # closed form's last exponent, cut to rest1[-1]
+                    s = u + v - 1
+                    lo = (s + 1) // 2
+                    if u > v:
+                        top, sign = (u - 1 if u <= cap else cap), c
+                    elif u < v:
+                        top, sign = (v - 1 if v <= cap else cap), -c
+                    else:
+                        continue
+                    if lo > top:
+                        continue
+                    if lo == top:
+                        nk = rest1 + (lo, s - lo) + rest2
+                        out[nk] = get(nk, 0) + sign
+                    else:
+                        for e in range(lo, top + 1):
+                            nk = rest1 + (e, s - e) + rest2
+                            out[nk] = get(nk, 0) + sign
+        reps = {key: c for key, c in out.items() if c}
+    terms = {}
+    for key, c in reps.items():
+        t = key[n:]
+        for x in _rearrangements(key[:n]):
+            terms[x + t] = c
+    return Polynomial._raw(n, terms)
+
+
+@lru_cache(maxsize=256)
+def _rearrangements(part):
+    """The distinct rearrangements of a weakly decreasing tuple."""
+    if len(part) < 2:
+        return (part,)
+    return tuple(
+        (v,) + rest
+        for i, v in enumerate(part)
+        if i == 0 or v != part[i - 1]
+        for rest in _rearrangements(part[:i] + part[i + 1:])
+    )

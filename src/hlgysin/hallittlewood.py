@@ -14,7 +14,10 @@ antisym): R_lam is the tower of projective-bundle push-forwards
     R_lam = d_{n-1} ... d_1 ( x_1^lam_1 prod_{j>1} (x_1 - t x_j)
                               * R_{lam_2..lam_n}(x_2..x_n) ),
 
-the juxtaposition identity at q = 1.  The one explicit sum over coset
+the juxtaposition identity at q = 1.  Its input is symmetric in
+x_2..x_n, so the tower carries one term per orbit of the block symmetry
+each step keeps (antisym._divided_difference_tower) and only the symmetric
+answer is expanded in full.  The one explicit sum over coset
 representatives left is the coset form of R, whose dependence on the
 chosen representatives is itself under study; its numerator must be an
 exact multiple of the Vandermonde, and a failed division surfaces as
@@ -32,7 +35,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .antisym import divided_difference, longest_word
+from .antisym import _divided_difference_tower, divided_difference, longest_word
 from .gysin import leading_flag_pushforward
 from .polyring import NotDivisibleError, Polynomial, divide_by_vandermonde, linear_factor_product
 from .symgroup import block_structure, coset_reps, ensure_within_bound
@@ -131,10 +134,9 @@ def _hall_littlewood_r(n, seq):
     )
     if n == 1:
         return row
-    f = row * _hall_littlewood_r(n - 1, seq[1:]).embed(n, offset=1)
-    for a in range(1, n):
-        f = divided_difference(f, a, a + 1)
-    return f
+    return _divided_difference_tower(
+        row * _hall_littlewood_r(n - 1, seq[1:]).embed(n, offset=1)
+    )
 
 
 def hall_littlewood_r_coset(n, seq):

@@ -1,11 +1,15 @@
+import itertools
+
 import pytest
 
 from hlgysin import (
     Permutation,
     Polynomial,
     divided_difference,
+    hall_littlewood_r,
     jacobi_symmetrizer,
 )
+from hlgysin.antisym import _divided_difference_tower
 from hlgysin.oracles import all_permutations, vandermonde
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -87,3 +91,44 @@ def test_jacobi_symmetrizer_clears_the_signed_orbit_sum(case):
     for w in all_permutations(n):
         alternant = alternant + w.sign() * f.permute_vars(w)
     assert jacobi_symmetrizer(f) * vandermonde(n) == alternant
+
+
+def chain(f):
+    """d_{n-1} ... d_1 f, one plain divided difference per letter."""
+    for a in range(1, f.arity):
+        f = d(f, a)
+    return f
+
+
+@st.composite
+def tail_symmetric_polynomials(draw):
+    """(n, f), f a random polynomial summed over the permutations of x_2..x_n."""
+    n = draw(st.integers(2, 5))
+    f = draw(polynomials(n))
+    g = Polynomial.zero(n)
+    for images in itertools.permutations(range(2, n + 1)):
+        g = g + f.permute_vars(Permutation((1, *images)))
+    return n, g
+
+
+@settings(60)
+@given(tail_symmetric_polynomials())
+def test_tower_on_orbit_representatives_is_the_divided_difference_chain(case):
+    n, f = case
+    r = _divided_difference_tower(f)
+    assert r == chain(f)
+    for a in range(1, n):
+        assert swap(r, a, a + 1) == r
+
+
+def test_tower_on_orbit_representatives_on_every_r_tower_input():
+    """The R_lam tower's input row * R_tail(x_2..x_n), row = x_1^lam_1
+    prod_{j>1} (x_1 - t x_j), for every sequence with entries <= 2 at n <= 5."""
+    for n in range(2, 6):
+        x1, t = Polynomial.x(n, 1), Polynomial.t(n)
+        for seq in itertools.product(range(3), repeat=n):
+            row = x1 ** seq[0]
+            for j in range(2, n + 1):
+                row = row * (x1 - t * Polynomial.x(n, j))
+            f = row * hall_littlewood_r(n - 1, seq[1:]).embed(n, offset=1)
+            assert _divided_difference_tower(f) == chain(f), seq
