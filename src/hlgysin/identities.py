@@ -346,10 +346,12 @@ def _sequences(length, bound):
     return itertools.product(range(bound + 1), repeat=length)
 
 
-def _partitions(length, bound):
-    for seq in _sequences(length, bound):
-        if all(a >= b for a, b in zip(seq, seq[1:])):
-            yield seq
+def _any_sequence(seq):
+    return True
+
+
+def _is_partition(seq):
+    return all(a >= b for a, b in zip(seq, seq[1:]))
 
 
 def _strict_partitions_within(max_len, bound):
@@ -362,38 +364,51 @@ def _suite_lemma(family):
         yield verify_lemma_sum(n)
 
 
-def _split_instances(family, sequence_source):
+def _split_instances(family, admits):
+    """(n, q, lam, mu) over the family, lam and mu drawn from the sequences
+    with entries <= entry_bound that ``admits`` accepts: every pair in
+    exhaustive mode, ``count`` uniform draws in randomized mode.  A draw
+    takes uniform entries and is redrawn until ``admits`` accepts it, so a
+    suite that admits every sequence keeps the first draw."""
+    bound = family.entry_bound
     if family.mode == "exhaustive":
         for n in family.ns():
             for q in family.qs(n):
-                for lam in sequence_source(q, family.entry_bound):
-                    for mu in sequence_source(n - q, family.entry_bound):
+                for lam in filter(admits, _sequences(q, bound)):
+                    for mu in filter(admits, _sequences(n - q, bound)):
                         yield n, q, lam, mu
     else:
         rng = random.Random(family.seed)
+
+        def draw(length):
+            while True:
+                seq = tuple(rng.randint(0, bound) for _ in range(length))
+                if admits(seq):
+                    return seq
+
         n = family.n_range[1]
         qs = family.qs(n)
         if not qs:
             return
         for _ in range(family.count):
             q = rng.randint(qs.start, qs.stop - 1)
-            lam = tuple(rng.randint(0, family.entry_bound) for _ in range(q))
-            mu = tuple(rng.randint(0, family.entry_bound) for _ in range(n - q))
+            lam = draw(q)
+            mu = draw(n - q)
             yield n, q, lam, mu
 
 
 def _suite_juxtaposition(family):
-    for n, q, lam, mu in _split_instances(family, _sequences):
+    for n, q, lam, mu in _split_instances(family, _any_sequence):
         yield verify_prop_juxtaposition(n, q, lam, mu)
 
 
 def _suite_theorem(family):
-    for n, q, lam, mu in _split_instances(family, _sequences):
+    for n, q, lam, mu in _split_instances(family, _any_sequence):
         yield verify_theorem_main(n, q, lam, mu)
 
 
 def _suite_t0(family):
-    for n, q, lam, mu in _split_instances(family, _partitions):
+    for n, q, lam, mu in _split_instances(family, _is_partition):
         yield verify_t0_jlp(n, q, lam, mu)
 
 

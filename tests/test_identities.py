@@ -188,6 +188,35 @@ def test_run_suite_randomized_draws_q_from_its_range():
     assert run_suite("prop-juxtaposition", beyond) == []
 
 
+def test_run_suite_randomized_draws_are_unchanged():
+    """The draws of the suites that admit every sequence, as first recorded."""
+    fam = InstanceFamily(n_range=(5, 5), entry_bound=2, mode="randomized", count=6, seed=2)
+    expected = [
+        (1, (0,), (0, 1, 0, 2)),
+        (3, (1, 2, 0), (2, 0)),
+        (2, (1, 2), (1, 2, 2)),
+        (3, (2, 1, 2), (1, 0)),
+        (1, (1,), (1, 1, 1, 1)),
+        (2, (2, 0), (0, 0, 0)),
+    ]
+    for identity in ("prop-juxtaposition", "theorem-main"):
+        drawn = [
+            (r.instance["q"], r.instance["lambda"], r.instance["mu"])
+            for r in run_suite(identity, fam)
+        ]
+        assert drawn == expected
+
+
+def test_run_suite_randomized_t0_draws_partitions():
+    fam = InstanceFamily(n_range=(4, 4), entry_bound=2, mode="randomized", count=20, seed=2)
+    reports = run_suite("t0-jlp", fam)
+    assert len(reports) == 20
+    assert all(r.passed for r in reports)
+    for r in reports:
+        for seq in (r.instance["lambda"], r.instance["mu"]):
+            assert list(seq) == sorted(seq, reverse=True)
+
+
 @pytest.mark.parametrize("identity", ["lemma-sum", "t-minus1", "cor-gaussian"])
 def test_run_suite_randomized_needs_a_sampler(identity):
     fam = InstanceFamily(n_range=(2, 3), mode="randomized", count=3)
