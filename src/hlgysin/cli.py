@@ -162,13 +162,16 @@ def _cmd_verify(args):
         count=args.count or (50 if args.mode == "randomized" else 0),
         seed=args.seed,
     )
+    if args.out:
+        # made before the run, so a bad path is reported before any work
+        # and cannot turn a failure's exit 1 into exit 2
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
     reports = run_suite(args.identity, family)
     lines = [report.line(include_elapsed=False) for report in reports]
     print("\n".join(lines) if lines else "no instances")
     failures = [report for report in reports if not report.passed]
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         timed = "\n".join(report.line(include_elapsed=True) for report in reports)
         (out_dir / "report.txt").write_text(timed + "\n")
         for report in failures:

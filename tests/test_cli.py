@@ -216,10 +216,11 @@ def test_verify_out_is_a_file_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_verify_failure_exit_1_and_witness_dump(tmp_path, capsys, monkeypatch):
-    import hlgysin.identities as identities
+def failing_suite(on_run=lambda: None):
+    """A suite of one failing report; ``on_run()`` is called when it runs."""
 
-    def broken_suite(family):
+    def suite(family):
+        on_run()
         yield VerificationReport(
             identity_name="broken",
             instance={"n": 1},
@@ -229,7 +230,40 @@ def test_verify_failure_exit_1_and_witness_dump(tmp_path, capsys, monkeypatch):
             detail="synthetic",
         )
 
-    monkeypatch.setitem(identities.IDENTITY_SUITES, "broken", broken_suite)
+    return suite
+
+
+def test_verify_bad_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    import hlgysin.identities as identities
+
+    ran = []
+    suite = failing_suite(lambda: ran.append(True))
+    monkeypatch.setitem(identities.IDENTITY_SUITES, "broken", suite)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run_main(capsys, "verify", "--identity", "broken", "--out", str(taken))
+    assert code == 2
+    assert ran == [] and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_out_exists_while_the_suite_runs(tmp_path, capsys, monkeypatch):
+    import hlgysin.identities as identities
+
+    out_dir = tmp_path / "new" / "reports"
+    seen = []
+    suite = failing_suite(lambda: seen.append(out_dir.is_dir()))
+    monkeypatch.setitem(identities.IDENTITY_SUITES, "broken", suite)
+    code, _, _ = run_main(capsys, "verify", "--identity", "broken", "--out", str(out_dir))
+    assert code == 1
+    assert seen == [True]
+    assert (out_dir / "witness-broken-n1.txt").exists()
+
+
+def test_verify_failure_exit_1_and_witness_dump(tmp_path, capsys, monkeypatch):
+    import hlgysin.identities as identities
+
+    monkeypatch.setitem(identities.IDENTITY_SUITES, "broken", failing_suite())
     out_dir = tmp_path / "bugs"
     code, out, _ = run_main(
         capsys, "verify", "--identity", "broken", "--out", str(out_dir)
