@@ -85,8 +85,10 @@ def _divided_difference_tower(f):
     f_a is the push-forward along the bundle of lines in a rank a+1 space,
     or directly, d_a maps a class symmetric in x_1..x_a and x_{a+1}..x_n to
     one symmetric in x_1..x_{a+1} and x_{a+2}..x_n.  So each f_a is carried
-    as a plain dict of the terms whose exponents weakly decrease within both
-    blocks, one per orbit, with the coefficient of that orbit.
+    as a plain dict holding, for each orbit, the x-exponents that weakly
+    decrease within both blocks, with the orbit's coefficient as a dict
+    from t-exponent to integer; the block bookkeeping is then done once per
+    x-key, whatever the number of t-terms.
 
     From the (a | n-a) representatives the (a+1 | n-a-1) ones come without
     building the orbits: a block-dominant key of d_a f_{a-1} agrees outside
@@ -100,16 +102,14 @@ def _divided_difference_tower(f):
     proportion to the answer.
     """
     n = f.arity
-    reps = {
-        key: c
-        for key, c in f.terms.items()
-        if all(map(operator.ge, key[1 : n - 1], key[2:n]))
-    }
+    reps = {}
+    for key, c in f.terms.items():
+        if all(map(operator.ge, key[1 : n - 1], key[2:n])):
+            reps.setdefault(key[:n], {})[key[n]] = c
     for a in range(1, n):
         out = {}
-        get = out.get
-        for key, c in reps.items():
-            # (v, block 2 less one v, t) for each distinct v of block 2
+        for key, tc in reps.items():
+            # (v, block 2 less one v) for each distinct v of block 2
             tails = []
             for i in range(a, n):
                 if i == a or key[i] != key[i - 1]:
@@ -127,26 +127,29 @@ def _divided_difference_tower(f):
                     s = u + v - 1
                     lo = (s + 1) // 2
                     if u > v:
-                        top, sign = (u - 1 if u <= cap else cap), c
+                        top, sign = (u - 1 if u <= cap else cap), 1
                     elif u < v:
-                        top, sign = (v - 1 if v <= cap else cap), -c
+                        top, sign = (v - 1 if v <= cap else cap), -1
                     else:
                         continue
-                    if lo > top:
-                        continue
-                    if lo == top:
-                        nk = rest1 + (lo, s - lo) + rest2
-                        out[nk] = get(nk, 0) + sign
-                    else:
-                        for e in range(lo, top + 1):
-                            nk = rest1 + (e, s - e) + rest2
-                            out[nk] = get(nk, 0) + sign
-        reps = {key: c for key, c in out.items() if c}
+                    for e in range(lo, top + 1):
+                        nk = rest1 + (e, s - e) + rest2
+                        g = out.get(nk)
+                        if g is None:
+                            out[nk] = {t: sign * c for t, c in tc.items()}
+                        else:
+                            for t, c in tc.items():
+                                g[t] = g.get(t, 0) + sign * c
+        reps = {}
+        for key, g in out.items():
+            g = {t: c for t, c in g.items() if c}
+            if g:
+                reps[key] = g
     terms = {}
-    for key, c in reps.items():
-        t = key[n:]
-        for x in _rearrangements(key[:n]):
-            terms[x + t] = c
+    for key, tc in reps.items():
+        for x in _rearrangements(key):
+            for t, c in tc.items():
+                terms[x + (t,)] = c
     return Polynomial._raw(n, terms)
 
 
