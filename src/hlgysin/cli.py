@@ -163,8 +163,8 @@ def _cmd_verify(args):
         seed=args.seed,
     )
     if args.out:
-        # made before the run, so a bad path is reported before any work
-        # and cannot turn a failure's exit 1 into exit 2
+        # made before the run: a bad path exits 2 at once, and a failure
+        # found by the run keeps exit 1 and its witness file
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
     reports = run_suite(args.identity, family)

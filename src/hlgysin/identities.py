@@ -392,9 +392,7 @@ def _split_instances(family, admits):
             return
         for _ in range(family.count):
             q = rng.randint(qs.start, qs.stop - 1)
-            lam = draw(q)
-            mu = draw(n - q)
-            yield n, q, lam, mu
+            yield n, q, draw(q), draw(n - q)
 
 
 def _suite_juxtaposition(family):
