@@ -22,8 +22,8 @@ without ever building the n!-term signed sum.
 
 The composite d_{n-1} ... d_1 of a class symmetric in x_2..x_n, the tower
 that builds R_lam, keeps a block symmetry at every step, so it is run on one
-term per orbit (_divided_difference_tower) and expanded to all terms once,
-at the end.
+exponent vector per orbit (_divided_difference_tower) and expanded to all
+terms once, at the end.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ antisym): R_lam is the tower of projective-bundle push-forwards
                               * R_{lam_2..lam_n}(x_2..x_n) ),
 
 the juxtaposition identity at q = 1.  Its input is symmetric in
-x_2..x_n, so the tower carries one term per orbit of the block symmetry
-each step keeps (antisym._divided_difference_tower) and only the symmetric
-answer is expanded in full.  The one explicit sum over coset
+x_2..x_n, so the tower carries one exponent vector per orbit of the block
+symmetry each step keeps (antisym._divided_difference_tower) and only the
+symmetric answer is expanded in full.  The one explicit sum over coset
 representatives left is the coset form of R, whose dependence on the
 chosen representatives is itself under study; its numerator must be an
 exact multiple of the Vandermonde, and a failed division surfaces as
