@@ -30,25 +30,36 @@ def t_factorial_value(m, t):
     return math.prod(sum(t**k for k in range(i)) for i in range(1, m + 1))
 
 
+def cosets(x, sizes):
+    """One ordering y of the values x per coset w S_n^lam: the values handed
+    to each level set, in order, for level sets of the given sizes."""
+    if not sizes:
+        yield ()
+        return
+    for chosen in itertools.combinations(range(len(x)), sizes[0]):
+        rest = [xk for k, xk in enumerate(x) if k not in chosen]
+        for tail in cosets(rest, sizes[1:]):
+            yield tuple(x[k] for k in chosen) + tail
+
+
 def coset_formula_value(lam, x, t):
     """The coset sum times v_lam(t) at the point x, exactly."""
-    n = len(lam)
-    v = math.prod(
-        t_factorial_value(len(list(group)), t) for _, group in itertools.groupby(sorted(lam))
-    )
-    pairs = [(i, j) for i, j in itertools.combinations(range(n), 2) if lam[i] != lam[j]]
+    sizes = [len(list(group)) for _, group in itertools.groupby(lam)]
+    if len(sizes) != len(set(lam)):
+        raise ValueError(f"the coset formula needs contiguous level sets: {lam!r}")
+    v = math.prod(t_factorial_value(m, t) for m in sizes)
+    pairs = [
+        (i, j) for i, j in itertools.combinations(range(len(lam)), 2) if lam[i] != lam[j]
+    ]
     total = Fraction(0)
-    # A coset w S_n^lam is fixed by which variables land on each level set;
-    # the summand does not depend on their order inside a contiguous level set.
-    for labels in set(itertools.permutations(lam)):
-        queues = {value: [] for value in lam}
-        for value, xk in zip(labels, x):
-            queues[value].append(xk)
-        y = [queues[value].pop() for value in lam]
-        term = Fraction(math.prod(yi**e for yi, e in zip(y, lam)))
+    # the summand does not depend on the order inside a contiguous level set
+    for y in cosets(x, sizes):
+        num = math.prod(yi**e for yi, e in zip(y, lam))
+        den = 1
         for i, j in pairs:
-            term *= Fraction(y[i] - t * y[j], y[i] - y[j])
-        total += term
+            num *= y[i] - t * y[j]
+            den *= y[i] - y[j]
+        total += Fraction(num, den)
     return v * total
 
 
