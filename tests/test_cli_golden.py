@@ -3,7 +3,8 @@
 Every command runs in-process through ``hlgysin.cli.main``.  The digests
 were recorded while ``schur_s`` was still the Jacobi-Trudi determinant,
 before it became the Demazure form, so they pin that the swap changed no
-byte.  Running this file as a script prints the table for the current
+byte.  Those of R and P at n = 6..8 were recorded while each level of R
+still built the whole product of its row and the tail class.  Running this file as a script prints the table for the current
 checkout:
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -29,6 +30,24 @@ COMPUTE = [
     ["--kind", "v", "--m", "4"],
 ]
 
+# R and P at n = 6..8: a partition, a contiguous sequence that is not a
+# partition and, for P, a sequence whose normalizer does not divide R (exit 1)
+LARGE_CLASSES = [
+    ["--kind", kind, "--n", str(len(lam.split(","))), "--lambda", lam]
+    for lam, kinds in [
+        ("2,1,1,0,0,0", "rp"),
+        ("1,1,2,0,0,0", "rp"),
+        ("2,0,2,0,0,0", "p"),
+        ("2,1,0,0,0,0,0", "rp"),
+        ("1,2,2,0,0,0,0", "rp"),
+        ("0,2,0,2,1,1,1", "p"),
+        ("2,1,1,0,0,0,0,0", "rp"),
+        ("0,0,0,0,0,0,1,1", "rp"),
+        ("0,1,2,1,0,0,0,0", "p"),
+    ]
+    for kind in kinds
+]
+
 COMMANDS = [
     ["compute", *args, "--format", fmt]
     for args in COMPUTE
@@ -46,6 +65,10 @@ COMMANDS = [
     ["compute", "--kind", "r", "--n", "2", "--lambda", "1,x"],
     # exit 3: permutation bound
     ["compute", "--kind", "r", "--n", "9", "--lambda", "0,0,0,0,0,0,0,0,0"],
+] + [
+    ["compute", *args, "--format", fmt]
+    for args in LARGE_CLASSES
+    for fmt in ("text", "json")
 ]
 
 DIGESTS = {
@@ -85,6 +108,36 @@ DIGESTS = {
     "verify --identity bogus": "913da1f8df6f8fd47593840d533ba0458cc9873996bf310460abb495b34c232a",
     "compute --kind r --n 2 --lambda 1,x": "913da1f8df6f8fd47593840d533ba0458cc9873996bf310460abb495b34c232a",
     "compute --kind r --n 9 --lambda 0,0,0,0,0,0,0,0,0": "ac11339ffa8f270c4f781e0a3922bb1c80d9dee6e4b6911ca34538ed9ae03caa",
+    "compute --kind r --n 6 --lambda 2,1,1,0,0,0 --format text": "ebaff94a7bedf95d6a3135da98148002783c80f5831e230b1f42a5bbfb128346",
+    "compute --kind r --n 6 --lambda 2,1,1,0,0,0 --format json": "8b5319abc2082d0d31bba78476fe9c022e17c95a339373320614e778925b651f",
+    "compute --kind p --n 6 --lambda 2,1,1,0,0,0 --format text": "3730dabfa4514d4241722c4d4c8f9fb36108d33170d890d250d8463d85ebafee",
+    "compute --kind p --n 6 --lambda 2,1,1,0,0,0 --format json": "b69e4e37c05efad4a538985b1dc79f5f0cf243ff9a399253eb7c37bc1884862f",
+    "compute --kind r --n 6 --lambda 1,1,2,0,0,0 --format text": "ed664b29953139cf39a613d03b2e9ed90b5d7cd6612912a56028d151360a07b7",
+    "compute --kind r --n 6 --lambda 1,1,2,0,0,0 --format json": "5c0bc89efd8447ce85ec81740efb0cee66ba7c600dd889c825d7467e87d80ed9",
+    "compute --kind p --n 6 --lambda 1,1,2,0,0,0 --format text": "0ec0800e04ae1e38a52a0e958c03a92327eb4c768167d1c045a4c992d533646d",
+    "compute --kind p --n 6 --lambda 1,1,2,0,0,0 --format json": "79d7697f9e871e4328b43dfeeac3fcb68d337bb12b97bb960d0130985871335e",
+    "compute --kind p --n 6 --lambda 2,0,2,0,0,0 --format text": "e79e418e48623569d75e2a7b09ae88ed9b77b126a445b9ff9dc6989a08efa079",
+    "compute --kind p --n 6 --lambda 2,0,2,0,0,0 --format json": "e79e418e48623569d75e2a7b09ae88ed9b77b126a445b9ff9dc6989a08efa079",
+    "compute --kind r --n 7 --lambda 2,1,0,0,0,0,0 --format text": "8e7f31bfe081e75046a2fb9e5ba1ee63d86ae00b6200be3d2d5d5a7b2e73fec8",
+    "compute --kind r --n 7 --lambda 2,1,0,0,0,0,0 --format json": "fbfad486cf5ee9a64cd9930573b9026d28686b2efb7d24d6561d9b5bd274f73c",
+    "compute --kind p --n 7 --lambda 2,1,0,0,0,0,0 --format text": "fa499d3d4703bfb9be3e7526084d981a649fe1963e7dc3e3ac81694a66c9bbef",
+    "compute --kind p --n 7 --lambda 2,1,0,0,0,0,0 --format json": "f8dc3166361510118b3a04c16310bbd91c76be9c5a8c4d494d53b8d2a9015590",
+    "compute --kind r --n 7 --lambda 1,2,2,0,0,0,0 --format text": "5e85373f21ce097858dafb97ec30e9ea172f31b117b261c8b81e354ee23a1a6b",
+    "compute --kind r --n 7 --lambda 1,2,2,0,0,0,0 --format json": "b7af91ab1c110ff6c3d88c0cb7ccf9c2e813723afab544c9b1738c2d16d58ad4",
+    "compute --kind p --n 7 --lambda 1,2,2,0,0,0,0 --format text": "43c24f7b160ff090a155910768d1e1f06ace721fa0d2bb323e34cf76c0e83017",
+    "compute --kind p --n 7 --lambda 1,2,2,0,0,0,0 --format json": "26021bf53716e1c9ad95349807a72680784e9a4a07994af225587998c87505c3",
+    "compute --kind p --n 7 --lambda 0,2,0,2,1,1,1 --format text": "e79e418e48623569d75e2a7b09ae88ed9b77b126a445b9ff9dc6989a08efa079",
+    "compute --kind p --n 7 --lambda 0,2,0,2,1,1,1 --format json": "e79e418e48623569d75e2a7b09ae88ed9b77b126a445b9ff9dc6989a08efa079",
+    "compute --kind r --n 8 --lambda 2,1,1,0,0,0,0,0 --format text": "4567fc470fd37bc288ff3cf38321344de84701724a79be0b39295d8663b77d5a",
+    "compute --kind r --n 8 --lambda 2,1,1,0,0,0,0,0 --format json": "51aa2b4d2864800ea58c9045b1eb930ebca293ce582a7a56ec8de127915a473c",
+    "compute --kind p --n 8 --lambda 2,1,1,0,0,0,0,0 --format text": "21c362668a803441efa42baac97ca64fcfaf14cbee45440b6be479e69236a9e5",
+    "compute --kind p --n 8 --lambda 2,1,1,0,0,0,0,0 --format json": "d4b014cfbf502a08447746abd7b00f1ded06ec5fcb41fae934e8bdc47e9f27cd",
+    "compute --kind r --n 8 --lambda 0,0,0,0,0,0,1,1 --format text": "a548e48607891ef6fb7edd5e4d451362bd2c235b08587950674d8c6d9e413844",
+    "compute --kind r --n 8 --lambda 0,0,0,0,0,0,1,1 --format json": "bf7798ae39dfa21a56ec2217e5305c9d0f9f3489a80bc60e5224b1b62662eb70",
+    "compute --kind p --n 8 --lambda 0,0,0,0,0,0,1,1 --format text": "c44c77542b5d63cc0bf6ec0037d4d085d114db400c09502510cb6917d65e22aa",
+    "compute --kind p --n 8 --lambda 0,0,0,0,0,0,1,1 --format json": "708da7e80262dd4a6e5a0f57a58b5e34d04906ee9e59f13b6f402910bf1296e4",
+    "compute --kind p --n 8 --lambda 0,1,2,1,0,0,0,0 --format text": "e79e418e48623569d75e2a7b09ae88ed9b77b126a445b9ff9dc6989a08efa079",
+    "compute --kind p --n 8 --lambda 0,1,2,1,0,0,0,0 --format json": "e79e418e48623569d75e2a7b09ae88ed9b77b126a445b9ff9dc6989a08efa079",
 }
 
 
