@@ -22,13 +22,13 @@ without ever building the n!-term signed sum.
 
 The composite d_{n-1} ... d_1 of a class symmetric in x_2..x_n, the tower
 that builds R_lam, keeps a block symmetry at every step, so it is run on one
-exponent vector per orbit (_divided_difference_tower) and expanded to all
-terms once, at the end.
+exponent vector per orbit (_divided_difference_tower): it takes and returns
+representatives, never a full polynomial.  R_lam carries them from level to
+level and is expanded to all its terms once (_expand), at the end.
 """
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 
 from .polyring import Polynomial
@@ -77,8 +77,9 @@ def jacobi_symmetrizer(p):
     return p
 
 
-def _divided_difference_tower(f):
-    """d_{n-1} ... d_1 f, d_1 applied first, for f symmetric in x_2..x_n.
+def _divided_difference_tower(n, reps):
+    """d_{n-1} ... d_1 f, d_1 applied first, for f symmetric in x_2..x_n,
+    on orbit representatives.
 
     The precondition is not checked.  It makes every intermediate
     f_a = d_a ... d_1 f symmetric in x_1..x_{a+1} and in x_{a+2}..x_n:
@@ -88,7 +89,9 @@ def _divided_difference_tower(f):
     as a plain dict holding, for each orbit, the x-exponents that weakly
     decrease within both blocks, with the orbit's coefficient as a dict
     from t-exponent to integer; the block bookkeeping is then done once per
-    x-key, whatever the number of t-terms.
+    x-key, whatever the number of t-terms.  ``reps`` holds f this way for
+    the blocks (1 | n-1), and the (n | 0) representatives of the symmetric
+    answer, its partition keys, are returned; _expand makes the polynomial.
 
     From the (a | n-a) representatives the (a+1 | n-a-1) ones come without
     building the orbits: a block-dominant key of d_a f_{a-1} agrees outside
@@ -97,15 +100,8 @@ def _divided_difference_tower(f):
     position a, and whose block 2 is its second block less one copy of a
     value v, placed at a+1.  Of the closed-form terms x_a^e x_{a+1}^(u+v-1-e)
     of d_a(x_a^u x_{a+1}^v), only those with rest1[-1] >= e >= u+v-1-e keep
-    the key dominant.  The symmetric answer is expanded over the distinct
-    rearrangements of its partition keys last, so that step costs in
-    proportion to the answer.
+    the key dominant.
     """
-    n = f.arity
-    reps = {}
-    for key, c in f.terms.items():
-        if all(map(operator.ge, key[1 : n - 1], key[2:n])):
-            reps.setdefault(key[:n], {})[key[n]] = c
     for a in range(1, n):
         out = {}
         for key, tc in reps.items():
@@ -145,6 +141,15 @@ def _divided_difference_tower(f):
             g = {t: c for t, c in g.items() if c}
             if g:
                 reps[key] = g
+    return reps
+
+
+def _expand(n, reps):
+    """The polynomial in x_1..x_n and t whose symmetric orbits ``reps``
+    holds: each partition key, a tuple of n exponents, maps to its orbit's
+    coefficient as a dict from t-exponent to integer, which every distinct
+    rearrangement of the key carries.  The cost is proportional to the
+    answer."""
     terms = {}
     for key, tc in reps.items():
         for x in _rearrangements(key):

@@ -35,7 +35,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .antisym import _divided_difference_tower, divided_difference, longest_word
+from .antisym import _divided_difference_tower, _expand, divided_difference, longest_word
 from .gysin import leading_flag_pushforward
 from .polyring import NotDivisibleError, Polynomial, divide_by_vandermonde, linear_factor_product
 from .symgroup import block_structure, coset_reps, ensure_within_bound
@@ -119,24 +119,67 @@ def hall_littlewood_r(n, seq):
     Equal to the exact quotient of sum_w sign(w) w(x^seq * prod_{i<j}
     (x_i - t x_j)) by the Vandermonde determinant; computed as the tower
     d_{n-1} ... d_1 (row * R_{seq_2..seq_n}(x_2..x_n)) with
-    row = x_1^seq_1 prod_{j>1} (x_1 - t x_j).
+    row = x_1^seq_1 prod_{j>1} (x_1 - t x_j), on orbit representatives
+    (_r_reps) expanded once at the end.
     """
     return _hall_littlewood_r(n, as_int_sequence(seq))
 
 
-@lru_cache(maxsize=256)
-def _hall_littlewood_r(n, seq):
+def _check_length(n, seq):
     if n < 1 or len(seq) != n:
         raise ValueError(f"sequence of length {len(seq)} does not match n = {n}")
     ensure_within_bound(n)
-    row = Polynomial.x(n, 1) ** seq[0] * linear_factor_product(
-        n, ((1, j) for j in range(2, n + 1)), Polynomial.t(n)
-    )
-    if n == 1:
-        return row
-    return _divided_difference_tower(
-        row * _hall_littlewood_r(n - 1, seq[1:]).embed(n, offset=1)
-    )
+
+
+@lru_cache(maxsize=256)
+def _hall_littlewood_r(n, seq):
+    _check_length(n, seq)
+    return _expand(n, _r_reps(seq))
+
+
+@lru_cache(maxsize=256)
+def _r_reps(seq):
+    """R_seq as its symmetric orbits: each partition x-key maps to the
+    orbit's coefficient, a dict from t-exponent to integer."""
+    if len(seq) == 1:
+        return {seq: {0: 1}}
+    return _divided_difference_tower(len(seq), _row_product(seq[0], _r_reps(seq[1:])))
+
+
+def _row_product(head, tail):
+    """The (1 | n-1)-dominant representatives of row * R_tail(x_2..x_n),
+    row = x_1^head prod_{j>1} (x_1 - t x_j), from the orbits ``tail`` of
+    R_tail (partition keys of length n-1, as _r_reps holds them).
+
+    row = sum_k (-t)^k x_1^(head+n-1-k) e_k(x_2..x_n), and by the Pieri
+    rule for monomials (Macdonald I.6) the dominant part of e_k * m_mu is
+    sum over nu of prod_v C(m_{v+1}(nu), r_v) x^nu: nu raises, for each
+    value v of mu, its r_v leftmost copies to v + 1, with k = sum_v r_v.
+    The leftmost copies keep nu weakly decreasing, and the binomial counts
+    the 0/1 vectors of weight k that take a rearrangement of mu to nu.
+    """
+    out = {}
+    for mu, tc in tail.items():
+        runs = [(v, len(tuple(copies))) for v, copies in itertools.groupby(mu)]
+        for raised in itertools.product(*(range(m + 1) for _, m in runs)):
+            k = sum(raised)
+            coeff = -1 if k & 1 else 1
+            nu = ()
+            above = None  # (value, copies left unraised) of the run before
+            for (v, m), r in zip(runs, raised):
+                if r and above and above[0] == v + 1:
+                    coeff *= math.comb(r + above[1], r)
+                nu += (v + 1,) * r + (v,) * (m - r)
+                above = v, m - r
+            g = out.setdefault((head + len(mu) - k,) + nu, {})
+            for t, c in tc.items():
+                g[t + k] = g.get(t + k, 0) + coeff * c
+    reps = {}
+    for key, g in out.items():
+        g = {t: c for t, c in g.items() if c}
+        if g:
+            reps[key] = g
+    return reps
 
 
 def hall_littlewood_r_coset(n, seq):
@@ -153,9 +196,7 @@ def hall_littlewood_r_coset(n, seq):
     division) is a genuine finding about the sequence, not an artifact.
     """
     seq = as_int_sequence(seq)
-    if n < 1 or len(seq) != n:
-        raise ValueError(f"sequence of length {len(seq)} does not match n = {n}")
-    ensure_within_bound(n)
+    _check_length(n, seq)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     unequal = [(i, j) for i, j in pairs if seq[i - 1] != seq[j - 1]]
     equal = [(i, j) for i, j in pairs if seq[i - 1] == seq[j - 1]]
@@ -184,15 +225,20 @@ def hall_littlewood_p(n, seq):
 
 @lru_cache(maxsize=256)
 def _hall_littlewood_p(n, seq):
+    # v_seq(t) divides R_seq exactly when it divides each orbit's coefficient
+    _check_length(n, seq)
+    v = t_factorial_product(seq)
+    orbits = {}
     try:
-        return _hall_littlewood_r(n, seq).divide_exact(
-            t_factorial_product(seq).embed(n)
-        )
+        for key, tc in _r_reps(seq).items():
+            q = Polynomial._raw(0, {(t,): c for t, c in tc.items()}).divide_exact(v)
+            orbits[key] = {t: c for (t,), c in q.terms.items()}
     except NotDivisibleError:
         raise NotDivisibleError(
             f"normalizer does not divide the symmetrized class for {seq}; "
             "the normalized class is undefined for this sequence"
         ) from None
+    return _expand(n, orbits)
 
 
 # ---------------------------------------------------------------------- #

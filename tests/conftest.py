@@ -32,6 +32,20 @@ def is_homogeneous_in_x(p):
     return len({sum(k[: p.arity]) for k in p.terms}) <= 1
 
 
+def dominant_orbits(f, start=1):
+    """The terms of f whose x-exponents weakly decrease from position
+    start + 1 on, grouped the way the engine carries orbit representatives:
+    x-exponents -> {t-exponent: coefficient}.  For f symmetric in
+    x_2..x_n, start = 1 gives the (1 | n-1) representatives the R tower
+    takes; for f symmetric, start = 0 gives its partition keys."""
+    n = f.arity
+    reps = {}
+    for key, c in f.terms.items():
+        if all(a >= b for a, b in zip(key[start : n - 1], key[start + 1 : n])):
+            reps.setdefault(key[:n], {})[key[n]] = c
+    return reps
+
+
 def blocks_from_classes(classes):
     """BlockStructure of explicit classes; the source sequence maps each
     position to the index of its class."""

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import is_homogeneous_in_x, x_degree
+from conftest import dominant_orbits, is_homogeneous_in_x, x_degree
 from hlgysin import (
     NotDivisibleError,
     Polynomial,
@@ -21,6 +21,8 @@ from hlgysin import (
     t_factorial,
     t_factorial_product,
 )
+from hlgysin.hallittlewood import _row_product
+from hlgysin.polyring import linear_factor_product
 from hlgysin.oracles import (
     all_permutations,
     complete_homogeneous,
@@ -150,6 +152,37 @@ def test_r_coset_single_coset_case():
 
 
 # --- P classes --------------------------------------------------------------
+
+
+def test_row_product_is_the_dominant_part_of_row_times_tail():
+    """The Pieri row product on the tail's orbits against the full product
+    row * R_tail(x_2..x_n), filtered to its (1 | n-1)-dominant terms, for
+    every sequence with entries <= 2 at n <= 5."""
+    for n in range(2, 6):
+        factors = linear_factor_product(n, [(1, j) for j in range(2, n + 1)], t(n))
+        for seq in itertools.product(range(3), repeat=n):
+            tail = hall_littlewood_r(n - 1, seq[1:])
+            full = x(n, 1) ** seq[0] * factors * tail.embed(n, offset=1)
+            assert _row_product(seq[0], dominant_orbits(tail, 0)) == dominant_orbits(full), seq
+
+
+def test_p_from_orbits_is_r_divided_by_v():
+    """P divides each orbit of R by v(t); the whole R divided by v must give
+    the same class, and fail on exactly the same sequences."""
+    cases = [seq for n in range(1, 5) for seq in itertools.product(range(4), repeat=n)]
+    cases += itertools.product(range(3), repeat=5)
+    undefined = 0
+    for seq in cases:
+        n = len(seq)
+        try:
+            expected = hall_littlewood_r(n, seq).divide_exact(t_factorial_product(seq).embed(n))
+        except NotDivisibleError:
+            with pytest.raises(NotDivisibleError, match="normalizer does not divide"):
+                hall_littlewood_p(n, seq)
+            undefined += 1
+        else:
+            assert hall_littlewood_p(n, seq) == expected, seq
+    assert 0 < undefined < len(cases)
 
 
 def test_p_hand_anchors():

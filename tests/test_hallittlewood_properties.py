@@ -1,15 +1,19 @@
 """Hypothesis property tests of the Hall-Littlewood classes."""
 
+import itertools
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given = hypothesis.given
 
-from conftest import settings  # noqa: E402
+from conftest import dominant_orbits, settings  # noqa: E402
 
-from hlgysin import hall_littlewood_p  # noqa: E402
+from hlgysin import Polynomial, hall_littlewood_p  # noqa: E402
+from hlgysin.hallittlewood import _row_product  # noqa: E402
 from hlgysin.oracles import schur_s_jacobi_trudi  # noqa: E402
+from hlgysin.polyring import linear_factor_product  # noqa: E402
 
 
 @st.composite
@@ -25,3 +29,35 @@ def partitions(draw):
 def test_p_at_t_zero_is_the_jacobi_trudi_schur_polynomial(case):
     n, lam = case
     assert hall_littlewood_p(n, lam).substitute_t(0) == schur_s_jacobi_trudi(lam, n)
+
+
+@st.composite
+def symmetric_tails(draw):
+    """(head, n, orbits): a random class symmetric in n - 1 variables, as
+    partition keys -> {t-exponent: nonzero coefficient}, and an exponent
+    for x_1."""
+    n = draw(st.integers(2, 5))
+    keys = st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1).map(
+        lambda parts: tuple(sorted(parts, reverse=True))
+    )
+    t_polys = st.dictionaries(
+        st.integers(0, 3), st.integers(-3, 3).filter(bool), min_size=1, max_size=3
+    )
+    return draw(st.integers(0, 3)), n, draw(st.dictionaries(keys, t_polys, max_size=4))
+
+
+@settings(100)
+@given(symmetric_tails())
+def test_row_product_on_random_symmetric_tails(case):
+    head, n, orbits = case
+    tail = Polynomial(n - 1, {
+        perm + (k,): c
+        for key, tc in orbits.items()
+        for perm in set(itertools.permutations(key))
+        for k, c in tc.items()
+    })
+    row = Polynomial.x(n, 1) ** head * linear_factor_product(
+        n, [(1, j) for j in range(2, n + 1)], Polynomial.t(n)
+    )
+    full = row * tail.embed(n, offset=1)
+    assert _row_product(head, orbits) == dominant_orbits(full)
