@@ -191,11 +191,14 @@ def _cmd_table(parser, args):
     records = []
     if args.kind == "v":
         _require(parser, args.m_max is not None, "--m-max is required for kind v")
+        _require(parser, args.m_max >= 0, "--m-max must be nonnegative")
         for m in range(args.m_max + 1):
             records.append(("v", {"m": m}, t_factorial(m), f"m={m}"))
     elif args.kind == "gaussian":
         _require(parser, args.a_max is not None and args.b_max is not None,
                  "--a-max and --b-max are required for kind gaussian")
+        _require(parser, args.a_max >= 0 and args.b_max >= 0,
+                 "--a-max and --b-max must be nonnegative")
         for a in range(args.a_max + 1):
             for b in range(args.b_max + 1):
                 records.append(
@@ -203,6 +206,8 @@ def _cmd_table(parser, args):
                 )
     else:  # p | r
         _require(parser, args.n is not None, f"--n is required for kind {args.kind}")
+        _require(parser, args.n >= 1, "--n must be positive")
+        _require(parser, args.entry_max >= 0, "--entry-max must be nonnegative")
         import itertools
 
         func = hall_littlewood_p if args.kind == "p" else hall_littlewood_r

@@ -550,10 +550,26 @@ class Polynomial:
 
 def divide_by_vandermonde(p):
     """Exact quotient p / prod_{i<j}(x_i - x_j), one linear factor at a time."""
-    xs = [Polynomial.x(p.arity, i) for i in range(1, p.arity + 1)]
-    for x_i, x_j in itertools.combinations(xs, 2):
-        p = p.divide_exact(x_i - x_j)
+    for i, j in itertools.combinations(range(1, p.arity + 1), 2):
+        p = p.divide_exact(_linear_factor(p.arity, i, j, 1))
     return p
+
+
+def _linear_factor(arity, i, j, c):
+    """x_i - c x_j for 1-based indices, built from its terms: x_i, and each
+    term of c moved by x_j with its sign flipped."""
+    key = [0] * (arity + 1)
+    key[i - 1] = 1
+    terms = {tuple(key): 1}
+    c_terms = c.terms if isinstance(c, Polynomial) else {(0,) * (arity + 1): c}
+    for k, coeff in c_terms.items():
+        k = k[: j - 1] + (k[j - 1] + 1,) + k[j:]
+        s = terms.get(k, 0) - coeff
+        if s:
+            terms[k] = s
+        else:
+            terms.pop(k, None)
+    return Polynomial._raw(arity, terms)
 
 
 def linear_factor_product(arity, pairs, c):
@@ -561,5 +577,5 @@ def linear_factor_product(arity, pairs, c):
     an int or Polynomial.t(arity)."""
     out = Polynomial.one(arity)
     for i, j in pairs:
-        out = out * (Polynomial.x(arity, i) - c * Polynomial.x(arity, j))
+        out = out * _linear_factor(arity, i, j, c)
     return out

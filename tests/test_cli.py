@@ -339,6 +339,30 @@ def test_table_requires_kind_flags():
     assert run_cli("table", "--kind", "p").returncode == 2
 
 
+BAD_TABLE_BOUNDS = [
+    (["--kind", "v", "--m-max", "-1"], "--m-max must be nonnegative"),
+    (["--kind", "gaussian", "--a-max", "-1", "--b-max", "2"],
+     "--a-max and --b-max must be nonnegative"),
+    (["--kind", "gaussian", "--a-max", "2", "--b-max", "-1"],
+     "--a-max and --b-max must be nonnegative"),
+    (["--kind", "p", "--n", "2", "--entry-max", "-1"], "--entry-max must be nonnegative"),
+    (["--kind", "r", "--n", "-2", "--entry-max", "1"], "--n must be positive"),
+    (["--kind", "r", "--n", "0"], "--n must be positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", BAD_TABLE_BOUNDS, ids=[" ".join(argv) for argv, _ in BAD_TABLE_BOUNDS]
+)
+def test_table_rejects_negative_bounds_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith(f"error: {message}")
+
+
 def _declared_console_script(root):
     """The ``hlgysin`` entry of ``[project.scripts]`` in ``root/pyproject.toml``."""
     if sys.version_info >= (3, 11):

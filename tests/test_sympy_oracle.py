@@ -1,5 +1,5 @@
-"""R classes and exact division checked against sympy, sharing no code
-with the engine.
+"""R classes, exact division and partial-flag push-forwards checked against
+sympy, sharing no code with the engine.
 
 R_lam is built from its rational-function definition
 
@@ -18,6 +18,7 @@ import random
 import pytest
 
 from hlgysin import NotDivisibleError, Polynomial, hall_littlewood_r
+from hlgysin.gysin import RootSplit, partial_flag_pushforward
 
 sympy = pytest.importorskip("sympy")
 
@@ -113,3 +114,63 @@ def test_divide_exact_matches_sympy_cancel(kind):
     assert all(verdicts["p*q"])
     # the perturbed dividends must exercise the raising side, mostly
     assert verdicts["p*q + r"].count(False) > len(verdicts["p*q + r"]) // 2
+
+
+# --- partial-flag push-forward ----------------------------------------------
+
+# (blocks in the order given to RootSplit); three blocks or more, some of
+# them not runs of consecutive indices
+SPLITS = [
+    ((1,), (2,), (3,)),
+    ((1, 2), (3,), (4,)),
+    ((3,), (1, 4), (2,)),
+    ((1, 2), (3, 4), (5,)),
+    ((2, 5), (1,), (3, 4)),
+    ((1,), (2,), (3,), (4, 5)),
+]
+
+
+def sympy_pushforward(f, blocks, xs):
+    """(1 / |U|) sum over w in S_n of w(f / prod_{cross-block i<j} (x_i - x_j)),
+    U the Young subgroup of the blocks, reduced by sympy.cancel.
+
+    Each w(f / cross) is sign(w) w(f * within) / V, with V the Vandermonde
+    and within the product over same-block pairs, so the sum is taken over
+    that one denominator; summing the n! fractions as they stand takes
+    sympy minutes at n = 4."""
+    block_of = {i: k for k, block in enumerate(blocks) for i in block}
+    pairs = list(itertools.combinations(range(len(xs)), 2))
+    within = math.prod(xs[i] - xs[j] for i, j in pairs if block_of[i + 1] == block_of[j + 1])
+    f_within = sympy.expand(f * within)
+    numerator = 0
+    for images in itertools.permutations(range(len(xs))):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(images, 2))
+        numerator += sign * f_within.xreplace({x: xs[k] for x, k in zip(xs, images)})
+    young_order = math.prod(math.factorial(len(block)) for block in blocks)
+    vandermonde = math.prod(xs[i] - xs[j] for i, j in pairs)
+    return sympy.cancel(sympy.expand(numerator) / (young_order * vandermonde))
+
+
+@pytest.mark.parametrize("blocks", SPLITS, ids=str)
+def test_partial_flag_pushforward_matches_sympy_rational_sum(blocks):
+    n = sum(map(len, blocks))
+    xs = sympy.symbols(f"x1:{n + 1}")
+    rng = random.Random(repr(blocks))
+    g = sum(
+        rng.choice([-2, -1, 1, 2]) * T ** rng.randint(0, 2)
+        * math.prod(x ** rng.randint(0, 4) for x in xs)
+        for _ in range(3)
+    )
+    # f: g summed over the permutations within each block
+    f = sympy.expand(sum(
+        g.xreplace(dict(zip(
+            (xs[i - 1] for block in blocks for i in block),
+            (xs[i - 1] for images in perms for i in images),
+        )))
+        for perms in itertools.product(*map(itertools.permutations, blocks))
+    ))
+    expected = sympy.Poly(sympy_pushforward(f, blocks, xs), *xs, T)
+    engine_f = Polynomial(n, {k: int(c) for k, c in sympy.Poly(f, *xs, T).terms()})
+    pushed = partial_flag_pushforward(engine_f, RootSplit(n, blocks))
+    assert not pushed.is_zero
+    assert {k: c for k, c in expected.terms() if c} == pushed.terms
