@@ -136,12 +136,18 @@ def _divided_difference_tower(n, reps):
                         else:
                             for t, c in tc.items():
                                 g[t] = g.get(t, 0) + sign * c
-        reps = {}
-        for key, g in out.items():
-            g = {t: c for t, c in g.items() if c}
-            if g:
-                reps[key] = g
+        reps = _nonzero_orbits(out)
     return reps
+
+
+def _nonzero_orbits(orbits):
+    """``orbits`` without its zero coefficients and the keys left empty."""
+    out = {}
+    for key, tc in orbits.items():
+        tc = {t: c for t, c in tc.items() if c}
+        if tc:
+            out[key] = tc
+    return out
 
 
 def _expand(n, reps):

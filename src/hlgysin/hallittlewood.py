@@ -16,12 +16,20 @@ antisym): R_lam is the tower of projective-bundle push-forwards
 
 the juxtaposition identity at q = 1.  Its input is symmetric in
 x_2..x_n, so the tower carries one exponent vector per orbit of the block
-symmetry each step keeps (antisym._divided_difference_tower) and only the
-symmetric answer is expanded in full.  The one explicit sum over coset
-representatives left is the coset form of R, whose dependence on the
-chosen representatives is itself under study; its numerator must be an
-exact multiple of the Vandermonde, and a failed division surfaces as
-NotDivisibleError instead of a silent approximation.
+symmetry each step keeps (antisym._divided_difference_tower).  Every level
+stays in that form: R_{lam_2..lam_n} is held by its partition keys, and the
+row x_1^lam_1 prod_{j>1} (x_1 - t x_j) = sum_k (-t)^k x_1^(lam_1+n-1-k)
+e_k(x_2..x_n) acts on them by the Pieri rule for monomials (_row_product),
+so no level builds the full product.  Only the answer is expanded.  P_lam
+divides each orbit's polynomial in t by v_lam(t): R's x-coefficients are
+exactly those polynomials, so P is defined exactly when each division is
+exact.
+
+The one explicit sum over coset representatives left is the coset form
+of R, whose dependence on the chosen representatives is itself under
+study; its numerator must be an exact multiple of the Vandermonde, and a
+failed division surfaces as NotDivisibleError instead of a silent
+approximation.
 
 At t = 0 the P-classes of partitions become Schur polynomials and at
 t = -1 the P-classes of strict partitions become Schur P-polynomials.
@@ -35,7 +43,13 @@ import itertools
 import math
 from functools import lru_cache
 
-from .antisym import _divided_difference_tower, _expand, divided_difference, longest_word
+from .antisym import (
+    _divided_difference_tower,
+    _expand,
+    _nonzero_orbits,
+    divided_difference,
+    longest_word,
+)
 from .gysin import leading_flag_pushforward
 from .polyring import NotDivisibleError, Polynomial, divide_by_vandermonde, linear_factor_product
 from .symgroup import block_structure, coset_reps, ensure_within_bound
@@ -174,12 +188,7 @@ def _row_product(head, tail):
             g = out.setdefault((head + len(mu) - k,) + nu, {})
             for t, c in tc.items():
                 g[t + k] = g.get(t + k, 0) + coeff * c
-    reps = {}
-    for key, g in out.items():
-        g = {t: c for t, c in g.items() if c}
-        if g:
-            reps[key] = g
-    return reps
+    return _nonzero_orbits(out)
 
 
 def hall_littlewood_r_coset(n, seq):
