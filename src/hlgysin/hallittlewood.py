@@ -179,12 +179,12 @@ def _row_product(head, tail):
             k = sum(raised)
             coeff = -1 if k & 1 else 1
             nu = ()
-            above = None  # (value, copies left unraised) of the run before
+            above, left = -1, 0  # value and unraised copies of the run before
             for (v, m), r in zip(runs, raised):
-                if r and above and above[0] == v + 1:
-                    coeff *= math.comb(r + above[1], r)
+                if above == v + 1:
+                    coeff *= math.comb(r + left, r)
                 nu += (v + 1,) * r + (v,) * (m - r)
-                above = v, m - r
+                above, left = v, m - r
             g = out.setdefault((head + len(mu) - k,) + nu, {})
             for t, c in tc.items():
                 g[t + k] = g.get(t + k, 0) + coeff * c
