@@ -16,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given = hypothesis.given
 
-from conftest import polynomials, settings, dominant_orbits  # noqa: E402
+from conftest import dominant_orbits, polynomials, settings  # noqa: E402
 
 
 @st.composite

@@ -4,8 +4,8 @@ Every command runs in-process through ``hlgysin.cli.main``.  The digests
 were recorded while ``schur_s`` was still the Jacobi-Trudi determinant,
 before it became the Demazure form, so they pin that the swap changed no
 byte.  Those of R and P at n = 6..8 were recorded while each level of R
-still built the whole product of its row and the tail class.  Running this file as a script prints the table for the current
-checkout:
+still built the whole product of its row and the tail class.  Running
+this file as a script prints the table for the current checkout:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
