@@ -113,6 +113,7 @@ def _cmd_compute(parser, args):
     if kind in ("r", "p"):
         _require(parser, args.n is not None and args.lam is not None,
                  f"--n and --lambda are required for kind {kind}")
+        _require(parser, args.n >= 1, "--n must be positive")
         _require(parser, len(args.lam) == args.n,
                  f"--lambda must have exactly n={args.n} entries")
         func = hall_littlewood_r if kind == "r" else hall_littlewood_p
@@ -121,11 +122,13 @@ def _cmd_compute(parser, args):
     elif kind == "schur-s":
         _require(parser, args.n is not None and args.lam is not None,
                  "--n and --lambda are required for kind schur-s")
+        _require(parser, args.n >= 0, "--n must be nonnegative")
         poly = schur_s(args.lam, args.n)
         params = {"n": args.n, "lambda": list(args.lam)}
     elif kind == "schur-p":
         _require(parser, args.n is not None and args.nu is not None,
                  "--n and --nu are required for kind schur-p")
+        _require(parser, args.n >= 1, "--n must be positive")
         poly = schur_p_coset(args.nu, args.n)
         params = {"n": args.n, "nu": list(args.nu)}
     elif kind == "gaussian":

@@ -6,16 +6,17 @@ tier-1 test reads the import graph), and what lives here is never on the
 path of a CLI command.
 
 The Schur specializations are implemented independently of the
-Hall-Littlewood engine: Schur S as the Jacobi-Trudi determinant
-det(h_{lam_i - i + j}), and Schur P by hook sums and the two-row
-recursion, whose hooks are Jacobi-Trudi determinants too.  Neither calls
-a divided difference, so they share no push-forward code with the
-engine's schur_s (the Demazure form) or schur_p_coset (a leading-flag
-push-forward).  Alongside them: the explicit group enumerations and
-products (all of S_n, the stabilizer, the Vandermonde and the t-twisted
-Vandermonde) that the naive S_n sums of the tests are built from, and the
-blockwise full-flag symmetrizer whose composite with the partial-flag
-push-forward must reproduce the full one.
+Hall-Littlewood engine: Schur S as the dual Jacobi-Trudi determinant
+det(e_{lam'_i - i + j}) over the conjugate partition lam' (Macdonald,
+Symmetric Functions and Hall Polynomials, I (3.5)), and Schur P by hook
+sums and the two-row recursion, whose hooks are Jacobi-Trudi determinants
+too.  Neither calls a divided difference, so they share no push-forward
+code with the engine's schur_s (the Demazure form) or schur_p_coset (a
+leading-flag push-forward).  Alongside them: the explicit group
+enumerations and products (all of S_n, the stabilizer, the Vandermonde
+and the t-twisted Vandermonde) that the naive S_n sums of the tests are
+built from, and the blockwise full-flag symmetrizer whose composite with
+the partial-flag push-forward must reproduce the full one.
 """
 
 from __future__ import annotations
@@ -132,47 +133,54 @@ def hall_littlewood_p_specialized(n, seq, t_value):
 
 
 # ---------------------------------------------------------------------- #
-# Schur S by the Jacobi-Trudi determinant
+# Schur S by the dual Jacobi-Trudi determinant
 
 
 @lru_cache(maxsize=None)
-def complete_homogeneous(degree, n):
-    """h_degree(x_1..x_n): sum of all monomials of the given total degree."""
-    if degree < 0:
+def elementary_symmetric(k, n):
+    """e_k(x_1..x_n): sum of all squarefree monomials of degree k."""
+    if k < 0 or k > n:
         return Polynomial.zero(n)
-    if degree == 0:
-        return Polynomial.one(n)
     terms = {}
-    for combo in itertools.combinations_with_replacement(range(n), degree):
+    for combo in itertools.combinations(range(n), k):
         key = [0] * (n + 1)
         for idx in combo:
-            key[idx] += 1
+            key[idx] = 1
         terms[tuple(key)] = 1
     return Polynomial._raw(n, terms)
 
 
 def schur_s_jacobi_trudi(partition, n):
-    """Schur polynomial via the Jacobi-Trudi determinant det(h_{lam_i - i + j})."""
+    """Schur polynomial via the dual Jacobi-Trudi determinant.
+
+    s_lam = det(e_{lam'_i - i + j}), 1 <= i, j <= lam_1, where lam' is the
+    conjugate partition (Macdonald, Symmetric Functions and Hall
+    Polynomials, I (3.5)).  Each e_k has at most C(n, k) terms, where the
+    h_k of det(h_{lam_i - i + j}) has C(n + k - 1, k).
+    """
     return _schur_s_jacobi_trudi(_as_partition_of_length(partition, n), n)
 
 
 @lru_cache(maxsize=None)
 def _schur_s_jacobi_trudi(lam, n):
+    conj = tuple(sum(1 for a in lam if a > i) for i in range(lam[0] if lam else 0))
+    size = len(conj)
     cache = {}
 
     def minor(rows):
         # Determinant of the submatrix on these rows and columns
-        # n - len(rows) .. n - 1 (0-based), expanded along its first column.
+        # size - len(rows) .. size - 1 (0-based), expanded along its first
+        # column.
         if not rows:
             return Polynomial.one(n)
         got = cache.get(rows)
         if got is not None:
             return got
-        col = n - len(rows)
+        col = size - len(rows)
         out = Polynomial.zero(n)
         sign = 1
         for pos, row in enumerate(rows):
-            entry = complete_homogeneous(lam[row] - row + col, n)
+            entry = elementary_symmetric(conj[row] - row + col, n)
             if not entry.is_zero:
                 sub = minor(rows[:pos] + rows[pos + 1:])
                 out = out + sign * (entry * sub)
@@ -180,7 +188,7 @@ def _schur_s_jacobi_trudi(lam, n):
         cache[rows] = out
         return out
 
-    return minor(tuple(range(n)))
+    return minor(tuple(range(size)))
 
 
 # ---------------------------------------------------------------------- #

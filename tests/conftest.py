@@ -1,4 +1,6 @@
+import itertools
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -30,6 +32,22 @@ def t_degree(p):
 
 def is_homogeneous_in_x(p):
     return len({sum(k[: p.arity]) for k in p.terms}) <= 1
+
+
+@lru_cache(maxsize=None)
+def complete_homogeneous(degree, n):
+    """h_degree(x_1..x_n): sum of all monomials of the given total degree."""
+    if degree < 0:
+        return Polynomial.zero(n)
+    if degree == 0:
+        return Polynomial.one(n)
+    terms = {}
+    for combo in itertools.combinations_with_replacement(range(n), degree):
+        key = [0] * (n + 1)
+        for idx in combo:
+            key[idx] += 1
+        terms[tuple(key)] = 1
+    return Polynomial._raw(n, terms)
 
 
 def dominant_orbits(f, start=1):

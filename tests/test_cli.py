@@ -115,12 +115,40 @@ def test_compute_malformed_sequence_exit_2():
 
 
 def test_compute_negative_n_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--kind", "schur-s", "--n", "-1", "--lambda", "()"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith("error: --n must be nonnegative")
+
+
+BAD_COMPUTE_N = [
+    (["--kind", "schur-s", "--n", "-2", "--lambda", ""], "--n must be nonnegative"),
+    (["--kind", "p", "--n", "0", "--lambda", ""], "--n must be positive"),
+    (["--kind", "schur-p", "--n", "-1", "--nu", "1"], "--n must be positive"),
+    (["--kind", "r", "--n", "0", "--lambda", ""], "--n must be positive"),
+    (["--kind", "schur-p", "--n", "0", "--nu", ""], "--n must be positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", BAD_COMPUTE_N, ids=[" ".join(argv) for argv, _ in BAD_COMPUTE_N]
+)
+def test_compute_rejects_a_bad_n_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith(f"error: {message}")
+
+
+def test_compute_schur_s_in_no_variables(capsys):
     code, out, err = run_main(
-        capsys, "compute", "--kind", "schur-s", "--n", "-1", "--lambda", "()"
+        capsys, "compute", "--kind", "schur-s", "--n", "0", "--lambda", ""
     )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
+    assert (code, out, err) == (0, "1\n", "")
 
 
 def test_compute_interleaved_p_is_a_finding_exit_1():

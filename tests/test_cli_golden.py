@@ -1,4 +1,5 @@
-"""CLI output pinned byte for byte: sha256 of (exit code, stdout) per command.
+"""CLI output pinned byte for byte: sha256 of (exit code, stdout) per command,
+and the exit code and stderr of each command, verbatim for those that fail.
 
 Every command runs in-process through ``hlgysin.cli.main``.  The digests
 were recorded while ``schur_s`` was still the Jacobi-Trudi determinant,
@@ -141,15 +142,61 @@ DIGESTS = {
 }
 
 
-def digest(argv):
-    """sha256 of the exit code and stdout of ``hlgysin`` run with argv."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+NOT_DIVISIBLE = (
+    "not divisible: normalizer does not divide the symmetrized class for {}; "
+    "the normalized class is undefined for this sequence\n"
+)
+
+# exit code and stderr of every command above that fails; the digests hash
+# stdout only, which is empty for all of them
+FAILURES = {
+    "compute --kind p --n 4 --lambda 0,2,0,2": (1, NOT_DIVISIBLE.format((0, 2, 0, 2))),
+    **{
+        f"compute --kind p --n {n} --lambda {lam} --format {fmt}": (
+            1,
+            NOT_DIVISIBLE.format(tuple(int(a) for a in lam.split(","))),
+        )
+        for n, lam in [(6, "2,0,2,0,0,0"), (7, "0,2,0,2,1,1,1"), (8, "0,1,2,1,0,0,0,0")]
+        for fmt in ("text", "json")
+    },
+    "compute --kind schur-s --n 3 --lambda 1,2": (2, "error: not a partition: (1, 2)\n"),
+    "verify --identity bogus": (
+        2,
+        "unknown identity 'bogus'; choose from cor-gaussian, lemma-sum, "
+        "prop-juxtaposition, t-minus1, t0-jlp, theorem-main\n",
+    ),
+    # argparse wraps the usage to the terminal width, fixed at 80 columns below
+    "compute --kind r --n 2 --lambda 1,x": (
+        2,
+        "usage: hlgysin compute [-h] --kind {r,p,schur-s,schur-p,gaussian,v} [--n N]\n"
+        "                       [--q Q] [--lambda LAM] [--mu MU] [--nu NU]\n"
+        "                       [--sigma SIGMA] [--m M] [--a A] [--b B]\n"
+        "                       [--format {text,latex,json}] [--out OUT]\n"
+        "hlgysin compute: error: argument --lambda: expected comma-separated "
+        "integers, got '1,x'\n",
+    ),
+    "compute --kind r --n 9 --lambda 0,0,0,0,0,0,0,0,0": (
+        3,
+        "bound exceeded: n = 9 exceeds permutation bound 8\n",
+    ),
+}
+
+
+def run(argv):
+    """Exit code, stdout and stderr of ``hlgysin`` run with argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(argv))
         except SystemExit as exc:  # argparse rejects malformed flags this way
             code = exc.code
-    return hashlib.sha256(f"{code}\0{out.getvalue()}".encode()).hexdigest()
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(argv):
+    """sha256 of the exit code and stdout of ``hlgysin`` run with argv."""
+    code, out, _ = run(argv)
+    return hashlib.sha256(f"{code}\0{out}".encode()).hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -159,8 +206,21 @@ def test_cli_output_matches_recorded_digest(argv):
     assert digest(argv) == DIGESTS[" ".join(argv)]
 
 
+@pytest.mark.parametrize(
+    "argv", COMMANDS, ids=lambda argv: "_".join(a.lstrip("-") for a in argv)
+)
+def test_cli_exit_code_and_stderr(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, _, err = run(argv)
+    assert (code, err) == FAILURES.get(" ".join(argv), (0, ""))
+
+
 def test_every_command_has_a_digest():
     assert sorted(DIGESTS) == sorted(" ".join(argv) for argv in COMMANDS)
+
+
+def test_every_failure_is_a_command():
+    assert set(FAILURES) <= set(DIGESTS)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,12 @@ import itertools
 
 import pytest
 
-from conftest import dominant_orbits, is_homogeneous_in_x, x_degree
+from conftest import (
+    complete_homogeneous,
+    dominant_orbits,
+    is_homogeneous_in_x,
+    x_degree,
+)
 from hlgysin import (
     NotDivisibleError,
     Polynomial,
@@ -25,7 +30,7 @@ from hlgysin.hallittlewood import _row_product
 from hlgysin.polyring import linear_factor_product
 from hlgysin.oracles import (
     all_permutations,
-    complete_homogeneous,
+    elementary_symmetric,
     hall_littlewood_p_specialized,
     schur_p_recursive,
     schur_s_jacobi_trudi,
@@ -221,6 +226,45 @@ def test_complete_homogeneous():
     assert complete_homogeneous(1, 2) == x(2, 1) + x(2, 2)
     h2 = complete_homogeneous(2, 2)
     assert h2 == x(2, 1) ** 2 + x(2, 1) * x(2, 2) + x(2, 2) ** 2
+
+
+def test_elementary_symmetric():
+    for n in range(4):
+        assert elementary_symmetric(-1, n) == Polynomial.zero(n)
+        assert elementary_symmetric(n + 1, n) == Polynomial.zero(n)
+        assert elementary_symmetric(0, n) == Polynomial.one(n)
+    e2 = elementary_symmetric(2, 3)
+    assert e2 == x(3, 1) * x(3, 2) + x(3, 1) * x(3, 3) + x(3, 2) * x(3, 3)
+
+
+def jacobi_trudi_h_form(lam, n):
+    """det(h_{lam_i - i + j}), 1 <= i, j <= l(lam), by the Leibniz sum.
+
+    The rows past l(lam) of the n x n matrix are unitriangular, so this
+    leading minor is the whole determinant."""
+    length = sum(1 for a in lam if a)
+    out = Polynomial.zero(n)
+    for w in itertools.permutations(range(length)):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(w, 2))
+        term = Polynomial.one(n)
+        for i, j in enumerate(w):
+            term = term * complete_homogeneous(lam[i] - i + j, n)
+        out = out + sign * term
+    return out
+
+
+def test_schur_s_jacobi_trudi_equals_the_h_form():
+    """The oracle's dual form det(e_{lam'_i - i + j}) against the h-form
+    det(h_{lam_i - i + j}) it replaced (Macdonald I (3.4), (3.5))."""
+    cases = [
+        (lam, n)
+        for n in range(1, 5)
+        for lam in itertools.product(range(4), repeat=n)
+        if is_partition(lam)
+    ]
+    cases += [(lam, n) for n in range(9, 13) for lam in [(1,), (1, 1), (2, 1)]]
+    for lam, n in cases:
+        assert schur_s_jacobi_trudi(lam, n) == jacobi_trudi_h_form(lam, n), (lam, n)
 
 
 def test_schur_s_examples():
