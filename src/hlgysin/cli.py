@@ -90,6 +90,10 @@ def _build_parser():
     table.add_argument("--b-max", type=int)
     table.add_argument("--format", choices=["text", "latex", "json"], default="text")
     table.add_argument("--out", help="also write the output to this file")
+    # each command rejects its own flags through its own parser, so the
+    # usage line and the error prefix name the subcommand
+    for command in (compute, verify, table):
+        command.set_defaults(subparser=command)
     return parser
 
 
@@ -149,7 +153,13 @@ def _cmd_compute(parser, args):
     return 0
 
 
-def _cmd_verify(args):
+def _cmd_verify(parser, args):
+    _require(parser, args.n_min >= 1, "--n-min must be positive")
+    _require(parser, args.n_max >= args.n_min, "--n-max must be at least --n-min")
+    _require(parser, args.q is None or args.q >= 1, "--q must be positive")
+    _require(parser, args.entry_max >= 0, "--entry-max must be nonnegative")
+    _require(parser, args.mode != "randomized" or args.count >= 0,
+             "--count must be nonnegative")
     if args.identity not in IDENTITY_SUITES:
         print(
             f"unknown identity {args.identity!r}; choose from "
@@ -253,10 +263,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.subcommand == "compute":
-            return _cmd_compute(parser, args)
+            return _cmd_compute(args.subparser, args)
         if args.subcommand == "verify":
-            return _cmd_verify(args)
-        return _cmd_table(parser, args)
+            return _cmd_verify(args.subparser, args)
+        return _cmd_table(args.subparser, args)
     except BoundExceededError as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return 3

@@ -51,7 +51,13 @@ from .antisym import (
     longest_word,
 )
 from .gysin import leading_flag_pushforward
-from .polyring import NotDivisibleError, Polynomial, divide_by_vandermonde, linear_factor_product
+from .polyring import (
+    NotDivisibleError,
+    Polynomial,
+    _key_permuter,
+    divide_by_vandermonde,
+    linear_factor_product,
+)
 from .symgroup import block_structure, coset_reps, ensure_within_bound
 
 
@@ -200,9 +206,14 @@ def hall_littlewood_r_coset(n, seq):
         w( x^seq * prod_{seq_i != seq_j} (x_i - t x_j) / (x_i - x_j) ),
 
     each term cleared against the full Vandermonde, so the signed sum N of
-    the cleared terms is divided by the Vandermonde once, one factor
-    x_i - x_j at a time.  Must agree with hall_littlewood_r; disagreement (or a failed
-    division) is a genuine finding about the sequence, not an artifact.
+    the cleared terms is divided by the Vandermonde once.  N is summed in
+    one dict: each representative w maps the cleared core's keys through
+    its index map and adds the core's coefficients, negated in advance for
+    odd w; zeros are dropped once at the end.  divide_by_vandermonde
+    rejects an N that does not vanish on some hyperplane x_i = x_j before
+    it divides.  Must agree with hall_littlewood_r; disagreement (or a
+    failed division) is a genuine finding about the sequence, not an
+    artifact.
     """
     seq = as_int_sequence(seq)
     _check_length(n, seq)
@@ -214,16 +225,17 @@ def hall_littlewood_r_coset(n, seq):
         * linear_factor_product(n, unequal, Polynomial.t(n))
         * linear_factor_product(n, equal, 1)
     )
+    signed = {1: list(core.terms.items())}
+    signed[-1] = [(key, -c) for key, c in signed[1]]
     terms = {}
+    get = terms.get
     for w in coset_reps(block_structure(seq)):
-        sign = w.sign()
-        for key, c in core.permute_vars(w).terms.items():
-            s = terms.get(key, 0) + sign * c
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-    quotient = divide_by_vandermonde(Polynomial._raw(n, terms))
+        image_of = _key_permuter(w.images)
+        for key, c in signed[w.sign()]:
+            key = image_of(key)
+            terms[key] = get(key, 0) + c
+    numerator = Polynomial._raw(n, {key: c for key, c in terms.items() if c})
+    quotient = divide_by_vandermonde(numerator)
     return t_factorial_product(seq).embed(n) * quotient
 
 

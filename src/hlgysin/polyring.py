@@ -30,6 +30,17 @@ that hold terms are visited, so the cost follows the number of terms, not
 the size of the exponents.  A division that leaves a remainder raises
 NotDivisibleError; callers treat that as a correctness probe and never
 catch it to paper over a failure.
+
+The quotient by the Vandermonde prod_{i<j} (x_i - x_j) first restricts
+the dividend to each hyperplane x_i = x_j, in the order the division takes
+the pairs: one pass over the terms that merges the exponent of x_j into
+x_i.  The check is exact.  The remainder of p by x_i - x_j, monic in x_i,
+is p(x_i := x_j), so a restriction that does not vanish is the remainder
+the division would leave; and the x_i - x_j are pairwise non-associate
+primes, so the Vandermonde divides p exactly when every restriction
+vanishes, and the first pair that fails is the same in both orders.  A
+numerator that does not divide is thus rejected in one pass instead of
+after the divisions that precede the failing factor.
 """
 
 from __future__ import annotations
@@ -131,6 +142,18 @@ def _level_divider(lead, v, arity):
         return quotient
 
     return divide
+
+
+def _key_permuter(images):
+    """The map of exponent tuples under x_i |-> x_{w(i)}, for the one-line
+    ``images`` of w, n >= 1: the exponent at position i moves to position
+    w(i), and t stays last."""
+    n = len(images)
+    src = [0] * (n + 1)
+    for i, img in enumerate(images):
+        src[img - 1] = i
+    src[n] = n
+    return operator.itemgetter(*src)
 
 
 def _checked_arity(arity):
@@ -344,11 +367,7 @@ class Polynomial:
             )
         if n == 0:
             return self
-        src = [0] * (n + 1)
-        for i, img in enumerate(images):
-            src[img - 1] = i
-        src[n] = n
-        image_of = operator.itemgetter(*src)
+        image_of = _key_permuter(images)
         return Polynomial._raw(
             n, {image_of(key): c for key, c in self.terms.items()}
         )
@@ -549,10 +568,36 @@ class Polynomial:
 
 
 def divide_by_vandermonde(p):
-    """Exact quotient p / prod_{i<j}(x_i - x_j), one linear factor at a time."""
-    for i, j in itertools.combinations(range(1, p.arity + 1), 2):
-        p = p.divide_exact(_linear_factor(p.arity, i, j, 1))
+    """Exact quotient p / prod_{i<j}(x_i - x_j), one linear factor at a time.
+
+    Before dividing, p is restricted to each hyperplane x_i = x_j in the
+    order the division takes the pairs, and the first restriction that
+    does not vanish raises the NotDivisibleError the division would raise
+    at that pair (why this is exact: see the module docstring).  Only a p
+    that vanishes on every hyperplane is divided, and that division
+    decides the result.
+    """
+    n = p.arity
+    pairs = list(itertools.combinations(range(n), 2))
+    for i, j in pairs:
+        if not _vanishes_on_hyperplane(p.terms, n, i, j):
+            raise NotDivisibleError(f"remainder of degree 0 in x{i + 1}")
+    for i, j in pairs:
+        p = p.divide_exact(_linear_factor(n, i + 1, j + 1, 1))
     return p
+
+
+def _vanishes_on_hyperplane(terms, arity, i, j):
+    """Whether the terms sum to zero at x_i = x_j (0-based positions i < j):
+    each key's exponent of x_j is merged into x_i, and the coefficients of
+    equal merged keys are summed."""
+    others = operator.itemgetter(*(q for q in range(arity + 1) if q != i and q != j))
+    merged = {}
+    get = merged.get
+    for key, c in terms.items():
+        key = (key[i] + key[j], others(key))
+        merged[key] = get(key, 0) + c
+    return not any(merged.values())
 
 
 def _linear_factor(arity, i, j, c):

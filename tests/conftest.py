@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from hlgysin import BlockStructure, Polynomial
+from hlgysin import BlockStructure, NotDivisibleError, Polynomial
 
 try:
     import hypothesis
@@ -32,6 +32,24 @@ def t_degree(p):
 
 def is_homogeneous_in_x(p):
     return len({sum(k[: p.arity]) for k in p.terms}) <= 1
+
+
+def vandermonde_quotient_by_factors(p):
+    """p / prod_{i<j} (x_i - x_j) by one exact division per factor, pairs in
+    lexicographic order, with no check on the hyperplanes first."""
+    n = p.arity
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        p = p.divide_exact(Polynomial.x(n, i) - Polynomial.x(n, j))
+    return p
+
+
+def quotient_or_error(divide, *args):
+    """The result of ``divide(*args)``, or the text of the
+    NotDivisibleError it raises."""
+    try:
+        return divide(*args)
+    except NotDivisibleError as exc:
+        return f"NotDivisibleError: {exc}"
 
 
 @lru_cache(maxsize=None)

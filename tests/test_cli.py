@@ -144,6 +144,24 @@ def test_compute_rejects_a_bad_n_exit_2(capsys, argv, message):
     assert captured.err.rstrip().endswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compute", "--kind", "p", "--n", "0", "--lambda", ""], "--n must be positive"),
+        (["table", "--kind", "r", "--n", "0"], "--n must be positive"),
+    ],
+    ids=["compute", "table"],
+)
+def test_a_rejected_flag_names_its_subcommand(capsys, argv, message):
+    """The usage line and the error prefix are the subcommand's, as for the
+    errors argparse raises itself."""
+    with pytest.raises(SystemExit):
+        main(argv)
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: hlgysin {argv[0]} [-h] --kind ")
+    assert err.endswith(f"\nhlgysin {argv[0]}: error: {message}\n")
+
+
 def test_compute_schur_s_in_no_variables(capsys):
     code, out, err = run_main(
         capsys, "compute", "--kind", "schur-s", "--n", "0", "--lambda", ""
@@ -184,6 +202,30 @@ def test_verify_unknown_identity_exit_2():
     result = run_cli("verify", "--identity", "bogus")
     assert result.returncode == 2
     assert "choose from" in result.stderr
+
+
+BAD_VERIFY_FLAGS = [
+    (["--n-min", "-1"], "--n-min must be positive"),
+    (["--n-max", "0"], "--n-max must be at least --n-min"),
+    (["--n-min", "3", "--n-max", "2"], "--n-max must be at least --n-min"),
+    (["--q", "0"], "--q must be positive"),
+    (["--q", "-2"], "--q must be positive"),
+    (["--entry-max", "-1"], "--entry-max must be nonnegative"),
+    (["--mode", "randomized", "--count", "-3"], "--count must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", BAD_VERIFY_FLAGS, ids=[" ".join(argv) for argv, _ in BAD_VERIFY_FLAGS]
+)
+def test_verify_rejects_a_bad_numeric_flag_in_the_parser_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--identity", "t-minus1", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: hlgysin verify ")
+    assert captured.err.endswith(f"\nhlgysin verify: error: {message}\n")
 
 
 def test_verify_writes_report_and_is_reproducible(tmp_path, capsys):

@@ -6,6 +6,8 @@ from conftest import (
     complete_homogeneous,
     dominant_orbits,
     is_homogeneous_in_x,
+    quotient_or_error,
+    vandermonde_quotient_by_factors,
     x_degree,
 )
 from hlgysin import (
@@ -28,6 +30,7 @@ from hlgysin import (
 )
 from hlgysin.hallittlewood import _row_product
 from hlgysin.polyring import linear_factor_product
+from hlgysin.symgroup import block_structure, coset_reps
 from hlgysin.oracles import (
     all_permutations,
     elementary_symmetric,
@@ -154,6 +157,44 @@ def test_r_coset_fails_on_interleaved_level_sets(seq):
 
 def test_r_coset_single_coset_case():
     assert hall_littlewood_r_coset(2, (1, 1)) == (1 + t(2)) * x(2, 1) * x(2, 2)
+
+
+def r_coset_by_permuted_cores(n, seq):
+    """The coset form summed from one permuted core Polynomial per
+    representative, its numerator divided one Vandermonde factor at a time."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    core = (
+        Polynomial.monomial(n, seq)
+        * linear_factor_product(n, [(i, j) for i, j in pairs if seq[i - 1] != seq[j - 1]], t(n))
+        * linear_factor_product(n, [(i, j) for i, j in pairs if seq[i - 1] == seq[j - 1]], 1)
+    )
+    terms = {}
+    for w in coset_reps(block_structure(seq)):
+        sign = w.sign()
+        for key, c in core.permute_vars(w).terms.items():
+            terms[key] = terms.get(key, 0) + sign * c
+    numerator = Polynomial(n, terms)
+    return t_factorial_product(seq).embed(n) * vandermonde_quotient_by_factors(numerator)
+
+
+R_COSET_SEQUENCES = [
+    seq for n in range(1, 6) for seq in itertools.product(range(3), repeat=n)
+] + [(0, 1, 0, 1, 0, 1), (2, 2, 1, 1, 0, 0)]
+
+
+def test_r_coset_equals_the_sum_of_permuted_cores_or_fails_with_its_text():
+    """The fused signed sum and the check on each hyperplane change neither
+    the quotient nor the error: every sequence with entries <= 2 up to
+    n = 5, one interleaved and one contiguous sequence at n = 6."""
+    outcomes = {}
+    for seq in R_COSET_SEQUENCES:
+        expected = quotient_or_error(r_coset_by_permuted_cores, len(seq), seq)
+        assert quotient_or_error(hall_littlewood_r_coset, len(seq), seq) == expected, seq
+        outcomes[seq] = expected
+    assert outcomes[(0, 1, 0, 1, 0, 1)] == "NotDivisibleError: remainder of degree 0 in x1"
+    assert outcomes[(2, 2, 1, 1, 0, 0)] == hall_littlewood_r(6, (2, 2, 1, 1, 0, 0))
+    failures = [seq for seq, o in outcomes.items() if isinstance(o, str)]
+    assert failures and len(failures) < len(outcomes)
 
 
 # --- P classes --------------------------------------------------------------

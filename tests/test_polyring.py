@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import is_homogeneous_in_x, t_degree, x_degree
+from conftest import is_homogeneous_in_x, t_degree, vandermonde_quotient_by_factors, x_degree
 from hlgysin import (
     ArityMismatchError,
     ExponentOverflowError,
@@ -280,6 +280,20 @@ def test_vandermonde_and_difference_product(random_poly):
     assert divide_by_vandermonde(p * v3) == p
     with pytest.raises(NotDivisibleError):
         divide_by_vandermonde(Polynomial.x(3, 1))
+
+
+def test_vandermonde_quotient_names_the_first_pair_whose_hyperplane_fails():
+    cases = [
+        (Polynomial.x(3, 1), "x1"),
+        (difference_product(3, [(1, 2), (1, 3)]) * Polynomial.x(3, 2), "x2"),
+        # missing (2, 4) and (3, 4): the pairs go in lexicographic order
+        (difference_product(4, [(1, 2), (1, 3), (1, 4), (2, 3)]), "x2"),
+    ]
+    for f, name in cases:
+        for divide in (divide_by_vandermonde, vandermonde_quotient_by_factors):
+            with pytest.raises(NotDivisibleError) as exc:
+                divide(f)
+            assert str(exc.value) == f"remainder of degree 0 in {name}"
 
 
 # --- serialization ---------------------------------------------------------

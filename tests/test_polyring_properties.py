@@ -6,7 +6,14 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given = hypothesis.given
 
-from conftest import polynomials, settings  # noqa: E402
+from conftest import (  # noqa: E402
+    polynomials,
+    quotient_or_error,
+    settings,
+    vandermonde_quotient_by_factors,
+)
+from hlgysin import divide_by_vandermonde  # noqa: E402
+from hlgysin.oracles import vandermonde  # noqa: E402
 
 
 # small exponents, and exponents near 2**32 and 2**40: division must cost
@@ -30,3 +37,19 @@ def test_product_divided_by_a_nonzero_factor_gives_the_other(pair):
     p, q = pair
     hypothesis.assume(not q.is_zero)
     assert (p * q).divide_exact(q) == p
+
+
+@st.composite
+def vandermonde_dividends(draw):
+    """A random f, or f = p * V for the Vandermonde V, in up to 4 variables."""
+    n = draw(st.integers(0, 4))
+    f = draw(polynomials(n, max_terms=6, exponents=st.integers(0, 3)))
+    return f * vandermonde(n) if draw(st.booleans()) else f
+
+
+@settings(200)
+@given(vandermonde_dividends())
+def test_vandermonde_quotient_agrees_with_the_factor_by_factor_division(f):
+    assert quotient_or_error(divide_by_vandermonde, f) == quotient_or_error(
+        vandermonde_quotient_by_factors, f
+    )
