@@ -5,8 +5,11 @@ Every command runs in-process through ``hlgysin.cli.main``.  The digests
 were recorded while ``schur_s`` was still the Jacobi-Trudi determinant,
 before it became the Demazure form, so they pin that the swap changed no
 byte.  Those of R and P at n = 6..8 were recorded while each level of R
-still built the whole product of its row and the tail class.  Running
-this file as a script prints the table for the current checkout:
+still built the whole product of its row and the tail class, and those
+of the Grassmann verifiers at n = 5 and 6 while each built the whole
+product of its cross factor and block classes and pushed it forward by
+the plain divided-difference chain.  Running this file as a script
+prints the table for the current checkout:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -58,6 +61,12 @@ COMMANDS = [
     ["table", "--kind", "p", "--n", "3", "--entry-max", "2"],
     ["verify", "--identity", "t0-jlp", "--n-max", "4"],
     ["verify", "--identity", "t-minus1", "--n-max", "4"],
+    # the Grassmann verifiers at n = 5 and 6
+    ["verify", "--identity", "t-minus1", "--n-min", "5", "--n-max", "6", "--entry-max", "2"],
+    *(
+        ["verify", "--identity", identity, "--n-min", "5", "--n-max", "5", "--entry-max", "1"]
+        for identity in ("theorem-main", "cor-gaussian", "prop-juxtaposition", "t0-jlp")
+    ),
     # exit 1: the normalizer does not divide R
     ["compute", "--kind", "p", "--n", "4", "--lambda", "0,2,0,2"],
     # exit 2: not a partition, unknown identity, malformed sequence
@@ -104,6 +113,11 @@ DIGESTS = {
     "table --kind p --n 3 --entry-max 2": "951e2ecd657100c704cb2d198e76788284675812b34e79f979ff402e4bc3b349",
     "verify --identity t0-jlp --n-max 4": "8a15534c721427be5933139ada1e6d1ba6c1609a2cbe8147ae8c8ee219e27760",
     "verify --identity t-minus1 --n-max 4": "555969417b5fcaa097ffc4ecdd56b2d6ce9d4825e320ab49759fa6c91f5797b6",
+    "verify --identity t-minus1 --n-min 5 --n-max 6 --entry-max 2": "68bd3e2fba2b2b38d4e3c1cb0dd385541e83fb7bcae5fa11dc13b21bf7b24cd1",
+    "verify --identity theorem-main --n-min 5 --n-max 5 --entry-max 1": "0ec42571777b263521a48b842b57c99b91821ed2b333cd57af140e928bf47722",
+    "verify --identity cor-gaussian --n-min 5 --n-max 5 --entry-max 1": "d877cd514c678b72f55883d40c47ac68834ed5ef3ca7f5ec44d046c46ba4f6c2",
+    "verify --identity prop-juxtaposition --n-min 5 --n-max 5 --entry-max 1": "d918c76e5c43ebb590e7d2d8c1b8b76323dababad8bd8db97af21b7176d5242b",
+    "verify --identity t0-jlp --n-min 5 --n-max 5 --entry-max 1": "631e1d3beb7130dcd2b876c07117e1aa86a85b5f58b50e523b1057370f37c465",
     "compute --kind p --n 4 --lambda 0,2,0,2": "e79e418e48623569d75e2a7b09ae88ed9b77b126a445b9ff9dc6989a08efa079",
     "compute --kind schur-s --n 3 --lambda 1,2": "913da1f8df6f8fd47593840d533ba0458cc9873996bf310460abb495b34c232a",
     "verify --identity bogus": "913da1f8df6f8fd47593840d533ba0458cc9873996bf310460abb495b34c232a",
