@@ -20,11 +20,22 @@ composite is the Jacobi symmetrizer
 which is how full-flag push-forwards and alternant quotients are formed
 without ever building the n!-term signed sum.
 
-The composite d_{n-1} ... d_1 of a class symmetric in x_2..x_n, the tower
-that builds R_lam, keeps a block symmetry at every step, so it is run on one
-exponent vector per orbit (_divided_difference_tower): it takes and returns
-representatives, never a full polynomial.  R_lam carries them from level to
-level and is expanded to all its terms once (_expand), at the end.
+One tower routine, _divided_difference_tower, runs both composites that
+keep a block symmetry at every step on one exponent vector per orbit: it
+takes and returns representatives, never a full polynomial.
+
+* d_{n-1} ... d_1 of a class symmetric in x_2..x_n, the tower that builds
+  R_lam.  R_lam carries the representatives from level to level and is
+  expanded to all its terms once (_expand), at the end.
+* One row d_{k+r-1} ... d_k of a Grassmann merge of the blocks
+  ..q | q+1..q+r, on a class symmetric in ..k and k+1..n, the positions
+  left of the merged blocks passive.  The rows q..k together are the
+  Grassmann push-forward of the blocks k..q | q+1..n, so after row k the
+  class is symmetric in all of k..n, not only in the blocks the row's
+  last step leaves.  That is why the row keeps, at its end, only the keys
+  that weakly decrease over k..n: the rest are other terms of the same
+  orbits, and dropping them loses nothing.  R's tower is the row with
+  k = 1 and no passive positions.
 """
 
 from __future__ import annotations
@@ -77,65 +88,102 @@ def jacobi_symmetrizer(p):
     return p
 
 
-def _divided_difference_tower(n, reps):
-    """d_{n-1} ... d_1 f, d_1 applied first, for f symmetric in x_2..x_n,
-    on orbit representatives.
+def _divided_difference_tower(n, reps, start=0, k=1, stop=None):
+    """d_{stop-1} ... d_k f, d_k applied first, on orbit representatives;
+    stop defaults to n.
 
-    The precondition is not checked.  It makes every intermediate
-    f_a = d_a ... d_1 f symmetric in x_1..x_{a+1} and in x_{a+2}..x_n:
-    f_a is the push-forward along the bundle of lines in a rank a+1 space,
-    or directly, d_a maps a class symmetric in x_1..x_a and x_{a+1}..x_n to
-    one symmetric in x_1..x_{a+1} and x_{a+2}..x_n.  So each f_a is carried
-    as a plain dict holding, for each orbit, the x-exponents that weakly
-    decrease within both blocks, with the orbit's coefficient as a dict
-    from t-exponent to integer; the block bookkeeping is then done once per
-    x-key, whatever the number of t-terms.  ``reps`` holds f this way for
-    the blocks (1 | n-1), and the (n | 0) representatives of the symmetric
-    answer, its partition keys, are returned; _expand makes the polynomial.
+    f is symmetric in the coarse block start+1..k and in k+1..n, and the
+    positions 1..start are passive: each representative carries them
+    unchanged.  Each f_a = d_a ... d_k f is then symmetric in the blocks
+    (start+1..k-1 | k..a+1 | a+2..n): d_a ... d_k is the push-forward along
+    the bundle of lines in x_k..x_{a+1}, and f is symmetric in
+    x_{k+1}..x_{a+1}.  So f_a is carried as a plain dict holding, for each
+    orbit, the x-exponents that weakly decrease within each block, with
+    the orbit's coefficient as a dict from t-exponent to integer; the
+    block bookkeeping is then done once per x-key, whatever the number of
+    t-terms.
 
-    From the (a | n-a) representatives the (a+1 | n-a-1) ones come without
-    building the orbits: a block-dominant key of d_a f_{a-1} agrees outside
-    positions a, a+1 with a term of f_{a-1} whose block 1 is a
-    representative's first block less one copy of a value u, placed at
-    position a, and whose block 2 is its second block less one copy of a
-    value v, placed at a+1.  Of the closed-form terms x_a^e x_{a+1}^(u+v-1-e)
-    of d_a(x_a^u x_{a+1}^v), only those with rest1[-1] >= e >= u+v-1-e keep
-    the key dominant.
+    From the representatives of f_{a-1} those of d_a f_{a-1} come without
+    building the orbits: a dominant key of d_a f_{a-1} agrees outside
+    positions a, a+1 with a term of f_{a-1} whose block left of a (the
+    coarse block at the first step, k..a after it) is a representative's
+    less one copy of a value u, placed at a, and whose block a+1..n is a
+    representative's less one copy of a value v, placed at a+1.  Of the
+    closed-form terms x_a^e x_{a+1}^(u+v-1-e) of d_a(x_a^u x_{a+1}^v), only
+    those with e >= u+v-1-e keep the key dominant, and after the first
+    step only those with rest1[-1] >= e; at the first step u leaves the
+    coarse block for a block of its own, so what is left of it sets no
+    bound.
+
+    The caller also guarantees that f_{stop-1} is symmetric in all of k..n.
+    In a Grassmann merge of the blocks ..q | q+1..n it is: with r = n - q
+    and stop = k + r, the rows d_{q+r-1} ... d_q, ..., d_{stop-1} ... d_k
+    make up the Grassmann push-forward of the blocks k..q | q+1..n.  So
+    the last step keeps only the keys that weakly decrease over k..n, those
+    whose exponent at stop is at least the one at stop+1, and the
+    representatives for the blocks (start+1..k-1 | k..n) are returned.
+    Neither condition is checked.  The defaults start = 0, k = 1, stop = n
+    give the tower d_{n-1} ... d_1 that builds R_lam: f is symmetric in
+    x_2..x_n, the answer is symmetric, and its partition keys are returned;
+    _expand makes the polynomial.
     """
-    for a in range(1, n):
+    if stop is None:
+        stop = n
+    for a in range(k, stop):
+        lo = start if a == k else k - 1  # where the block u leaves begins
+        capped = a > k
+        last = a == stop - 1 and stop < n
         out = {}
+        get = out.get
         for key, tc in reps.items():
+            negated = None
             # (v, block 2 less one v) for each distinct v of block 2
+            block2 = key[a:]
             tails = []
-            for i in range(a, n):
-                if i == a or key[i] != key[i - 1]:
-                    tails.append((key[i], key[a:i] + key[i + 1:]))
-            block1 = key[:a]
+            prev = None
+            for i, v in enumerate(block2):
+                if v != prev:
+                    tails.append((v, block2[:i] + block2[i + 1:]))
+                    prev = v
+            passive, block1 = key[:lo], key[lo:a]
+            prev = None
             for i, u in enumerate(block1):
-                if i and u == block1[i - 1]:
+                if u == prev:
                     continue
+                prev = u
                 rest1 = block1[:i] + block1[i + 1:]
-                # no bound from block 1 when u is its only entry
-                cap = rest1[-1] if rest1 else u + key[a]
+                cap = rest1[-1] if capped else u + block2[0]
+                rest1 = passive + rest1
                 for v, rest2 in tails:
-                    # e runs over lo..top: lo keeps e >= s - e, top is the
-                    # closed form's last exponent, cut to rest1[-1]
+                    # e runs over lo_e..top: lo_e keeps e >= s - e, top is
+                    # the closed form's last exponent, cut to rest1[-1] and,
+                    # at the end of a row, to s - rest2[0]
                     s = u + v - 1
-                    lo = (s + 1) // 2
                     if u > v:
-                        top, sign = (u - 1 if u <= cap else cap), 1
+                        top = u - 1 if u <= cap else cap
                     elif u < v:
-                        top, sign = (v - 1 if v <= cap else cap), -1
+                        top = v - 1 if v <= cap else cap
                     else:
                         continue
-                    for e in range(lo, top + 1):
+                    if last and top > s - rest2[0]:
+                        top = s - rest2[0]
+                    lo_e = (s + 1) // 2
+                    if lo_e > top:
+                        continue
+                    if u > v:
+                        signed = tc
+                    else:
+                        if negated is None:
+                            negated = {t: -c for t, c in tc.items()}
+                        signed = negated
+                    for e in range(lo_e, top + 1):
                         nk = rest1 + (e, s - e) + rest2
-                        g = out.get(nk)
+                        g = get(nk)
                         if g is None:
-                            out[nk] = {t: sign * c for t, c in tc.items()}
+                            out[nk] = signed.copy()
                         else:
-                            for t, c in tc.items():
-                                g[t] = g.get(t, 0) + sign * c
+                            for t, c in signed.items():
+                                g[t] = g.get(t, 0) + c
         reps = _nonzero_orbits(out)
     return reps
 
@@ -144,9 +192,11 @@ def _nonzero_orbits(orbits):
     """``orbits`` without its zero coefficients and the keys left empty."""
     out = {}
     for key, tc in orbits.items():
-        tc = {t: c for t, c in tc.items() if c}
-        if tc:
-            out[key] = tc
+        if not all(tc.values()):
+            tc = {t: c for t, c in tc.items() if c}
+            if not tc:
+                continue
+        out[key] = tc
     return out
 
 

@@ -77,7 +77,11 @@ def _build_parser():
     verify.add_argument("--q", type=int, help="restrict suites to one q")
     verify.add_argument("--entry-max", type=int, default=2)
     verify.add_argument("--mode", choices=["exhaustive", "randomized"], default="exhaustive")
-    verify.add_argument("--count", type=int, default=0)
+    verify.add_argument(
+        "--count", type=int, default=0,
+        help="instances to draw in randomized mode (0, the default, draws 50); "
+        "exhaustive mode does not read it",
+    )
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--out", help="directory for the timed report and witness dumps")
 
@@ -158,8 +162,7 @@ def _cmd_verify(parser, args):
     _require(parser, args.n_max >= args.n_min, "--n-max must be at least --n-min")
     _require(parser, args.q is None or args.q >= 1, "--q must be positive")
     _require(parser, args.entry_max >= 0, "--entry-max must be nonnegative")
-    _require(parser, args.mode != "randomized" or args.count >= 0,
-             "--count must be nonnegative")
+    _require(parser, args.count >= 0, "--count must be nonnegative")
     if args.identity not in IDENTITY_SUITES:
         print(
             f"unknown identity {args.identity!r}; choose from "

@@ -14,6 +14,15 @@ the blocks are relabelled into consecutive runs and merged from the last
 one backwards, each merge being the Grassmann push-forward along the
 reduced word of its longest minimal coset representative.  No n!-term sum
 is formed and no division can fail.
+
+Except for the full flag, whose input has no symmetry, the push-forward
+runs on orbit representatives from its input to its answer.  The input is
+checked for block symmetry and then cut to the terms whose exponents weakly
+decrease within each run, one per orbit.  Each merge is a sequence of rows
+of antisym._divided_difference_tower, which carries representatives only,
+and the answer, symmetric, is expanded once from its partition keys.
+Callers that build a symmetric input themselves can hand its
+representatives to _merge_runs directly.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .antisym import divided_difference, jacobi_symmetrizer
+from .antisym import _divided_difference_tower, _expand, jacobi_symmetrizer
 from .polyring import ArityMismatchError
 from .symgroup import Permutation, ensure_within_bound
 
@@ -98,10 +107,10 @@ def partial_flag_pushforward(f, split):
     One variable permutation w relabels the blocks, in their given order,
     into consecutive runs.  w keeps the order inside each block, so its
     sign is the parity of the cross-block pairs i < j it reverses, and the
-    push-forward changes by that sign.  The runs are then merged from the
-    last one backwards: merging the run of q variables after offset into
-    the r variables after it is the Grassmann push-forward, d_a along the
-    word [offset + j for k = q..1 for j = k..k+r-1], first letter first.
+    push-forward changes by that sign.  Only the relabelled terms whose
+    exponents weakly decrease within each run are kept, one per orbit of
+    the runs' symmetry; _merge_runs pushes them forward, and the symmetric
+    answer is expanded once from its partition keys.
     """
     if f.arity != split.n:
         raise ArityMismatchError(
@@ -112,17 +121,46 @@ def partial_flag_pushforward(f, split):
     if len(split.blocks) == 1:
         return f
     w = Permutation(itertools.chain.from_iterable(split.blocks)).inverse()
-    f = f.permute_vars(w)
     sizes = [len(b) for b in split.blocks]
+    orbits = _merge_runs(split.n, sizes, _run_representatives(f.permute_vars(w), sizes))
+    if w.sign() < 0:
+        orbits = {key: {t: -c for t, c in tc.items()} for key, tc in orbits.items()}
+    return _expand(split.n, orbits)
+
+
+def _run_representatives(f, sizes):
+    """The terms of f whose exponents weakly decrease within each run of
+    consecutive variables of the given sizes, grouped as the tower carries
+    them: x-exponents -> {t-exponent: coefficient}."""
+    n = f.arity
+    ends = set(itertools.accumulate(sizes))
+    pairs = [i for i in range(1, n) if i not in ends]
+    reps = {}
+    for key, c in f.terms.items():
+        if all(key[i - 1] >= key[i] for i in pairs):
+            reps.setdefault(key[:n], {})[key[n]] = c
+    return reps
+
+
+def _merge_runs(n, sizes, reps):
+    """The partition keys of the push-forward of a class symmetric in
+    consecutive runs of the given sizes, from its representatives ``reps``.
+
+    The runs are merged from the last one backwards.  Merging the run of q
+    variables after offset into the r variables after it is the Grassmann
+    push-forward, the word [offset + j for k = q..1 for j = k..k+r-1], first
+    letter first: q rows of the tower, each d_{offset+k+r-1} ... d_{offset+k}
+    with the earlier runs passive.  After row k the class is symmetric in
+    offset+k..n, so the merged run is one block when the merge ends.
+    """
     r = sizes[-1]
-    offset = split.n - r
+    offset = n - r
     for q in reversed(sizes[:-1]):
         offset -= q
-        for k in range(q, 0, -1):
-            for a in range(offset + k, offset + k + r):
-                f = divided_difference(f, a, a + 1)
+        for k in range(offset + q, offset, -1):
+            reps = _divided_difference_tower(n, reps, offset, k, k + r)
         r += q
-    return -f if w.sign() < 0 else f
+    return reps
 
 
 def full_flag_pushforward(f, n):

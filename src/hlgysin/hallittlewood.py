@@ -50,7 +50,7 @@ from .antisym import (
     divided_difference,
     longest_word,
 )
-from .gysin import leading_flag_pushforward
+from .gysin import RootSplit, _merge_runs, _run_representatives
 from .polyring import (
     NotDivisibleError,
     Polynomial,
@@ -169,32 +169,55 @@ def _r_reps(seq):
 def _row_product(head, tail):
     """The (1 | n-1)-dominant representatives of row * R_tail(x_2..x_n),
     row = x_1^head prod_{j>1} (x_1 - t x_j), from the orbits ``tail`` of
-    R_tail (partition keys of length n-1, as _r_reps holds them).
-
-    row = sum_k (-t)^k x_1^(head+n-1-k) e_k(x_2..x_n), and by the Pieri
-    rule for monomials (Macdonald I.6) the dominant part of e_k * m_mu is
-    sum over nu of prod_v C(m_{v+1}(nu), r_v) x^nu: nu raises, for each
-    value v of mu, its r_v leftmost copies to v + 1, with k = sum_v r_v.
-    The leftmost copies keep nu weakly decreasing, and the binomial counts
-    the 0/1 vectors of weight k that take a rearrangement of mu to nu.
+    R_tail (partition keys of length n-1, as _r_reps holds them):
+    row = sum_k (-t)^k x_1^(head+n-1-k) e_k(x_2..x_n), and each e_k * R_tail
+    comes from the Pieri step, so each key occurs for one k only.
     """
     out = {}
-    for mu, tc in tail.items():
-        runs = [(v, len(tuple(copies))) for v, copies in itertools.groupby(mu)]
-        for raised in itertools.product(*(range(m + 1) for _, m in runs)):
-            k = sum(raised)
-            coeff = -1 if k & 1 else 1
-            nu = ()
-            above, left = -1, 0  # value and unraised copies of the run before
-            for (v, m), r in zip(runs, raised):
-                if above == v + 1:
-                    coeff *= math.comb(r + left, r)
-                nu += (v + 1,) * r + (v,) * (m - r)
-                above, left = v, m - r
-            g = out.setdefault((head + len(mu) - k,) + nu, {})
+    for k, orbits in _elementary_products(tail).items():
+        sign = -1 if k & 1 else 1
+        for nu, tc in orbits.items():
+            out[(head + len(nu) - k,) + nu] = {t + k: sign * c for t, c in tc.items()}
+    return out
+
+
+def _elementary_products(orbits):
+    """{k: the orbits of e_k * g} for the symmetric g whose partition keys
+    ``orbits`` holds, each orbit's coefficient a dict from t-exponent to
+    integer; k runs over the weights that occur."""
+    out = {}
+    for mu, tc in orbits.items():
+        for k, nu, coeff in _pieri_terms(mu):
+            g = out.setdefault(k, {}).setdefault(nu, {})
             for t, c in tc.items():
-                g[t + k] = g.get(t + k, 0) + coeff * c
-    return _nonzero_orbits(out)
+                g[t] = g.get(t, 0) + coeff * c
+    return {k: _nonzero_orbits(products) for k, products in out.items()}
+
+
+@lru_cache(maxsize=None)
+def _pieri_terms(mu):
+    """(k, nu, coefficient) for each partition key nu of e_k * m_mu.
+
+    By the Pieri rule for monomials (Macdonald I.6) the dominant part of
+    e_k * m_mu is sum over nu of prod_v C(m_{v+1}(nu), r_v) x^nu: nu raises,
+    for each value v of mu, its r_v leftmost copies to v + 1, with
+    k = sum_v r_v.  The leftmost copies keep nu weakly decreasing, and the
+    binomial counts the 0/1 vectors of weight k that take a rearrangement
+    of mu to nu.
+    """
+    runs = [(v, len(tuple(copies))) for v, copies in itertools.groupby(mu)]
+    terms = []
+    for raised in itertools.product(*(range(m + 1) for _, m in runs)):
+        coeff = 1
+        nu = ()
+        above, left = -1, 0  # value and unraised copies of the run before
+        for (v, m), r in zip(runs, raised):
+            if above == v + 1:
+                coeff *= math.comb(r + left, r)
+            nu += (v + 1,) * r + (v,) * (m - r)
+            above, left = v, m - r
+        terms.append((sum(raised), nu, coeff))
+    return tuple(terms)
 
 
 def hall_littlewood_r_coset(n, seq):
@@ -246,8 +269,14 @@ def hall_littlewood_p(n, seq):
 
 @lru_cache(maxsize=256)
 def _hall_littlewood_p(n, seq):
-    # v_seq(t) divides R_seq exactly when it divides each orbit's coefficient
     _check_length(n, seq)
+    return _expand(n, _p_reps(seq))
+
+
+@lru_cache(maxsize=256)
+def _p_reps(seq):
+    """P_seq as its symmetric orbits, as _r_reps holds R_seq: v_seq(t)
+    divides R_seq exactly when it divides each orbit's coefficient."""
     v = t_factorial_product(seq)
     orbits = {}
     try:
@@ -259,7 +288,7 @@ def _hall_littlewood_p(n, seq):
             f"normalizer does not divide the symmetrized class for {seq}; "
             "the normalized class is undefined for this sequence"
         ) from None
-    return _expand(n, orbits)
+    return orbits
 
 
 # ---------------------------------------------------------------------- #
@@ -340,6 +369,13 @@ def schur_p_coset(nu, n):
 
 @lru_cache(maxsize=None)
 def _schur_p_coset(nu, n):
+    return _expand(n, _schur_p_orbits(nu, n))
+
+
+@lru_cache(maxsize=None)
+def _schur_p_orbits(nu, n):
+    """P_nu(x_1..x_n) as its partition keys, each mapped to {0: coefficient}:
+    the leading flag's runs merged on the representatives of the core."""
     k = len(nu)
     if k > n:
         raise ValueError(f"strict partition {nu!r} needs more than {n} variables")
@@ -348,7 +384,8 @@ def _schur_p_coset(nu, n):
     core = Polynomial.monomial(n, nu + (0,) * (n - k)) * linear_factor_product(
         n, pairs, -1
     )
-    return leading_flag_pushforward(core, k, n)
+    sizes = [len(b) for b in RootSplit.leading_flag(k, n).blocks]
+    return _merge_runs(n, sizes, _run_representatives(core, sizes))
 
 
 def straighten_schur_p(seq):

@@ -5,6 +5,16 @@ returns a VerificationReport carrying the witness polynomial (LHS - RHS)
 when the sides differ.  Suites enumerate instance families deterministically
 (exhaustively or from a seed) and never stop at the first failure.
 
+The Grassmann verifiers (prop-juxtaposition, theorem-main, cor-gaussian,
+t-minus1 and t0-jlp) share one helper, _grassmann_orbits, and work on
+symmetric orbits from end to end.  The push-forward's input
+cross * A(Q) * B(S) is never formed: its (q | r)-dominant orbits are built
+from the orbits of A and B (R's and P's per-orbit forms, the partition
+keys of Schur S and P) by the Pieri rule, and the merge carries orbit
+representatives to the answer's partition keys.  Both sides are compared
+as orbit dicts, and the witness LHS - RHS is expanded only when they
+differ, so it is the same polynomial as the one the full sides give.
+
 Two findings about sequences with interleaved equal values are handled
 explicitly rather than masked:
 
@@ -20,27 +30,32 @@ explicitly rather than masked:
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import time
 from dataclasses import dataclass
 
-from .gysin import grassmann_pushforward
+from .antisym import _expand, _nonzero_orbits, _rearrangements
+from .gysin import _merge_runs
 from .hallittlewood import (
     _as_partition_of_length,
+    _elementary_products,
+    _p_reps,
+    _r_reps,
+    _schur_p_orbits,
     as_int_sequence,
     gaussian_binomial,
     gaussian_binomial_at_minus_one,
-    hall_littlewood_p,
     hall_littlewood_r,
     is_strict_partition,
-    schur_p_coset,
     schur_s,
     straighten_schur_p,
     straighten_schur_s,
     t_factorial,
     t_factorial_product,
 )
-from .polyring import NotDivisibleError, Polynomial, linear_factor_product
+from .polyring import NotDivisibleError, Polynomial
+from .symgroup import ensure_within_bound
 
 
 @dataclass
@@ -118,10 +133,134 @@ class InstanceFamily:
 # shared helpers
 
 
-def _cross_factor(n, q, c):
-    """prod over i <= q < j of (x_i - c x_j): c = t, or c = -1 at t = -1."""
-    pairs = ((i, j) for i in range(1, q + 1) for j in range(q + 1, n + 1))
-    return linear_factor_product(n, pairs, c)
+def _grassmann_orbits(n, q, c, a, b):
+    """The partition keys of the Grassmann push-forward along
+    (1..q | q+1..n) of cross * A(x_1..x_q) * B(x_{q+1}..x_n), with
+    cross = prod over i <= q < j of (x_i - c x_j) and c an arity-0
+    polynomial (t, -1 or 0).  A and B are symmetric and given by their
+    orbits, partition keys mapped to dicts from t-exponent to integer.
+    The product is never formed, only its representatives."""
+    ensure_within_bound(n)
+    return _merge_runs(n, (q, n - q), _grassmann_input(n, q, c, a, b))
+
+
+def _grassmann_input(n, q, c, a, b):
+    """The (q | n-q)-dominant orbits of cross * A(x_1..x_q) * B(x_{q+1}..x_n),
+    as _grassmann_orbits takes them.
+
+    With r = n - q, each factor of cross is
+    sum_k (-c)^k x_i^(r-k) e_k(x_{q+1}..x_n), so, grouping the choices of
+    k by their multiset K in [0..r]^q,
+
+        cross * A * B = sum_K (-c)^|K| (m_{r-K} * A)(Q) (e_K * B)(S),
+
+    m the monomial symmetric polynomial, and the dominant part of each
+    summand is the product of the dominant parts of its two factors.
+    e_K * B is the Pieri step applied |K| times, memoized on the suffix of
+    K; m_{r-K} * A is a product in q variables.
+    """
+    r = n - q
+    step, weights = _t_dict(-c), [{0: 1}]
+    for _ in range(q * r):
+        weights.append(_t_product(weights[-1], step))
+    a_terms = [(x, tc) for key, tc in a.items() for x in _rearrangements(key)]
+    pieri = {}  # suffix of K -> {k: orbits of e_k * e_suffix * B}
+    reps = {}
+    for ks in itertools.combinations_with_replacement(range(r + 1), q):
+        weight = weights[sum(ks)]
+        s_side = _elementary_suffix(ks, b, pieri)
+        if not weight or not s_side:
+            continue
+        for gamma, tq in _monomial_product(tuple(r - k for k in ks), a_terms).items():
+            if weight != {0: 1}:
+                tq = _t_product(tq, weight)
+            for delta, ts in s_side.items():
+                g = reps.setdefault(gamma + delta, {})
+                for t1, c1 in tq.items():
+                    for t2, c2 in ts.items():
+                        g[t1 + t2] = g.get(t1 + t2, 0) + c1 * c2
+    return _nonzero_orbits(reps)
+
+
+def _elementary_suffix(ks, b, pieri):
+    """The orbits of e_{ks[0]} * ... * e_{ks[-1]} * B, B given by its
+    orbits b; ``pieri`` maps each suffix met so far to the Pieri products
+    of e_suffix * B."""
+    if not ks:
+        return b
+    products = pieri.get(ks[1:])
+    if products is None:
+        products = _elementary_products(_elementary_suffix(ks[1:], b, pieri))
+        pieri[ks[1:]] = products
+    return products.get(ks[0], {})
+
+
+def _monomial_product(alpha, a_terms):
+    """The partition keys of m_alpha * A for a partition alpha, A given by
+    all its terms as (x-exponents, {t-exponent: coefficient}) pairs."""
+    out = {}
+    for x in _rearrangements(alpha):
+        for y, tc in a_terms:
+            key = tuple(map(operator.add, x, y))
+            if all(map(operator.ge, key, key[1:])):
+                g = out.get(key)
+                if g is None:
+                    out[key] = dict(tc)
+                else:
+                    for t, c in tc.items():
+                        g[t] = g.get(t, 0) + c
+    return _nonzero_orbits(out)
+
+
+def _t_dict(p):
+    """An arity-0 polynomial as a dict from t-exponent to integer."""
+    return {t: c for (t,), c in p.terms.items()}
+
+
+def _t_product(u, v):
+    out = {}
+    for t1, c1 in u.items():
+        for t2, c2 in v.items():
+            out[t1 + t2] = out.get(t1 + t2, 0) + c1 * c2
+    return {t: c for t, c in out.items() if c}
+
+
+def _scaled(orbits, c):
+    """Orbits times the arity-0 polynomial c, zero orbits dropped."""
+    c = _t_dict(c)
+    out = {}
+    for key, tc in orbits.items():
+        tc = _t_product(tc, c)
+        if tc:
+            out[key] = tc
+    return out
+
+
+def _divided(orbits, v):
+    """Orbits over the arity-0 polynomial v, each orbit's coefficient
+    divided exactly; raises NotDivisibleError when one does not divide."""
+    out = {}
+    for key, tc in orbits.items():
+        q = Polynomial._raw(0, {(t,): c for t, c in tc.items()}).divide_exact(v)
+        out[key] = _t_dict(q)
+    return out
+
+
+def _partition_keys(p):
+    """The orbits of a symmetric polynomial: its weakly decreasing x-keys."""
+    n = p.arity
+    orbits = {}
+    for key, c in p.terms.items():
+        if all(map(operator.ge, key[: n - 1], key[1:n])):
+            orbits.setdefault(key[:n], {})[key[n]] = c
+    return orbits
+
+
+def _compared(name, instance, started, n, lhs, rhs, detail=None):
+    """The report of lhs = rhs for two symmetric classes given by their
+    orbits: equal dicts pass, and only a failing witness is expanded."""
+    witness = Polynomial.zero(n) if lhs == rhs else _expand(n, lhs) - _expand(n, rhs)
+    return _report(name, instance, witness, started, detail)
 
 
 def _report(name, instance, witness, started, detail=None):
@@ -167,15 +306,9 @@ def verify_prop_juxtaposition(n, q, lam, mu):
     factor equals R of the concatenated sequence."""
     started = time.perf_counter()
     lam, mu, r = _split_params(n, q, lam, mu)
-    f = (
-        _cross_factor(n, q, Polynomial.t(n))
-        * hall_littlewood_r(q, lam).embed(n)
-        * hall_littlewood_r(r, mu).embed(n, offset=q)
-    )
-    lhs = grassmann_pushforward(f, q, r)
-    rhs = hall_littlewood_r(n, lam + mu)
+    lhs = _grassmann_orbits(n, q, Polynomial.t(0), _r_reps(lam), _r_reps(mu))
     instance = {"n": n, "q": q, "lambda": lam, "mu": mu}
-    return _report("prop-juxtaposition", instance, lhs - rhs, started)
+    return _compared("prop-juxtaposition", instance, started, n, lhs, _r_reps(lam + mu))
 
 
 def _checked_theorem(name, instance, started, n, q, lam, mu, coefficient):
@@ -187,43 +320,31 @@ def _checked_theorem(name, instance, started, n, q, lam, mu, coefficient):
     offending t-factorials — an exactly equivalent statement — and the
     detail field records the fallback.
     """
-    r = n - q
-    cross = _cross_factor(n, q, Polynomial.t(n))
     notes = []
-
     try:
-        f = (
-            cross
-            * hall_littlewood_p(q, lam).embed(n)
-            * hall_littlewood_p(r, mu).embed(n, offset=q)
-        )
+        a, b = _p_reps(lam), _p_reps(mu)
         scale = Polynomial.one(0)
     except NotDivisibleError:
         # clear the left side: multiply both sides by v_lam * v_mu
         notes.append("input-class-undefined(v-does-not-divide-R); cleared-form")
-        f = (
-            cross
-            * hall_littlewood_r(q, lam).embed(n)
-            * hall_littlewood_r(r, mu).embed(n, offset=q)
-        )
+        a, b = _r_reps(lam), _r_reps(mu)
         scale = t_factorial_product(lam) * t_factorial_product(mu)
-    lhs = grassmann_pushforward(f, q, r)
+    lhs = _grassmann_orbits(n, q, Polynomial.t(0), a, b)
 
     multiplier = coefficient * scale
     v_joined = t_factorial_product(lam + mu)
     try:
-        witness = lhs - multiplier.embed(n) * hall_littlewood_p(n, lam + mu)
+        rhs = _scaled(_p_reps(lam + mu), multiplier)
     except NotDivisibleError:
         # clear the right side: multiplier * P = (multiplier * R) / v_joined
         notes.append("juxtaposed-class-undefined(v-does-not-divide-R); reduced-form")
-        joined_r = hall_littlewood_r(n, lam + mu)
+        joined_r = _scaled(_r_reps(lam + mu), multiplier)
         try:
-            rhs = (multiplier.embed(n) * joined_r).divide_exact(v_joined.embed(n))
-            witness = lhs - rhs
+            rhs = _divided(joined_r, v_joined)
         except NotDivisibleError:
             notes.append("reduced-form-not-divisible")
-            witness = lhs * v_joined.embed(n) - multiplier.embed(n) * joined_r
-    return _report(name, instance, witness, started, "; ".join(notes) or None)
+            lhs, rhs = _scaled(lhs, v_joined), joined_r
+    return _compared(name, instance, started, n, lhs, rhs, "; ".join(notes) or None)
 
 
 def verify_theorem_main(n, q, lam, mu):
@@ -253,20 +374,16 @@ def verify_t0_jlp(n, q, lam, mu):
     started = time.perf_counter()
     r = n - q
     lam, mu = _as_partition_of_length(lam, q), _as_partition_of_length(mu, r)
-    f = (
-        Polynomial.monomial(n, (r,) * q + (0,) * r)
-        * schur_s(lam, q).embed(n)
-        * schur_s(mu, r).embed(n, offset=q)
-    )
-    lhs = grassmann_pushforward(f, q, r)
+    a, b = _partition_keys(schur_s(lam, q)), _partition_keys(schur_s(mu, r))
+    lhs = _grassmann_orbits(n, q, Polynomial.zero(0), a, b)
     straightened = straighten_schur_s(lam + mu)
     if straightened is None:
-        rhs = Polynomial.zero(n)
+        rhs = {}
     else:
         sign, shape = straightened
-        rhs = sign * schur_s(shape, n)
+        rhs = _scaled(_partition_keys(schur_s(shape, n)), Polynomial.constant(0, sign))
     instance = {"n": n, "q": q, "lambda": lam, "mu": mu}
-    return _report("t0-jlp", instance, lhs - rhs, started)
+    return _compared("t0-jlp", instance, started, n, lhs, rhs)
 
 
 def d_coefficient(n, q, k, h):
@@ -298,20 +415,16 @@ def verify_t_minus1(n, q, nu, sigma):
     started = time.perf_counter()
     nu, sigma, r = _strict_pair_params(n, q, nu, sigma)
     k, h = len(nu), len(sigma)
-    f = (
-        _cross_factor(n, q, -1)
-        * schur_p_coset(nu, q).embed(n)
-        * schur_p_coset(sigma, r).embed(n, offset=q)
-    )
-    lhs = grassmann_pushforward(f, q, r)
+    a, b = _schur_p_orbits(nu, q), _schur_p_orbits(sigma, r)
+    lhs = _grassmann_orbits(n, q, Polynomial.constant(0, -1), a, b)
     d = d_coefficient(n, q, k, h)
     if d == 0:
-        rhs = Polynomial.zero(n)
+        rhs = {}
     else:
         sign, shape = straighten_schur_p(nu + sigma)
-        rhs = (d * sign) * schur_p_coset(shape, n)
+        rhs = _scaled(_schur_p_orbits(shape, n), Polynomial.constant(0, d * sign))
     instance = {"n": n, "q": q, "nu": nu, "sigma": sigma}
-    return _report("t-minus1", instance, lhs - rhs, started, f"d={d}")
+    return _compared("t-minus1", instance, started, n, lhs, rhs, f"d={d}")
 
 
 def verify_cor_gaussian(n, q, nu, sigma):

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from hlgysin import BlockStructure, NotDivisibleError, Polynomial
+from hlgysin import BlockStructure, NotDivisibleError, Permutation, Polynomial
 
 try:
     import hypothesis
@@ -80,6 +80,35 @@ def dominant_orbits(f, start=1):
         if all(a >= b for a, b in zip(key[start : n - 1], key[start + 1 : n])):
             reps.setdefault(key[:n], {})[key[n]] = c
     return reps
+
+
+def block_orbits(f, sizes):
+    """The terms of f whose x-exponents weakly decrease within each run of
+    consecutive positions of the given sizes (a size may be 0), grouped as
+    dominant_orbits groups them.  For f symmetric in those runs they are
+    one term per orbit; passive positions are runs of size 1."""
+    n = f.arity
+    ends = set(itertools.accumulate(sizes))
+    pairs = [i for i in range(1, n) if i not in ends]
+    reps = {}
+    for key, c in f.terms.items():
+        if all(key[i - 1] >= key[i] for i in pairs):
+            reps.setdefault(key[:n], {})[key[n]] = c
+    return reps
+
+
+def young_symmetrized(f, sizes):
+    """The sum of f over the permutations of each run of consecutive
+    variables of the given sizes: a class symmetric in each run."""
+    runs, lo = [], 1
+    for size in sizes:
+        runs.append(range(lo, lo + size))
+        lo += size
+    out = Polynomial.zero(f.arity)
+    for images in itertools.product(*(itertools.permutations(run) for run in runs)):
+        w = Permutation(tuple(itertools.chain.from_iterable(images)))
+        out = out + f.permute_vars(w)
+    return out
 
 
 def blocks_from_classes(classes):

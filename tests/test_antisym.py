@@ -16,7 +16,13 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given = hypothesis.given
 
-from conftest import dominant_orbits, polynomials, settings  # noqa: E402
+from conftest import (  # noqa: E402
+    block_orbits,
+    dominant_orbits,
+    polynomials,
+    settings,
+    young_symmetrized,
+)
 
 
 @st.composite
@@ -138,3 +144,40 @@ def test_tower_on_orbit_representatives_on_every_r_tower_input():
                 row = row * (x1 - t * Polynomial.x(n, j))
             f = row * hall_littlewood_r(n - 1, seq[1:]).embed(n, offset=1)
             assert tower(f) == chain(f), seq
+
+
+def plain_row(f, k, r):
+    """d_{k+r-1} ... d_k f, one plain divided difference per letter."""
+    for a in range(k, k + r):
+        f = d(f, a)
+    return f
+
+
+@st.composite
+def merge_rows(draw):
+    """(n, p, k, r, f): f the class that row k of the Grassmann merge of
+    the blocks p+1..p+q | p+q+1..n takes, r = n - p - q.  A random
+    polynomial with t-terms and signed coefficients is summed over the
+    permutations of each block, positions 1..p left passive, and the rows
+    before row k are run on it by plain divided differences."""
+    p = draw(st.integers(0, 2))
+    q = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 6 - p - q))
+    n = p + q + r
+    f = young_symmetrized(draw(polynomials(n)), (1,) * p + (q, r))
+    k = draw(st.integers(1, q))
+    for row in range(q, k, -1):
+        f = plain_row(f, p + row, r)
+    return n, p, p + k, r, f
+
+
+@settings(120)
+@given(merge_rows())
+def test_one_merge_row_on_orbit_representatives_is_the_plain_row(case):
+    n, p, k, r, f = case
+    row = plain_row(f, k, r)
+    for a in range(k, n):
+        assert swap(row, a, a + 1) == row  # what the end-of-row filter relies on
+    reps = block_orbits(f, (1,) * p + (k - p, n - k))
+    got = _divided_difference_tower(n, reps, p, k, k + r)
+    assert got == block_orbits(row, (1,) * p + (k - 1 - p, n - k + 1))

@@ -212,6 +212,7 @@ BAD_VERIFY_FLAGS = [
     (["--q", "-2"], "--q must be positive"),
     (["--entry-max", "-1"], "--entry-max must be nonnegative"),
     (["--mode", "randomized", "--count", "-3"], "--count must be nonnegative"),
+    (["--count", "-3"], "--count must be nonnegative"),
 ]
 
 

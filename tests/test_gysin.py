@@ -8,13 +8,16 @@ from conftest import (
     cross_pair_count,
     is_homogeneous_in_x,
     x_degree,
+    young_symmetrized,
 )
 from hlgysin import (
     ArityMismatchError,
     NonInvariantInputError,
+    Permutation,
     Polynomial,
     RootSplit,
     divide_by_vandermonde,
+    divided_difference,
     full_flag_pushforward,
     grassmann_pushforward,
     hall_littlewood_p,
@@ -162,6 +165,68 @@ def test_errors():
         full_flag_pushforward(x(3, 1), 2)
     with pytest.raises(ArityMismatchError):
         blockwise_full_flag(x(3, 1), RootSplit.full_flag(2))
+
+
+def test_every_public_pushforward_checks_block_symmetry():
+    """x_3 has no term that weakly decreases in x_2, x_3: a push-forward
+    that only filtered to representatives would return 0 for it."""
+    with pytest.raises(NonInvariantInputError):
+        grassmann_pushforward(x(3, 3), 1, 2)
+    with pytest.raises(NonInvariantInputError):
+        leading_flag_pushforward(x(4, 4), 2, 4)
+    for f, blocks in [
+        (x(3, 3), ((1,), (2, 3))),
+        (x(4, 1) * x(4, 3) ** 2, ((2,), (1, 3), (4,))),
+        (x(5, 1) + x(5, 4), ((1, 3), (2, 4), (5,))),
+    ]:
+        with pytest.raises(NonInvariantInputError):
+            partial_flag_pushforward(f, RootSplit(f.arity, blocks))
+
+
+def plain_pushforward(f, split):
+    """partial_flag_pushforward as one plain divided difference per letter:
+    the blocks relabelled into consecutive runs, merged from the last one
+    backwards, each merge along the Grassmann word."""
+    w = Permutation(itertools.chain.from_iterable(split.blocks)).inverse()
+    f = f.permute_vars(w)
+    sizes = [len(b) for b in split.blocks]
+    r = sizes[-1]
+    offset = split.n - r
+    for q in reversed(sizes[:-1]):
+        offset -= q
+        for k in range(q, 0, -1):
+            for a in range(offset + k, offset + k + r):
+                f = divided_difference(f, a, a + 1)
+        r += q
+    return -f if w.sign() < 0 else f
+
+
+MERGE_SPLITS = [
+    ((1, 2), (3,)),
+    ((1, 3), (2, 4, 5)),
+    ((2, 4, 6), (1, 3, 5)),
+    ((5, 6), (1, 2, 3, 4)),
+    ((1,), (2, 3), (4, 5, 6)),
+    ((2, 5), (1,), (3, 4, 6)),
+    ((3, 4, 5), (6,), (1, 2)),
+    ((1, 4), (2, 6), (3, 5)),
+    ((1,), (3,), (2, 4)),
+    ((2,), (4,), (1, 3), (5, 6)),
+    ((1, 2), (5,), (3,), (4, 6)),
+]
+
+
+@pytest.mark.parametrize("blocks", MERGE_SPLITS, ids=str)
+def test_partial_flag_pushforward_is_the_plain_divided_difference_loop(
+    blocks, random_poly
+):
+    split = RootSplit(sum(map(len, blocks)), blocks)
+    relabel = Permutation(itertools.chain.from_iterable(blocks))
+    sizes = [len(b) for b in blocks]
+    for _ in range(3):
+        g = young_symmetrized(random_poly(split.n, n_terms=4, max_exp=6), sizes)
+        f = g.permute_vars(relabel)  # symmetric within each block of the split
+        assert partial_flag_pushforward(f, split) == plain_pushforward(f, split)
 
 
 # --- structural properties --------------------------------------------------

@@ -1,10 +1,27 @@
+import itertools
+
 import pytest
 
-from hlgysin import Polynomial, gaussian_binomial, t_factorial
+from conftest import block_orbits
+from hlgysin import (
+    BoundExceededError,
+    NotDivisibleError,
+    Polynomial,
+    gaussian_binomial,
+    hall_littlewood_p,
+    hall_littlewood_r,
+    schur_p_coset,
+    schur_s,
+    t_factorial,
+)
+from hlgysin.hallittlewood import _p_reps, _r_reps, _schur_p_orbits
 from hlgysin.identities import (
     IDENTITY_SUITES,
     InstanceFamily,
     VerificationReport,
+    _compared,
+    _grassmann_input,
+    _partition_keys,
     d_coefficient,
     run_suite,
     verify_cor_gaussian,
@@ -19,6 +36,115 @@ from hlgysin.identities import (
 def assert_pass(report):
     assert report.passed, report.line()
     assert report.witness is None or report.witness.is_zero
+
+
+# --- the push-forward's input, built from orbits -------------------------
+
+
+def cross_factor(n, q, c):
+    """prod over i <= q < j of (x_i - c x_j), c a polynomial of arity n."""
+    out = Polynomial.one(n)
+    for i in range(1, q + 1):
+        for j in range(q + 1, n + 1):
+            out = out * (Polynomial.x(n, i) - c * Polynomial.x(n, j))
+    return out
+
+
+def assert_input_is_the_product_filtered(n, q, c, a, b, a_poly, b_poly):
+    """The Pieri-built (q | r)-dominant orbits of cross * A * B against the
+    dominant terms of the product itself; c is an arity-0 polynomial."""
+    full = cross_factor(n, q, c.embed(n)) * a_poly.embed(n) * b_poly.embed(n, offset=q)
+    built = _grassmann_input(n, q, c, a, b)
+    assert built == block_orbits(full, (q, n - q)), (n, q, a_poly, b_poly)
+
+
+def strict_within(length, bound):
+    for k in range(length + 1):
+        yield from itertools.combinations(range(bound, 0, -1), k)
+
+
+def partitions_within(length, bound):
+    return itertools.combinations_with_replacement(range(bound, -1, -1), length)
+
+
+def test_grassmann_input_on_the_t_minus1_benchmark_family():
+    """Every strict pair with parts <= 3 and no shared part at n <= 5, and
+    those of weight <= 2 at n = 6."""
+    count = 0
+    for n in range(2, 7):
+        for q in range(1, n):
+            for nu in strict_within(q, 3):
+                for sigma in strict_within(n - q, 3):
+                    if set(nu) & set(sigma) or (n == 6 and sum(nu + sigma) > 2):
+                        continue
+                    assert_input_is_the_product_filtered(
+                        n, q, Polynomial.constant(0, -1),
+                        _schur_p_orbits(nu, q), _schur_p_orbits(sigma, n - q),
+                        schur_p_coset(nu, q), schur_p_coset(sigma, n - q),
+                    )
+                    count += 1
+    assert count == 233
+
+
+# (0, 2, 0, 2): v does not divide R, so theorem-main takes the cleared form
+CLEARED_INSTANCES = [(5, 4, (0, 2, 0, 2), (1,)), (5, 1, (2,), (0, 2, 0, 2))]
+
+
+def test_grassmann_input_on_theorem_main_with_entries_at_most_one():
+    """P_lam(Q) and P_mu(S), or R_lam and R_mu when a P is undefined (the
+    cleared form), at c = t."""
+    instances = [
+        (n, q, lam, mu)
+        for n in range(2, 6)
+        for q in range(1, n)
+        for lam in itertools.product((0, 1), repeat=q)
+        for mu in itertools.product((0, 1), repeat=n - q)
+    ]
+    for n, q, lam, mu in instances + CLEARED_INSTANCES:
+        r = n - q
+        try:
+            a, b = _p_reps(lam), _p_reps(mu)
+            a_poly, b_poly = hall_littlewood_p(q, lam), hall_littlewood_p(r, mu)
+        except NotDivisibleError:
+            a, b = _r_reps(lam), _r_reps(mu)
+            a_poly, b_poly = hall_littlewood_r(q, lam), hall_littlewood_r(r, mu)
+        t = Polynomial.t(0)
+        assert_input_is_the_product_filtered(n, q, t, a, b, a_poly, b_poly)
+
+
+def test_grassmann_input_at_c_zero_is_the_t0_product():
+    """c = 0 leaves (x_1 ... x_q)^r of the cross factor: the t0-jlp input."""
+    zero = Polynomial.zero(0)
+    for n in range(2, 5):
+        for q in range(1, n):
+            for lam in partitions_within(q, 2):
+                for mu in partitions_within(n - q, 2):
+                    a_poly, b_poly = schur_s(lam, q), schur_s(mu, n - q)
+                    a, b = _partition_keys(a_poly), _partition_keys(b_poly)
+                    assert_input_is_the_product_filtered(
+                        n, q, zero, a, b, a_poly, b_poly
+                    )
+
+
+def test_orbit_comparison_expands_only_a_failing_witness():
+    lam, mu = (2, 1, 0), (1, 1, 1)
+    passing = _compared("x", {}, 0.0, 3, _r_reps(lam), dict(_r_reps(lam)))
+    assert passing.passed and passing.witness is None
+    failing = _compared("x", {}, 0.0, 3, _r_reps(lam), _r_reps(mu))
+    assert not failing.passed
+    assert failing.witness == hall_littlewood_r(3, lam) - hall_littlewood_r(3, mu)
+
+
+def test_grassmann_verifiers_keep_the_permutation_bound():
+    for verify, args in [
+        (verify_prop_juxtaposition, ((0,) * 4, (0,) * 5)),
+        (verify_theorem_main, ((1, 0, 0, 0), (1, 0, 0, 0, 0))),
+        (verify_t0_jlp, ((1,), (1,))),
+        (verify_t_minus1, ((1,), (2,))),
+        (verify_cor_gaussian, ((1,), (2,))),
+    ]:
+        with pytest.raises(BoundExceededError):
+            verify(9, 4, *args)
 
 
 # --- individual verifiers, pinned instances ---------------------------------
