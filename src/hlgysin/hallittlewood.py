@@ -275,20 +275,25 @@ def _hall_littlewood_p(n, seq):
 
 @lru_cache(maxsize=256)
 def _p_reps(seq):
-    """P_seq as its symmetric orbits, as _r_reps holds R_seq: v_seq(t)
-    divides R_seq exactly when it divides each orbit's coefficient."""
-    v = t_factorial_product(seq)
-    orbits = {}
+    """P_seq as its symmetric orbits, as _r_reps holds R_seq."""
     try:
-        for key, tc in _r_reps(seq).items():
-            q = Polynomial._raw(0, {(t,): c for t, c in tc.items()}).divide_exact(v)
-            orbits[key] = {t: c for (t,), c in q.terms.items()}
+        return _divided_orbits(_r_reps(seq), t_factorial_product(seq))
     except NotDivisibleError:
         raise NotDivisibleError(
             f"normalizer does not divide the symmetrized class for {seq}; "
             "the normalized class is undefined for this sequence"
         ) from None
-    return orbits
+
+
+def _divided_orbits(orbits, v):
+    """Orbits over the arity-0 polynomial v: v divides the class exactly
+    when it divides each orbit's coefficient, and NotDivisibleError is
+    raised when one does not."""
+    out = {}
+    for key, tc in orbits.items():
+        q = Polynomial._raw(0, {(t,): c for t, c in tc.items()}).divide_exact(v)
+        out[key] = {t: c for (t,), c in q.terms.items()}
+    return out
 
 
 # ---------------------------------------------------------------------- #

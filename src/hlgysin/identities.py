@@ -36,9 +36,10 @@ import time
 from dataclasses import dataclass
 
 from .antisym import _expand, _nonzero_orbits, _rearrangements
-from .gysin import _merge_runs
+from .gysin import RootSplit, _merge_runs, _run_representatives
 from .hallittlewood import (
     _as_partition_of_length,
+    _divided_orbits,
     _elementary_products,
     _p_reps,
     _r_reps,
@@ -140,6 +141,7 @@ def _grassmann_orbits(n, q, c, a, b):
     polynomial (t, -1 or 0).  A and B are symmetric and given by their
     orbits, partition keys mapped to dicts from t-exponent to integer.
     The product is never formed, only its representatives."""
+    RootSplit.grassmann(q, n - q)  # both blocks nonempty
     ensure_within_bound(n)
     return _merge_runs(n, (q, n - q), _grassmann_input(n, q, c, a, b))
 
@@ -236,24 +238,9 @@ def _scaled(orbits, c):
     return out
 
 
-def _divided(orbits, v):
-    """Orbits over the arity-0 polynomial v, each orbit's coefficient
-    divided exactly; raises NotDivisibleError when one does not divide."""
-    out = {}
-    for key, tc in orbits.items():
-        q = Polynomial._raw(0, {(t,): c for t, c in tc.items()}).divide_exact(v)
-        out[key] = _t_dict(q)
-    return out
-
-
-def _partition_keys(p):
-    """The orbits of a symmetric polynomial: its weakly decreasing x-keys."""
-    n = p.arity
-    orbits = {}
-    for key, c in p.terms.items():
-        if all(map(operator.ge, key[: n - 1], key[1:n])):
-            orbits.setdefault(key[:n], {})[key[n]] = c
-    return orbits
+def _symmetric_orbits(p):
+    """The orbits of a symmetric polynomial: its partition keys."""
+    return _run_representatives(p, (p.arity,))
 
 
 def _compared(name, instance, started, n, lhs, rhs, detail=None):
@@ -340,7 +327,7 @@ def _checked_theorem(name, instance, started, n, q, lam, mu, coefficient):
         notes.append("juxtaposed-class-undefined(v-does-not-divide-R); reduced-form")
         joined_r = _scaled(_r_reps(lam + mu), multiplier)
         try:
-            rhs = _divided(joined_r, v_joined)
+            rhs = _divided_orbits(joined_r, v_joined)
         except NotDivisibleError:
             notes.append("reduced-form-not-divisible")
             lhs, rhs = _scaled(lhs, v_joined), joined_r
@@ -374,14 +361,15 @@ def verify_t0_jlp(n, q, lam, mu):
     started = time.perf_counter()
     r = n - q
     lam, mu = _as_partition_of_length(lam, q), _as_partition_of_length(mu, r)
-    a, b = _partition_keys(schur_s(lam, q)), _partition_keys(schur_s(mu, r))
+    a = _symmetric_orbits(schur_s(lam, q))
+    b = _symmetric_orbits(schur_s(mu, r))
     lhs = _grassmann_orbits(n, q, Polynomial.zero(0), a, b)
     straightened = straighten_schur_s(lam + mu)
     if straightened is None:
         rhs = {}
     else:
         sign, shape = straightened
-        rhs = _scaled(_partition_keys(schur_s(shape, n)), Polynomial.constant(0, sign))
+        rhs = _scaled(_symmetric_orbits(schur_s(shape, n)), Polynomial.constant(0, sign))
     instance = {"n": n, "q": q, "lambda": lam, "mu": mu}
     return _compared("t0-jlp", instance, started, n, lhs, rhs)
 

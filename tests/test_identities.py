@@ -21,7 +21,7 @@ from hlgysin.identities import (
     VerificationReport,
     _compared,
     _grassmann_input,
-    _partition_keys,
+    _symmetric_orbits,
     d_coefficient,
     run_suite,
     verify_cor_gaussian,
@@ -120,7 +120,7 @@ def test_grassmann_input_at_c_zero_is_the_t0_product():
             for lam in partitions_within(q, 2):
                 for mu in partitions_within(n - q, 2):
                     a_poly, b_poly = schur_s(lam, q), schur_s(mu, n - q)
-                    a, b = _partition_keys(a_poly), _partition_keys(b_poly)
+                    a, b = _symmetric_orbits(a_poly), _symmetric_orbits(b_poly)
                     assert_input_is_the_product_filtered(
                         n, q, zero, a, b, a_poly, b_poly
                     )
@@ -145,6 +145,12 @@ def test_grassmann_verifiers_keep_the_permutation_bound():
     ]:
         with pytest.raises(BoundExceededError):
             verify(9, 4, *args)
+
+
+def test_t0_needs_two_nonempty_blocks():
+    for n, q, lam, mu in [(2, 2, (1, 1), ()), (2, 0, (), (1, 1))]:
+        with pytest.raises(ValueError, match="both block sizes must be positive"):
+            verify_t0_jlp(n, q, lam, mu)
 
 
 # --- individual verifiers, pinned instances ---------------------------------
