@@ -184,19 +184,7 @@ def _row_product(head, tail):
 def _elementary_products(orbits):
     """{k: the orbits of e_k * g} for the symmetric g whose partition keys
     ``orbits`` holds, each orbit's coefficient a dict from t-exponent to
-    integer; k runs over the weights that occur."""
-    out = {}
-    for mu, tc in orbits.items():
-        for k, nu, coeff in _pieri_terms(mu):
-            g = out.setdefault(k, {}).setdefault(nu, {})
-            for t, c in tc.items():
-                g[t] = g.get(t, 0) + coeff * c
-    return {k: _nonzero_orbits(products) for k, products in out.items()}
-
-
-@lru_cache(maxsize=None)
-def _pieri_terms(mu):
-    """(k, nu, coefficient) for each partition key nu of e_k * m_mu.
+    integer; k runs over the weights that occur.
 
     By the Pieri rule for monomials (Macdonald I.6) the dominant part of
     e_k * m_mu is sum over nu of prod_v C(m_{v+1}(nu), r_v) x^nu: nu raises,
@@ -205,19 +193,22 @@ def _pieri_terms(mu):
     binomial counts the 0/1 vectors of weight k that take a rearrangement
     of mu to nu.
     """
-    runs = [(v, len(tuple(copies))) for v, copies in itertools.groupby(mu)]
-    terms = []
-    for raised in itertools.product(*(range(m + 1) for _, m in runs)):
-        coeff = 1
-        nu = ()
-        above, left = -1, 0  # value and unraised copies of the run before
-        for (v, m), r in zip(runs, raised):
-            if above == v + 1:
-                coeff *= math.comb(r + left, r)
-            nu += (v + 1,) * r + (v,) * (m - r)
-            above, left = v, m - r
-        terms.append((sum(raised), nu, coeff))
-    return tuple(terms)
+    out = {}
+    for mu, tc in orbits.items():
+        runs = [(v, len(tuple(copies))) for v, copies in itertools.groupby(mu)]
+        for raised in itertools.product(*(range(m + 1) for _, m in runs)):
+            coeff = 1
+            nu = ()
+            above, left = -1, 0  # value and unraised copies of the run before
+            for (v, m), r in zip(runs, raised):
+                if above == v + 1:
+                    coeff *= math.comb(r + left, r)
+                nu += (v + 1,) * r + (v,) * (m - r)
+                above, left = v, m - r
+            g = out.setdefault(sum(raised), {}).setdefault(nu, {})
+            for t, c in tc.items():
+                g[t] = g.get(t, 0) + coeff * c
+    return {k: _nonzero_orbits(products) for k, products in out.items()}
 
 
 def hall_littlewood_r_coset(n, seq):
@@ -273,7 +264,6 @@ def _hall_littlewood_p(n, seq):
     return _expand(n, _p_reps(seq))
 
 
-@lru_cache(maxsize=256)
 def _p_reps(seq):
     """P_seq as its symmetric orbits, as _r_reps holds R_seq."""
     try:
