@@ -8,7 +8,9 @@ byte.  Those of R and P at n = 6..8 were recorded while each level of R
 still built the whole product of its row and the tail class, and those
 of the Grassmann verifiers at n = 5 and 6 while each built the whole
 product of its cross factor and block classes and pushed it forward by
-the plain divided-difference chain.  Running this file as a script
+the plain divided-difference chain.  Those of Schur P at n = 6 and 8 were
+recorded while P_nu was still the leading-flag push-forward of its whole
+coset core x^nu prod (x_i + x_j).  Running this file as a script
 prints the table for the current checkout:
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -52,6 +54,9 @@ LARGE_CLASSES = [
     for kind in kinds
 ]
 
+# Schur P at n = 6 and 8
+SCHUR_P_CLASSES = [("6", "3,2,1"), ("8", "4,2,1"), ("8", "5,3,1"), ("8", "4,3,2,1")]
+
 COMMANDS = [
     ["compute", *args, "--format", fmt]
     for args in COMPUTE
@@ -79,6 +84,13 @@ COMMANDS = [
     ["compute", *args, "--format", fmt]
     for args in LARGE_CLASSES
     for fmt in ("text", "json")
+] + [
+    ["compute", "--kind", "schur-p", "--n", n, "--nu", nu, "--format", fmt]
+    for n, nu in SCHUR_P_CLASSES
+    for fmt in ("text", "json")
+] + [
+    # exit 3: permutation bound
+    ["compute", "--kind", "schur-p", "--n", "9", "--nu", "1"],
 ]
 
 DIGESTS = {
@@ -153,6 +165,15 @@ DIGESTS = {
     "compute --kind p --n 8 --lambda 0,0,0,0,0,0,1,1 --format json": "708da7e80262dd4a6e5a0f57a58b5e34d04906ee9e59f13b6f402910bf1296e4",
     "compute --kind p --n 8 --lambda 0,1,2,1,0,0,0,0 --format text": "e79e418e48623569d75e2a7b09ae88ed9b77b126a445b9ff9dc6989a08efa079",
     "compute --kind p --n 8 --lambda 0,1,2,1,0,0,0,0 --format json": "e79e418e48623569d75e2a7b09ae88ed9b77b126a445b9ff9dc6989a08efa079",
+    "compute --kind schur-p --n 6 --nu 3,2,1 --format text": "5d2e78d6a33e23b98238be3956d2205454cdabc0c9b5a365894408f13fdb6ec4",
+    "compute --kind schur-p --n 6 --nu 3,2,1 --format json": "86e7d616e53e53685b0a157a2b53d136161dedfeca1d4879dae331b3a7d19418",
+    "compute --kind schur-p --n 8 --nu 4,2,1 --format text": "b73b21f718342154e7d702990437267e80628371fdc6f2e807cd3929bff7c292",
+    "compute --kind schur-p --n 8 --nu 4,2,1 --format json": "8ee8c2b9191856bcc1a8650d7ba1e66cb5be393108ecb565dc96ccb4e501a2c7",
+    "compute --kind schur-p --n 8 --nu 5,3,1 --format text": "318ac6042057f4b2d3742d50d3bd671b673cfa1c2e64e3ab7ff22964382b2ed7",
+    "compute --kind schur-p --n 8 --nu 5,3,1 --format json": "14b2e7ed745639025019a0b857fd5a448d5957ae03d45c26d10f9847f017190b",
+    "compute --kind schur-p --n 8 --nu 4,3,2,1 --format text": "17d47ef317e6598f6be8454108b5ab279f7b39536d759999e320427105fce836",
+    "compute --kind schur-p --n 8 --nu 4,3,2,1 --format json": "866c7e961b4e4bb8aa3a77a768ef5cf1916db568023d6d58af0fa1d9f12d9f32",
+    "compute --kind schur-p --n 9 --nu 1": "ac11339ffa8f270c4f781e0a3922bb1c80d9dee6e4b6911ca34538ed9ae03caa",
 }
 
 
@@ -190,6 +211,10 @@ FAILURES = {
         "integers, got '1,x'\n",
     ),
     "compute --kind r --n 9 --lambda 0,0,0,0,0,0,0,0,0": (
+        3,
+        "bound exceeded: n = 9 exceeds permutation bound 8\n",
+    ),
+    "compute --kind schur-p --n 9 --nu 1": (
         3,
         "bound exceeded: n = 9 exceeds permutation bound 8\n",
     ),
