@@ -23,14 +23,31 @@ of antisym._divided_difference_tower, which carries representatives only,
 and the answer, symmetric, is expanded once from its partition keys.
 Callers that build a symmetric input themselves can hand its
 representatives to _merge_runs directly.
+
+Every Grassmann row whose input is cross * A(Q) * B(S), with
+cross = prod over i <= q < j of (x_i - c x_j) and A, B symmetric, builds
+that input's dominant orbits in one place, _grassmann_input, from the
+orbits of A and B by the Pieri rule, and _grassmann_orbits pushes them
+forward.  R_lam's tower (q = 1, c = t), the Schur P recursion (q = 1,
+c = -1) and the five Grassmann verifiers all run on it; none forms the
+product.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .antisym import _divided_difference_tower, _expand, jacobi_symmetrizer
+from .antisym import (
+    _divided_difference_tower,
+    _expand,
+    _nonzero_orbits,
+    _rearrangements,
+    jacobi_symmetrizer,
+)
 from .polyring import ArityMismatchError
 from .symgroup import Permutation, ensure_within_bound
 
@@ -64,8 +81,7 @@ class RootSplit:
     @classmethod
     def grassmann(cls, q, r):
         """Two blocks 1..q and q+1..q+r."""
-        if q < 1 or r < 1:
-            raise ValueError("both block sizes must be positive")
+        _check_block_sizes(q, r)
         n = q + r
         return cls(n, (tuple(range(1, q + 1)), tuple(range(q + 1, n + 1))))
 
@@ -90,6 +106,11 @@ class RootSplit:
         for b in self.blocks:
             for a, c in zip(b, b[1:]):
                 yield Permutation.transposition(self.n, a, c)
+
+
+def _check_block_sizes(q, r):
+    if q < 1 or r < 1:
+        raise ValueError("both block sizes must be positive")
 
 
 def _check_block_symmetric(f, split):
@@ -182,3 +203,171 @@ def leading_flag_pushforward(f, k, n):
     """Push forward along the flag of quotient ranks k, k-1, ..., 1:
     singleton blocks {1}..{k} followed by the block {k+1..n}."""
     return partial_flag_pushforward(f, RootSplit.leading_flag(k, n))
+
+
+# ---------------------------------------------------------------------- #
+# Grassmann rows built from orbits
+
+
+def _grassmann_orbits(n, q, c, a, b):
+    """The partition keys of the Grassmann push-forward along
+    (1..q | q+1..n) of cross * A(x_1..x_q) * B(x_{q+1}..x_n), with
+    cross = prod over i <= q < j of (x_i - c x_j) and c an arity-0
+    polynomial (t, -1 or 0).  A and B are symmetric and given by their
+    orbits, partition keys mapped to dicts from t-exponent to integer.
+    The product is never formed, only its representatives."""
+    _check_block_sizes(q, n - q)
+    ensure_within_bound(n)
+    return _merge_runs(n, (q, n - q), _grassmann_input(n, q, c, a, b))
+
+
+def _grassmann_input(n, q, c, a, b):
+    """The (q | n-q)-dominant orbits of cross * A(x_1..x_q) * B(x_{q+1}..x_n),
+    as _grassmann_orbits takes them.
+
+    With r = n - q, each factor of cross is
+    sum_k (-c)^k x_i^(r-k) e_k(x_{q+1}..x_n), so, grouping the choices of
+    k by their multiset K in [0..r]^q,
+
+        cross * A * B = sum_K (-c)^|K| (m_{r-K} * A)(Q) (e_K * B)(S),
+
+    m the monomial symmetric polynomial, and the dominant part of each
+    summand is the product of the dominant parts of its two factors.
+    The Q-factors depend on q, r, c and A only (_cross_sides); e_K * B is
+    the Pieri step applied |K| times, memoized on the suffix of K.  A key
+    that one summand alone meets keeps that summand's coefficient, so
+    zeros are looked for only when two summands met.
+    """
+    a_key = tuple((key, tuple(tc.items())) for key, tc in a.items())
+    pieri = {}  # suffix of K -> {k: orbits of e_k * e_suffix * B}
+    reps = {}
+    met = False
+    for ks, q_side in _cross_sides(q, n - q, c, a_key):
+        s_side = _elementary_suffix(ks, b, pieri)
+        for gamma, tq in q_side.items():
+            for delta, tc in _scaled_orbits(s_side, tq).items():
+                key = gamma + delta
+                g = reps.get(key)
+                if g is None:
+                    reps[key] = tc
+                else:
+                    met = True
+                    for t, v in tc.items():
+                        g[t] = g.get(t, 0) + v
+    return _nonzero_orbits(reps) if met else reps
+
+
+@lru_cache(maxsize=256)
+def _cross_sides(q, r, c, a_key):
+    """(K, the partition keys of (-c)^|K| * m_{r-K} * A) for each multiset K
+    in [0..r]^q whose Q-factor is not zero, A given by its orbits as a
+    tuple of (partition key, t-items) pairs.  R's rows and Schur P's meet
+    the same few (q, r, c, A) again and again; the dicts are shared by
+    every caller, which reads them only."""
+    step, weights = _t_dict(-c), [{0: 1}]
+    for _ in range(q * r):
+        weights.append(_t_product(weights[-1], step))
+    a_terms = [(x, dict(tc)) for key, tc in a_key for x in _rearrangements(key)]
+    sides = []
+    for ks in itertools.combinations_with_replacement(range(r + 1), q):
+        m_alpha_a = _monomial_product(tuple(r - k for k in ks), a_terms)
+        side = _scaled_orbits(m_alpha_a, weights[sum(ks)])
+        if side:
+            sides.append((ks, side))
+    return tuple(sides)
+
+
+def _elementary_suffix(ks, b, pieri):
+    """The orbits of e_{ks[0]} * ... * e_{ks[-1]} * B, B given by its
+    orbits b; ``pieri`` maps each suffix met so far to the Pieri products
+    of e_suffix * B."""
+    if not ks:
+        return b
+    products = pieri.get(ks[1:])
+    if products is None:
+        products = _elementary_products(_elementary_suffix(ks[1:], b, pieri))
+        pieri[ks[1:]] = products
+    return products.get(ks[0], {})
+
+
+def _elementary_products(orbits):
+    """{k: the orbits of e_k * g} for the symmetric g whose partition keys
+    ``orbits`` holds, each orbit's coefficient a dict from t-exponent to
+    integer; k runs over the weights that occur."""
+    out = {}
+    for mu, tc in orbits.items():
+        for k, nu, coeff in _pieri_terms(mu):
+            g = out.setdefault(k, {}).setdefault(nu, {})
+            for t, c in tc.items():
+                g[t] = g.get(t, 0) + coeff * c
+    return {k: _nonzero_orbits(products) for k, products in out.items()}
+
+
+@lru_cache(maxsize=256)
+def _pieri_terms(mu):
+    """(k, nu, coefficient) for each partition key nu of e_k * m_mu.
+
+    By the Pieri rule for monomials (Macdonald I.6) the dominant part of
+    e_k * m_mu is sum over nu of prod_v C(m_{v+1}(nu), r_v) x^nu: nu raises,
+    for each value v of mu, its r_v leftmost copies to v + 1, with
+    k = sum_v r_v.  The leftmost copies keep nu weakly decreasing, and the
+    binomial counts the 0/1 vectors of weight k that take a rearrangement
+    of mu to nu.  The terms depend on mu alone.
+    """
+    runs = [(v, len(tuple(copies))) for v, copies in itertools.groupby(mu)]
+    terms = []
+    for raised in itertools.product(*(range(m + 1) for _, m in runs)):
+        coeff = 1
+        nu = ()
+        above, left = -1, 0  # value and unraised copies of the run before
+        for (v, m), r in zip(runs, raised):
+            if above == v + 1:
+                coeff *= math.comb(r + left, r)
+            nu += (v + 1,) * r + (v,) * (m - r)
+            above, left = v, m - r
+        terms.append((sum(raised), nu, coeff))
+    return tuple(terms)
+
+
+def _monomial_product(alpha, a_terms):
+    """The partition keys of m_alpha * A for a partition alpha, A given by
+    all its terms as (x-exponents, {t-exponent: coefficient}) pairs."""
+    out = {}
+    met = False
+    for x in _rearrangements(alpha):
+        for y, tc in a_terms:
+            key = tuple(map(operator.add, x, y))
+            if all(map(operator.ge, key, key[1:])):
+                g = out.get(key)
+                if g is None:
+                    out[key] = dict(tc)
+                else:
+                    met = True
+                    for t, c in tc.items():
+                        g[t] = g.get(t, 0) + c
+    return _nonzero_orbits(out) if met else out
+
+
+def _scaled_orbits(orbits, u):
+    """Each orbit's coefficient times u, a polynomial in t given as a dict
+    from t-exponent to integer.  Neither u nor a coefficient is zero, so
+    no product is; a zero u gives no orbits."""
+    if len(u) == 1:
+        ((e, m),) = u.items()
+        return {key: {e + t: m * c for t, c in tc.items()} for key, tc in orbits.items()}
+    if not u:
+        return {}
+    return {key: _t_product(u, tc) for key, tc in orbits.items()}
+
+
+def _t_dict(p):
+    """An arity-0 polynomial as a dict from t-exponent to integer."""
+    return {t: c for (t,), c in p.terms.items()}
+
+
+def _t_product(u, v):
+    out = {}
+    for t1, c1 in u.items():
+        for t2, c2 in v.items():
+            out[t1 + t2] = out.get(t1 + t2, 0) + c1 * c2
+    return {t: c for t, c in out.items() if c}

@@ -14,16 +14,17 @@ antisym): R_lam is the tower of projective-bundle push-forwards
     R_lam = d_{n-1} ... d_1 ( x_1^lam_1 prod_{j>1} (x_1 - t x_j)
                               * R_{lam_2..lam_n}(x_2..x_n) ),
 
-the juxtaposition identity at q = 1.  Its input is symmetric in
-x_2..x_n, so the tower carries one exponent vector per orbit of the block
-symmetry each step keeps (antisym._divided_difference_tower).  Every level
-stays in that form: R_{lam_2..lam_n} is held by its partition keys, and the
-row x_1^lam_1 prod_{j>1} (x_1 - t x_j) = sum_k (-t)^k x_1^(lam_1+n-1-k)
-e_k(x_2..x_n) acts on them by the Pieri rule for monomials (_row_product),
-so no level builds the full product.  Only the answer is expanded.  P_lam
-divides each orbit's polynomial in t by v_lam(t): R's x-coefficients are
-exactly those polynomials, so P is defined exactly when each division is
-exact.
+the juxtaposition identity at q = 1: each level is the Grassmann row
+(1 | n-1) with c = t of gysin._grassmann_orbits.  Its input is symmetric
+in x_2..x_n, so the tower carries one exponent vector per orbit of the
+block symmetry each step keeps (antisym._divided_difference_tower).  Every
+level stays in that form: R_{lam_2..lam_n} is held by its partition keys,
+and the row x_1^lam_1 prod_{j>1} (x_1 - t x_j) = sum_k (-t)^k
+x_1^(lam_1+n-1-k) e_k(x_2..x_n) acts on them by the Pieri rule for
+monomials, in the input builder every Grassmann row shares, so no level
+builds the full product.  Only the answer is expanded.  P_lam divides each
+orbit's polynomial in t by v_lam(t): R's x-coefficients are exactly those
+polynomials, so P is defined exactly when each division is exact.
 
 The one explicit sum over coset representatives left is the coset form
 of R, whose dependence on the chosen representatives is itself under
@@ -34,7 +35,18 @@ approximation.
 At t = 0 the P-classes of partitions become Schur polynomials and at
 t = -1 the P-classes of strict partitions become Schur P-polynomials.
 Both rest on divided differences too: s_lam is the Demazure character
-pi_w0(x^lam), and P_nu the leading-flag push-forward of its coset form.
+pi_w0(x^lam), and P_nu the same recursion as R with c = -1,
+
+    P_nu(x_1..x_n) = d_{n-1} ... d_1 ( x_1^nu_1 prod_{j>1} (x_1 + x_j)
+                                       * P_{nu_2..nu_k}(x_2..x_n) ).
+
+This is exactly the coset formula's leading-flag push-forward of
+x^nu prod_{i<=k, i<j} (x_i + x_j), regrouped.  The leading flag merges its
+singleton runs last one first, and the factor x_1^nu_1 prod_{j>1}
+(x_1 + x_j) is symmetric in x_2..x_n, so by the projection formula the
+merges within x_2..x_n act on the rest of the core alone, which is the
+core of nu_2..nu_k in x_2..x_n.  Only the input is built differently: each
+row's comes from the Pieri rule, and the core is never expanded.
 """
 
 from __future__ import annotations
@@ -43,14 +55,8 @@ import itertools
 import math
 from functools import lru_cache
 
-from .antisym import (
-    _divided_difference_tower,
-    _expand,
-    _nonzero_orbits,
-    divided_difference,
-    longest_word,
-)
-from .gysin import RootSplit, _merge_runs, _run_representatives
+from .antisym import _expand, divided_difference, longest_word
+from .gysin import _grassmann_orbits
 from .polyring import (
     NotDivisibleError,
     Polynomial,
@@ -160,55 +166,13 @@ def _hall_littlewood_r(n, seq):
 @lru_cache(maxsize=256)
 def _r_reps(seq):
     """R_seq as its symmetric orbits: each partition x-key maps to the
-    orbit's coefficient, a dict from t-exponent to integer."""
+    orbit's coefficient, a dict from t-exponent to integer.  Each level is
+    the Grassmann row (1 | n-1) with c = t on the orbits of R_{seq_2..seq_n}."""
     if len(seq) == 1:
         return {seq: {0: 1}}
-    return _divided_difference_tower(len(seq), _row_product(seq[0], _r_reps(seq[1:])))
-
-
-def _row_product(head, tail):
-    """The (1 | n-1)-dominant representatives of row * R_tail(x_2..x_n),
-    row = x_1^head prod_{j>1} (x_1 - t x_j), from the orbits ``tail`` of
-    R_tail (partition keys of length n-1, as _r_reps holds them):
-    row = sum_k (-t)^k x_1^(head+n-1-k) e_k(x_2..x_n), and each e_k * R_tail
-    comes from the Pieri step, so each key occurs for one k only.
-    """
-    out = {}
-    for k, orbits in _elementary_products(tail).items():
-        sign = -1 if k & 1 else 1
-        for nu, tc in orbits.items():
-            out[(head + len(nu) - k,) + nu] = {t + k: sign * c for t, c in tc.items()}
-    return out
-
-
-def _elementary_products(orbits):
-    """{k: the orbits of e_k * g} for the symmetric g whose partition keys
-    ``orbits`` holds, each orbit's coefficient a dict from t-exponent to
-    integer; k runs over the weights that occur.
-
-    By the Pieri rule for monomials (Macdonald I.6) the dominant part of
-    e_k * m_mu is sum over nu of prod_v C(m_{v+1}(nu), r_v) x^nu: nu raises,
-    for each value v of mu, its r_v leftmost copies to v + 1, with
-    k = sum_v r_v.  The leftmost copies keep nu weakly decreasing, and the
-    binomial counts the 0/1 vectors of weight k that take a rearrangement
-    of mu to nu.
-    """
-    out = {}
-    for mu, tc in orbits.items():
-        runs = [(v, len(tuple(copies))) for v, copies in itertools.groupby(mu)]
-        for raised in itertools.product(*(range(m + 1) for _, m in runs)):
-            coeff = 1
-            nu = ()
-            above, left = -1, 0  # value and unraised copies of the run before
-            for (v, m), r in zip(runs, raised):
-                if above == v + 1:
-                    coeff *= math.comb(r + left, r)
-                nu += (v + 1,) * r + (v,) * (m - r)
-                above, left = v, m - r
-            g = out.setdefault(sum(raised), {}).setdefault(nu, {})
-            for t, c in tc.items():
-                g[t] = g.get(t, 0) + coeff * c
-    return {k: _nonzero_orbits(products) for k, products in out.items()}
+    return _grassmann_orbits(
+        len(seq), 1, Polynomial.t(0), {seq[:1]: {0: 1}}, _r_reps(seq[1:])
+    )
 
 
 def hall_littlewood_r_coset(n, seq):
@@ -354,7 +318,8 @@ def schur_p_coset(nu, n):
 
     P_nu(x_1..x_n) = sum over cosets of S_1^k x S_{n-k} of
     w( x^nu * prod_{i<=k, i<j<=n} (x_i + x_j) / (x_i - x_j) ), which is the
-    leading-flag push-forward of x^nu * prod_{i<=k, i<j<=n} (x_i + x_j).
+    leading-flag push-forward of x^nu * prod_{i<=k, i<j<=n} (x_i + x_j),
+    computed one singleton run at a time (_schur_p_orbits).
     """
     nu = as_int_sequence(nu)
     if not is_strict_partition(nu):
@@ -370,17 +335,21 @@ def _schur_p_coset(nu, n):
 @lru_cache(maxsize=None)
 def _schur_p_orbits(nu, n):
     """P_nu(x_1..x_n) as its partition keys, each mapped to {0: coefficient}:
-    the leading flag's runs merged on the representatives of the core."""
+    the Grassmann row (1 | n-1) with c = -1 on the orbits of
+    P_{nu_2..nu_k}(x_2..x_n)."""
     k = len(nu)
     if k > n:
         raise ValueError(f"strict partition {nu!r} needs more than {n} variables")
     ensure_within_bound(n)
-    pairs = ((i, j) for i in range(1, k + 1) for j in range(i + 1, n + 1))
-    core = Polynomial.monomial(n, nu + (0,) * (n - k)) * linear_factor_product(
-        n, pairs, -1
+    if n < 1:
+        raise ValueError("n must be positive")
+    if not nu:
+        return {(0,) * n: {0: 1}}
+    if n == 1:
+        return {nu: {0: 1}}
+    return _grassmann_orbits(
+        n, 1, Polynomial.constant(0, -1), {nu[:1]: {0: 1}}, _schur_p_orbits(nu[1:], n - 1)
     )
-    sizes = [len(b) for b in RootSplit.leading_flag(k, n).blocks]
-    return _merge_runs(n, sizes, _run_representatives(core, sizes))
 
 
 def straighten_schur_p(seq):

@@ -6,14 +6,15 @@ when the sides differ.  Suites enumerate instance families deterministically
 (exhaustively or from a seed) and never stop at the first failure.
 
 The Grassmann verifiers (prop-juxtaposition, theorem-main, cor-gaussian,
-t-minus1 and t0-jlp) share one helper, _grassmann_orbits, and work on
-symmetric orbits from end to end.  The push-forward's input
-cross * A(Q) * B(S) is never formed: its (q | r)-dominant orbits are built
-from the orbits of A and B (R's and P's per-orbit forms, the partition
-keys of Schur S and P) by the Pieri rule, and the merge carries orbit
-representatives to the answer's partition keys.  Both sides are compared
-as orbit dicts, and the witness LHS - RHS is expanded only when they
-differ, so it is the same polynomial as the one the full sides give.
+t-minus1 and t0-jlp) push forward with the engine's own Grassmann row,
+gysin._grassmann_orbits, and work on symmetric orbits from end to end.
+The push-forward's input cross * A(Q) * B(S) is never formed: its
+(q | r)-dominant orbits are built from the orbits of A and B (R's and P's
+per-orbit forms, the partition keys of Schur S and P) by the Pieri rule,
+and the merge carries orbit representatives to the answer's partition
+keys.  Both sides are compared as orbit dicts, and the witness LHS - RHS
+is expanded only when they differ, so it is the same polynomial as the
+one the full sides give.  This module holds verifier code only.
 
 Two findings about sequences with interleaved equal values are handled
 explicitly rather than masked:
@@ -30,17 +31,15 @@ explicitly rather than masked:
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 import time
 from dataclasses import dataclass
 
-from .antisym import _expand, _nonzero_orbits, _rearrangements
-from .gysin import RootSplit, _merge_runs, _run_representatives
+from .antisym import _expand
+from .gysin import _grassmann_orbits, _run_representatives, _scaled_orbits, _t_dict
 from .hallittlewood import (
     _as_partition_of_length,
     _divided_orbits,
-    _elementary_products,
     _p_reps,
     _r_reps,
     _schur_p_orbits,
@@ -56,7 +55,6 @@ from .hallittlewood import (
     t_factorial_product,
 )
 from .polyring import NotDivisibleError, Polynomial
-from .symgroup import ensure_within_bound
 
 
 @dataclass
@@ -134,108 +132,9 @@ class InstanceFamily:
 # shared helpers
 
 
-def _grassmann_orbits(n, q, c, a, b):
-    """The partition keys of the Grassmann push-forward along
-    (1..q | q+1..n) of cross * A(x_1..x_q) * B(x_{q+1}..x_n), with
-    cross = prod over i <= q < j of (x_i - c x_j) and c an arity-0
-    polynomial (t, -1 or 0).  A and B are symmetric and given by their
-    orbits, partition keys mapped to dicts from t-exponent to integer.
-    The product is never formed, only its representatives."""
-    RootSplit.grassmann(q, n - q)  # both blocks nonempty
-    ensure_within_bound(n)
-    return _merge_runs(n, (q, n - q), _grassmann_input(n, q, c, a, b))
-
-
-def _grassmann_input(n, q, c, a, b):
-    """The (q | n-q)-dominant orbits of cross * A(x_1..x_q) * B(x_{q+1}..x_n),
-    as _grassmann_orbits takes them.
-
-    With r = n - q, each factor of cross is
-    sum_k (-c)^k x_i^(r-k) e_k(x_{q+1}..x_n), so, grouping the choices of
-    k by their multiset K in [0..r]^q,
-
-        cross * A * B = sum_K (-c)^|K| (m_{r-K} * A)(Q) (e_K * B)(S),
-
-    m the monomial symmetric polynomial, and the dominant part of each
-    summand is the product of the dominant parts of its two factors.
-    e_K * B is the Pieri step applied |K| times, memoized on the suffix of
-    K; m_{r-K} * A is a product in q variables.
-    """
-    r = n - q
-    step, weights = _t_dict(-c), [{0: 1}]
-    for _ in range(q * r):
-        weights.append(_t_product(weights[-1], step))
-    a_terms = [(x, tc) for key, tc in a.items() for x in _rearrangements(key)]
-    pieri = {}  # suffix of K -> {k: orbits of e_k * e_suffix * B}
-    reps = {}
-    for ks in itertools.combinations_with_replacement(range(r + 1), q):
-        weight = weights[sum(ks)]
-        s_side = _elementary_suffix(ks, b, pieri)
-        if not weight or not s_side:
-            continue
-        for gamma, tq in _monomial_product(tuple(r - k for k in ks), a_terms).items():
-            if weight != {0: 1}:
-                tq = _t_product(tq, weight)
-            for delta, ts in s_side.items():
-                g = reps.setdefault(gamma + delta, {})
-                for t1, c1 in tq.items():
-                    for t2, c2 in ts.items():
-                        g[t1 + t2] = g.get(t1 + t2, 0) + c1 * c2
-    return _nonzero_orbits(reps)
-
-
-def _elementary_suffix(ks, b, pieri):
-    """The orbits of e_{ks[0]} * ... * e_{ks[-1]} * B, B given by its
-    orbits b; ``pieri`` maps each suffix met so far to the Pieri products
-    of e_suffix * B."""
-    if not ks:
-        return b
-    products = pieri.get(ks[1:])
-    if products is None:
-        products = _elementary_products(_elementary_suffix(ks[1:], b, pieri))
-        pieri[ks[1:]] = products
-    return products.get(ks[0], {})
-
-
-def _monomial_product(alpha, a_terms):
-    """The partition keys of m_alpha * A for a partition alpha, A given by
-    all its terms as (x-exponents, {t-exponent: coefficient}) pairs."""
-    out = {}
-    for x in _rearrangements(alpha):
-        for y, tc in a_terms:
-            key = tuple(map(operator.add, x, y))
-            if all(map(operator.ge, key, key[1:])):
-                g = out.get(key)
-                if g is None:
-                    out[key] = dict(tc)
-                else:
-                    for t, c in tc.items():
-                        g[t] = g.get(t, 0) + c
-    return _nonzero_orbits(out)
-
-
-def _t_dict(p):
-    """An arity-0 polynomial as a dict from t-exponent to integer."""
-    return {t: c for (t,), c in p.terms.items()}
-
-
-def _t_product(u, v):
-    out = {}
-    for t1, c1 in u.items():
-        for t2, c2 in v.items():
-            out[t1 + t2] = out.get(t1 + t2, 0) + c1 * c2
-    return {t: c for t, c in out.items() if c}
-
-
 def _scaled(orbits, c):
-    """Orbits times the arity-0 polynomial c, zero orbits dropped."""
-    c = _t_dict(c)
-    out = {}
-    for key, tc in orbits.items():
-        tc = _t_product(tc, c)
-        if tc:
-            out[key] = tc
-    return out
+    """Orbits times the arity-0 polynomial c."""
+    return _scaled_orbits(orbits, _t_dict(c))
 
 
 def _symmetric_orbits(p):

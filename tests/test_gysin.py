@@ -26,6 +26,7 @@ from hlgysin import (
     partial_flag_pushforward,
     schur_p_coset,
 )
+from hlgysin.polyring import linear_factor_product
 from hlgysin.oracles import (
     all_permutations,
     blockwise_full_flag,
@@ -327,3 +328,20 @@ def test_p_class_is_leading_flag_pushforward():
                 f = f * (x(n, i) - t(n) * x(n, j))
         padded = nu + (0,) * (n - k)
         assert leading_flag_pushforward(f, k, n) == hall_littlewood_p(n, padded)
+
+
+def test_schur_p_is_the_leading_flag_pushforward_of_its_coset_core():
+    """The coset formula as the reference for the Schur P recursion: P_nu is
+    the leading-flag push-forward of x^nu prod_{i <= k, i < j} (x_i + x_j),
+    for every strict nu with parts <= 3 at n <= 6."""
+    count = 0
+    for n in range(1, 7):
+        for k in range(min(n, 3) + 1):
+            for nu in itertools.combinations(range(3, 0, -1), k):
+                pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, n + 1)]
+                core = Polynomial.monomial(n, nu + (0,) * (n - k)) * linear_factor_product(
+                    n, pairs, -1
+                )
+                assert schur_p_coset(nu, n) == leading_flag_pushforward(core, k, n), (nu, n)
+                count += 1
+    assert count == 43

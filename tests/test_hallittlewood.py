@@ -28,7 +28,7 @@ from hlgysin import (
     t_factorial,
     t_factorial_product,
 )
-from hlgysin.hallittlewood import _row_product
+from hlgysin.gysin import _grassmann_input
 from hlgysin.polyring import linear_factor_product
 from hlgysin.symgroup import block_structure, coset_reps
 from hlgysin.oracles import (
@@ -201,15 +201,18 @@ def test_r_coset_equals_the_sum_of_permuted_cores_or_fails_with_its_text():
 
 
 def test_row_product_is_the_dominant_part_of_row_times_tail():
-    """The Pieri row product on the tail's orbits against the full product
-    row * R_tail(x_2..x_n), filtered to its (1 | n-1)-dominant terms, for
-    every sequence with entries <= 2 at n <= 5."""
+    """R's row, the Grassmann input (1 | n-1) at c = t built from the tail's
+    orbits, against the full product row * R_tail(x_2..x_n), filtered to
+    its (1 | n-1)-dominant terms, for every sequence with entries <= 2 at
+    n <= 5."""
     for n in range(2, 6):
         factors = linear_factor_product(n, [(1, j) for j in range(2, n + 1)], t(n))
         for seq in itertools.product(range(3), repeat=n):
             tail = hall_littlewood_r(n - 1, seq[1:])
             full = x(n, 1) ** seq[0] * factors * tail.embed(n, offset=1)
-            assert _row_product(seq[0], dominant_orbits(tail, 0)) == dominant_orbits(full), seq
+            head = {seq[:1]: {0: 1}}
+            built = _grassmann_input(n, 1, t(0), head, dominant_orbits(tail, 0))
+            assert built == dominant_orbits(full), seq
 
 
 def test_p_from_orbits_is_r_divided_by_v():
@@ -386,6 +389,9 @@ def test_schur_p_recursive_equals_coset():
     for nu in [(1,), (2,), (3, 1), (2, 1), (4, 2, 1), (3, 2, 1)]:
         for n in range(len(nu), 5):
             assert schur_p_recursive(nu, n) == schur_p_coset(nu, n)
+    for nu in [(4, 2, 1), (5, 3, 1), (4, 3, 2, 1)]:
+        for n in (7, 8):
+            assert schur_p_recursive(nu, n) == schur_p_coset(nu, n), (nu, n)
 
 
 def test_schur_p_validation():
@@ -395,6 +401,8 @@ def test_schur_p_validation():
         schur_p_coset((0,), 2)
     with pytest.raises(ValueError):
         schur_p_coset((3, 2, 1), 2)
+    with pytest.raises(ValueError, match="n must be positive"):
+        schur_p_coset((), 0)
     with pytest.raises(ValueError):
         schur_p_recursive((1, 2), 3)
 

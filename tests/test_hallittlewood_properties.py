@@ -11,7 +11,7 @@ given = hypothesis.given
 from conftest import dominant_orbits, settings  # noqa: E402
 
 from hlgysin import Polynomial, hall_littlewood_p  # noqa: E402
-from hlgysin.hallittlewood import _row_product  # noqa: E402
+from hlgysin.gysin import _grassmann_input  # noqa: E402
 from hlgysin.oracles import schur_s_jacobi_trudi  # noqa: E402
 from hlgysin.polyring import linear_factor_product  # noqa: E402
 
@@ -46,18 +46,24 @@ def symmetric_tails(draw):
     return draw(st.integers(0, 3)), n, draw(st.dictionaries(keys, t_polys, max_size=4))
 
 
+# c = t is R's row, c = -1 Schur P's and c = 0 the t = 0 shadow's
+ROW_CONSTANTS = st.sampled_from([Polynomial.t(0), Polynomial.constant(0, -1), Polynomial.zero(0)])
+
+
 @settings(100)
-@given(symmetric_tails())
-def test_row_product_on_random_symmetric_tails(case):
+@given(symmetric_tails(), ROW_CONSTANTS)
+def test_row_product_on_random_symmetric_tails(case, c):
+    """The Grassmann input (1 | n-1) built from orbits against the product
+    x_1^head prod_{j>1} (x_1 - c x_j) * tail, filtered to its dominant terms."""
     head, n, orbits = case
     tail = Polynomial(n - 1, {
-        perm + (k,): c
+        perm + (k,): coeff
         for key, tc in orbits.items()
         for perm in set(itertools.permutations(key))
-        for k, c in tc.items()
+        for k, coeff in tc.items()
     })
     row = Polynomial.x(n, 1) ** head * linear_factor_product(
-        n, [(1, j) for j in range(2, n + 1)], Polynomial.t(n)
+        n, [(1, j) for j in range(2, n + 1)], c.embed(n)
     )
     full = row * tail.embed(n, offset=1)
-    assert _row_product(head, orbits) == dominant_orbits(full)
+    assert _grassmann_input(n, 1, c, {(head,): {0: 1}}, orbits) == dominant_orbits(full)

@@ -14,13 +14,13 @@ from hlgysin import (
     schur_s,
     t_factorial,
 )
+from hlgysin.gysin import _grassmann_input
 from hlgysin.hallittlewood import _p_reps, _r_reps, _schur_p_orbits
 from hlgysin.identities import (
     IDENTITY_SUITES,
     InstanceFamily,
     VerificationReport,
     _compared,
-    _grassmann_input,
     _symmetric_orbits,
     d_coefficient,
     run_suite,
@@ -110,6 +110,19 @@ def test_grassmann_input_on_theorem_main_with_entries_at_most_one():
             a_poly, b_poly = hall_littlewood_r(q, lam), hall_littlewood_r(r, mu)
         t = Polynomial.t(0)
         assert_input_is_the_product_filtered(n, q, t, a, b, a_poly, b_poly)
+
+
+def test_grassmann_input_where_summands_cancel():
+    """R_lam(Q) and R_mu(S) at c = t, the prop-juxtaposition input.  With
+    lam = (0, 2) or (2, 0) at n = 5, q = 2, summands of different K meet on
+    keys whose coefficients cancel to zero, and the builder must drop them."""
+    t = Polynomial.t(0)
+    for lam in [(0, 2), (2, 0)]:
+        for mu in itertools.product(range(3), repeat=3):
+            assert_input_is_the_product_filtered(
+                5, 2, t, _r_reps(lam), _r_reps(mu),
+                hall_littlewood_r(2, lam), hall_littlewood_r(3, mu),
+            )
 
 
 def test_grassmann_input_at_c_zero_is_the_t0_product():

@@ -1,4 +1,6 @@
-"""The oracles stay apart from the engine: no engine module imports them."""
+"""The oracles stay apart from the engine: no engine module imports them.
+The verifiers and the CLI sit on top of the engine: no module under them
+imports either, so the push-forward input builder lives in the engine."""
 
 import ast
 from pathlib import Path
@@ -7,6 +9,7 @@ import hlgysin
 
 PACKAGE = Path(hlgysin.__file__).resolve().parent
 ENGINE = ("antisym", "cli", "gysin", "hallittlewood", "identities", "polyring", "symgroup")
+CORE = ("antisym", "gysin", "hallittlewood", "polyring", "symgroup")
 
 
 def imported_modules(path):
@@ -32,3 +35,9 @@ def test_no_engine_module_imports_the_oracles():
     for name in ENGINE:
         imports = set(imported_modules(PACKAGE / f"{name}.py"))
         assert "hlgysin.oracles" not in imports, name
+
+
+def test_no_core_module_imports_the_verifiers_or_the_cli():
+    for name in CORE:
+        imports = set(imported_modules(PACKAGE / f"{name}.py"))
+        assert not imports & {"hlgysin.identities", "hlgysin.cli"}, name
