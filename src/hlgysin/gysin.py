@@ -28,9 +28,9 @@ Every Grassmann row whose input is cross * A(Q) * B(S), with
 cross = prod over i <= q < j of (x_i - c x_j) and A, B symmetric, builds
 that input's dominant orbits in one place, _grassmann_input, from the
 orbits of A and B by the Pieri rule, and _grassmann_orbits pushes them
-forward.  R_lam's tower (q = 1, c = t), the Schur P recursion (q = 1,
-c = -1) and the five Grassmann verifiers all run on it; none forms the
-product.
+forward.  hallittlewood._rows, the one recursion behind R_lam (q = 1,
+c = t) and Schur P (q = 1, c = -1), and the five Grassmann verifiers all
+run on it; none forms the product.
 """
 
 from __future__ import annotations

@@ -22,9 +22,11 @@ level stays in that form: R_{lam_2..lam_n} is held by its partition keys,
 and the row x_1^lam_1 prod_{j>1} (x_1 - t x_j) = sum_k (-t)^k
 x_1^(lam_1+n-1-k) e_k(x_2..x_n) acts on them by the Pieri rule for
 monomials, in the input builder every Grassmann row shares, so no level
-builds the full product.  Only the answer is expanded.  P_lam divides each
-orbit's polynomial in t by v_lam(t): R's x-coefficients are exactly those
-polynomials, so P is defined exactly when each division is exact.
+builds the full product.  The tower is one cached recursion on orbits,
+_rows; each call expands its answer and caches nothing expanded.  P_lam
+divides each orbit's polynomial in t by v_lam(t): R's x-coefficients are
+exactly those polynomials, so P is defined exactly when each division is
+exact, and P reads the orbits R cached.
 
 The one explicit sum over coset representatives left is the coset form
 of R, whose dependence on the chosen representatives is itself under
@@ -35,7 +37,7 @@ approximation.
 At t = 0 the P-classes of partitions become Schur polynomials and at
 t = -1 the P-classes of strict partitions become Schur P-polynomials.
 Both rest on divided differences too: s_lam is the Demazure character
-pi_w0(x^lam), and P_nu the same recursion as R with c = -1,
+pi_w0(x^lam), and P_nu is the same recursion, _rows, with c = -1,
 
     P_nu(x_1..x_n) = d_{n-1} ... d_1 ( x_1^nu_1 prod_{j>1} (x_1 + x_j)
                                        * P_{nu_2..nu_k}(x_2..x_n) ).
@@ -46,7 +48,8 @@ singleton runs last one first, and the factor x_1^nu_1 prod_{j>1}
 (x_1 + x_j) is symmetric in x_2..x_n, so by the projection formula the
 merges within x_2..x_n act on the rest of the core alone, which is the
 core of nu_2..nu_k in x_2..x_n.  Only the input is built differently: each
-row's comes from the Pieri rule, and the core is never expanded.
+row's comes from the Pieri rule, and the core is never expanded.  Once nu
+runs out the rest is 1 in the remaining variables.
 """
 
 from __future__ import annotations
@@ -148,7 +151,9 @@ def hall_littlewood_r(n, seq):
     row = x_1^seq_1 prod_{j>1} (x_1 - t x_j), on orbit representatives
     (_r_reps) expanded once at the end.
     """
-    return _hall_littlewood_r(n, as_int_sequence(seq))
+    seq = as_int_sequence(seq)
+    _check_length(n, seq)
+    return _expand(n, _r_reps(seq))
 
 
 def _check_length(n, seq):
@@ -158,21 +163,23 @@ def _check_length(n, seq):
 
 
 @lru_cache(maxsize=256)
-def _hall_littlewood_r(n, seq):
-    _check_length(n, seq)
-    return _expand(n, _r_reps(seq))
-
-
-@lru_cache(maxsize=256)
-def _r_reps(seq):
-    """R_seq as its symmetric orbits: each partition x-key maps to the
-    orbit's coefficient, a dict from t-exponent to integer.  Each level is
-    the Grassmann row (1 | n-1) with c = t on the orbits of R_{seq_2..seq_n}."""
-    if len(seq) == 1:
+def _rows(seq, n, c):
+    """The orbits of d_{n-1} ... d_1 ( x_1^seq_1 prod_{j>1} (x_1 - c x_j)
+    * _rows(seq_2.., n - 1, c)(x_2..x_n) ), each partition x-key mapped to
+    the orbit's coefficient, a dict from t-exponent to integer: R_seq for
+    c = t and n = len(seq), Schur P_seq for c = -1.  Each level is the
+    Grassmann row (1 | n-1) of gysin._grassmann_orbits; an empty seq gives
+    1, and a single variable x_1^seq_1."""
+    if not seq:
+        return {(0,) * n: {0: 1}}
+    if n == 1:
         return {seq: {0: 1}}
-    return _grassmann_orbits(
-        len(seq), 1, Polynomial.t(0), {seq[:1]: {0: 1}}, _r_reps(seq[1:])
-    )
+    return _grassmann_orbits(n, 1, c, {seq[:1]: {0: 1}}, _rows(seq[1:], n - 1, c))
+
+
+def _r_reps(seq):
+    """R_seq as its orbits: the rows with c = t."""
+    return _rows(seq, len(seq), Polynomial.t(0))
 
 
 def hall_littlewood_r_coset(n, seq):
@@ -219,11 +226,7 @@ def hall_littlewood_r_coset(n, seq):
 
 def hall_littlewood_p(n, seq):
     """P_seq(x_1..x_n; t) = R_seq / v_seq(t), an exact division."""
-    return _hall_littlewood_p(n, as_int_sequence(seq))
-
-
-@lru_cache(maxsize=256)
-def _hall_littlewood_p(n, seq):
+    seq = as_int_sequence(seq)
     _check_length(n, seq)
     return _expand(n, _p_reps(seq))
 
@@ -319,37 +322,25 @@ def schur_p_coset(nu, n):
     P_nu(x_1..x_n) = sum over cosets of S_1^k x S_{n-k} of
     w( x^nu * prod_{i<=k, i<j<=n} (x_i + x_j) / (x_i - x_j) ), which is the
     leading-flag push-forward of x^nu * prod_{i<=k, i<j<=n} (x_i + x_j),
-    computed one singleton run at a time (_schur_p_orbits).
+    computed as R's rows with c = -1 (_schur_p_orbits).
     """
     nu = as_int_sequence(nu)
     if not is_strict_partition(nu):
         raise ValueError(f"not a strict partition: {nu!r}")
-    return _schur_p_coset(nu, n)
-
-
-@lru_cache(maxsize=None)
-def _schur_p_coset(nu, n):
+    if len(nu) > n:
+        raise ValueError(f"strict partition {nu!r} needs more than {n} variables")
+    if n < 1:
+        raise ValueError("n must be positive")
     return _expand(n, _schur_p_orbits(nu, n))
 
 
-@lru_cache(maxsize=None)
 def _schur_p_orbits(nu, n):
     """P_nu(x_1..x_n) as its partition keys, each mapped to {0: coefficient}:
-    the Grassmann row (1 | n-1) with c = -1 on the orbits of
-    P_{nu_2..nu_k}(x_2..x_n)."""
-    k = len(nu)
-    if k > n:
-        raise ValueError(f"strict partition {nu!r} needs more than {n} variables")
+    the rows with c = -1.  The bound is checked here, once per call, since
+    the verifiers read these orbits directly and _rows checks it only where
+    it pushes a row forward, which an empty nu does not."""
     ensure_within_bound(n)
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not nu:
-        return {(0,) * n: {0: 1}}
-    if n == 1:
-        return {nu: {0: 1}}
-    return _grassmann_orbits(
-        n, 1, Polynomial.constant(0, -1), {nu[:1]: {0: 1}}, _schur_p_orbits(nu[1:], n - 1)
-    )
+    return _rows(nu, n, Polynomial.constant(0, -1))
 
 
 def straighten_schur_p(seq):

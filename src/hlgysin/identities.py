@@ -47,6 +47,7 @@ from .hallittlewood import (
     gaussian_binomial,
     gaussian_binomial_at_minus_one,
     hall_littlewood_r,
+    is_partition,
     is_strict_partition,
     schur_s,
     straighten_schur_p,
@@ -350,10 +351,6 @@ def _any_sequence(seq):
     return True
 
 
-def _is_partition(seq):
-    return all(a >= b for a, b in zip(seq, seq[1:]))
-
-
 def _strict_partitions_within(max_len, bound):
     for k in range(0, max_len + 1):
         yield from itertools.combinations(range(bound, 0, -1), k)
@@ -406,7 +403,7 @@ def _suite_theorem(family):
 
 
 def _suite_t0(family):
-    for n, q, lam, mu in _split_instances(family, _is_partition):
+    for n, q, lam, mu in _split_instances(family, is_partition):
         yield verify_t0_jlp(n, q, lam, mu)
 
 

@@ -11,6 +11,7 @@ from conftest import (
     x_degree,
 )
 from hlgysin import (
+    BoundExceededError,
     NotDivisibleError,
     Polynomial,
     gaussian_binomial,
@@ -29,6 +30,8 @@ from hlgysin import (
     t_factorial_product,
 )
 from hlgysin.gysin import _grassmann_input
+from hlgysin import hallittlewood
+from hlgysin.hallittlewood import _rows
 from hlgysin.polyring import linear_factor_product
 from hlgysin.symgroup import block_structure, coset_reps
 from hlgysin.oracles import (
@@ -234,6 +237,18 @@ def test_p_from_orbits_is_r_divided_by_v():
     assert 0 < undefined < len(cases)
 
 
+def test_p_reads_the_orbits_r_cached(monkeypatch):
+    def no_row(*args):
+        raise AssertionError("P pushed a Grassmann row forward")
+
+    seq = (2, 0, 1, 0)
+    hall_littlewood_r(4, seq)
+    misses = _rows.cache_info().misses
+    monkeypatch.setattr(hallittlewood, "_grassmann_orbits", no_row)
+    hall_littlewood_p(4, seq)
+    assert _rows.cache_info().misses == misses
+
+
 def test_p_hand_anchors():
     y1, y2 = x(2, 1), x(2, 2)
     assert hall_littlewood_p(2, (1, 1)) == y1 * y2
@@ -395,14 +410,16 @@ def test_schur_p_recursive_equals_coset():
 
 
 def test_schur_p_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a strict partition"):
         schur_p_coset((2, 2), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a strict partition"):
         schur_p_coset((0,), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs more than 2 variables"):
         schur_p_coset((3, 2, 1), 2)
     with pytest.raises(ValueError, match="n must be positive"):
         schur_p_coset((), 0)
+    with pytest.raises(BoundExceededError, match="n = 9 exceeds"):
+        schur_p_coset((1,), 9)
     with pytest.raises(ValueError):
         schur_p_recursive((1, 2), 3)
 
