@@ -43,7 +43,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .polyring import Polynomial
-from .symgroup import ensure_within_bound
 
 
 def divided_difference(f, i, j):
@@ -81,9 +80,7 @@ def longest_word(m):
 def jacobi_symmetrizer(p):
     """Exact value of  (sum over w in S_n of sign(w) w(p)) / prod_{i<j}(x_i - x_j),
     computed as the divided difference along the longest element of S_n."""
-    n = p.arity
-    ensure_within_bound(n)
-    for a in longest_word(n):
+    for a in longest_word(p.arity):
         p = divided_difference(p, a, a + 1)
     return p
 

@@ -8,7 +8,7 @@ lines go to the report file under --out instead).
 Exit codes: 0 success / all checks passed; 1 a verification failed or a
 computation was impossible (a divisibility finding); 2 malformed input,
 unknown identity or an --out path that cannot be written; 3 permutation
-bound exceeded.
+bound exceeded: n > 8, a resource limit of this front end.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .hallittlewood import (
 )
 from .identities import IDENTITY_SUITES, InstanceFamily, run_suite
 from .polyring import NotDivisibleError
-from .symgroup import BoundExceededError
+from .symgroup import BoundExceededError, ensure_within_bound
 
 
 def _sequence(text):
@@ -124,6 +124,7 @@ def _cmd_compute(parser, args):
         _require(parser, args.n >= 1, "--n must be positive")
         _require(parser, len(args.lam) == args.n,
                  f"--lambda must have exactly n={args.n} entries")
+        ensure_within_bound(args.n)
         func = hall_littlewood_r if kind == "r" else hall_littlewood_p
         poly = func(args.n, args.lam)
         params = {"n": args.n, "lambda": list(args.lam)}
@@ -137,6 +138,7 @@ def _cmd_compute(parser, args):
         _require(parser, args.n is not None and args.nu is not None,
                  "--n and --nu are required for kind schur-p")
         _require(parser, args.n >= 1, "--n must be positive")
+        ensure_within_bound(args.n)
         poly = schur_p_coset(args.nu, args.n)
         params = {"n": args.n, "nu": list(args.nu)}
     elif kind == "gaussian":
@@ -170,6 +172,7 @@ def _cmd_verify(parser, args):
             file=sys.stderr,
         )
         return 2
+    ensure_within_bound(args.n_max)
     family = InstanceFamily(
         n_range=(args.n_min, args.n_max),
         q_range=(args.q, args.q) if args.q is not None else None,
@@ -224,6 +227,7 @@ def _cmd_table(parser, args):
         _require(parser, args.n is not None, f"--n is required for kind {args.kind}")
         _require(parser, args.n >= 1, "--n must be positive")
         _require(parser, args.entry_max >= 0, "--entry-max must be nonnegative")
+        ensure_within_bound(args.n)
         import itertools
 
         func = hall_littlewood_p if args.kind == "p" else hall_littlewood_r

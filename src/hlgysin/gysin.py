@@ -49,7 +49,7 @@ from .antisym import (
     jacobi_symmetrizer,
 )
 from .polyring import ArityMismatchError
-from .symgroup import Permutation, ensure_within_bound
+from .symgroup import Permutation
 
 
 class NonInvariantInputError(ValueError):
@@ -137,7 +137,6 @@ def partial_flag_pushforward(f, split):
         raise ArityMismatchError(
             f"polynomial arity {f.arity} does not match split on {split.n} variables"
         )
-    ensure_within_bound(split.n)
     _check_block_symmetric(f, split)
     if len(split.blocks) == 1:
         return f
@@ -190,7 +189,6 @@ def full_flag_pushforward(f, n):
     precondition (all blocks are singletons)."""
     if f.arity != n:
         raise ArityMismatchError(f"polynomial arity {f.arity} does not match n = {n}")
-    ensure_within_bound(n)
     return jacobi_symmetrizer(f)
 
 
@@ -217,7 +215,6 @@ def _grassmann_orbits(n, q, c, a, b):
     orbits, partition keys mapped to dicts from t-exponent to integer.
     The product is never formed, only its representatives."""
     _check_block_sizes(q, n - q)
-    ensure_within_bound(n)
     return _merge_runs(n, (q, n - q), _grassmann_input(n, q, c, a, b))
 
 

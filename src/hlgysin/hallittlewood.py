@@ -67,7 +67,7 @@ from .polyring import (
     divide_by_vandermonde,
     linear_factor_product,
 )
-from .symgroup import block_structure, coset_reps, ensure_within_bound
+from .symgroup import block_structure, coset_reps
 
 
 def as_int_sequence(seq):
@@ -159,7 +159,6 @@ def hall_littlewood_r(n, seq):
 def _check_length(n, seq):
     if n < 1 or len(seq) != n:
         raise ValueError(f"sequence of length {len(seq)} does not match n = {n}")
-    ensure_within_bound(n)
 
 
 @lru_cache(maxsize=256)
@@ -202,6 +201,8 @@ def hall_littlewood_r_coset(n, seq):
     """
     seq = as_int_sequence(seq)
     _check_length(n, seq)
+    # first, so that past the bound it raises before the core is built
+    reps = coset_reps(block_structure(seq))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     unequal = [(i, j) for i, j in pairs if seq[i - 1] != seq[j - 1]]
     equal = [(i, j) for i, j in pairs if seq[i - 1] == seq[j - 1]]
@@ -214,7 +215,7 @@ def hall_littlewood_r_coset(n, seq):
     signed[-1] = [(key, -c) for key, c in signed[1]]
     terms = {}
     get = terms.get
-    for w in coset_reps(block_structure(seq)):
+    for w in reps:
         image_of = _key_permuter(w.images)
         for key, c in signed[w.sign()]:
             key = image_of(key)
@@ -336,10 +337,7 @@ def schur_p_coset(nu, n):
 
 def _schur_p_orbits(nu, n):
     """P_nu(x_1..x_n) as its partition keys, each mapped to {0: coefficient}:
-    the rows with c = -1.  The bound is checked here, once per call, since
-    the verifiers read these orbits directly and _rows checks it only where
-    it pushes a row forward, which an empty nu does not."""
-    ensure_within_bound(n)
+    the rows with c = -1."""
     return _rows(nu, n, Polynomial.constant(0, -1))
 
 

@@ -120,7 +120,6 @@ def blockwise_full_flag(f, split):
         raise ArityMismatchError(
             f"polynomial arity {f.arity} does not match split on {split.n} variables"
         )
-    ensure_within_bound(split.n)
     for b in split.blocks:
         for a in longest_word(len(b)):
             f = divided_difference(f, b[a - 1], b[a])

@@ -1,6 +1,6 @@
 """Permutations, level-set block structures, and coset transversals.
 
-The symmetrizing operators in this package all sum over left cosets of a
+The coset form of R and the oracles' naive sums run over left cosets of a
 Young subgroup S_n^B attached to a decomposition B of the index set
 {1..n} into classes.  For a sequence of integers the classes are its level
 sets grouped by value (positions carrying equal values), ordered by first
@@ -10,7 +10,8 @@ increasing.
 
 Everything here is exact and deterministic; enumeration order is fixed so
 downstream reductions are reproducible.  A fixed bound, n <= 8
-(DEFAULT_PERMUTATION_BOUND), guards the n! blowup.
+(DEFAULT_PERMUTATION_BOUND), guards the n! blowup of coset_reps and of the
+oracles' enumerations; classes and push-forwards enumerate nothing.
 """
 
 from __future__ import annotations

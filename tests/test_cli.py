@@ -183,6 +183,14 @@ def test_compute_over_bound_exit_3():
     assert "bound exceeded" in result.stderr
 
 
+def test_compute_schur_p_checks_the_bound_before_the_partition(capsys):
+    """The CLI refuses n = 9 before the library reads --nu, so a malformed
+    --nu over the bound exits 3, not 2."""
+    code, out, err = run_main(capsys, "compute", "--kind", "schur-p", "--n", "9", "--nu", "2,2")
+    assert (code, out) == (3, "")
+    assert err == "bound exceeded: n = 9 exceeds permutation bound 8\n"
+
+
 # --- verify -----------------------------------------------------------------
 
 
@@ -196,6 +204,16 @@ def test_verify_lemma_stdout(capsys):
     assert lines[0] == "lemma-sum, n=1, PASS"
     assert all(line.endswith("PASS") for line in lines)
     assert "ms" not in out  # stdout is byte-deterministic, no timings
+
+
+def test_verify_checks_the_bound_on_n_max_even_with_no_instances(capsys):
+    """With --q = --n-max = 9 no Grassmann split exists, so the suite would
+    run nothing; the bound is checked on --n-max first and exits 3."""
+    code, out, err = run_main(
+        capsys, "verify", "--identity", "theorem-main", "--n-min", "9", "--n-max", "9", "--q", "9"
+    )
+    assert (code, out) == (3, "")
+    assert err == "bound exceeded: n = 9 exceeds permutation bound 8\n"
 
 
 def test_verify_unknown_identity_exit_2():

@@ -91,6 +91,9 @@ COMMANDS = [
 ] + [
     # exit 3: permutation bound
     ["compute", "--kind", "schur-p", "--n", "9", "--nu", "1"],
+    # exit 3: permutation bound, checked on verify's --n-max and table's --n
+    ["verify", "--identity", "t-minus1", "--n-min", "10", "--n-max", "10", "--entry-max", "1"],
+    ["table", "--kind", "r", "--n", "9", "--entry-max", "0"],
 ]
 
 DIGESTS = {
@@ -174,6 +177,8 @@ DIGESTS = {
     "compute --kind schur-p --n 8 --nu 4,3,2,1 --format text": "17d47ef317e6598f6be8454108b5ab279f7b39536d759999e320427105fce836",
     "compute --kind schur-p --n 8 --nu 4,3,2,1 --format json": "866c7e961b4e4bb8aa3a77a768ef5cf1916db568023d6d58af0fa1d9f12d9f32",
     "compute --kind schur-p --n 9 --nu 1": "ac11339ffa8f270c4f781e0a3922bb1c80d9dee6e4b6911ca34538ed9ae03caa",
+    "verify --identity t-minus1 --n-min 10 --n-max 10 --entry-max 1": "ac11339ffa8f270c4f781e0a3922bb1c80d9dee6e4b6911ca34538ed9ae03caa",
+    "table --kind r --n 9 --entry-max 0": "ac11339ffa8f270c4f781e0a3922bb1c80d9dee6e4b6911ca34538ed9ae03caa",
 }
 
 
@@ -215,6 +220,14 @@ FAILURES = {
         "bound exceeded: n = 9 exceeds permutation bound 8\n",
     ),
     "compute --kind schur-p --n 9 --nu 1": (
+        3,
+        "bound exceeded: n = 9 exceeds permutation bound 8\n",
+    ),
+    "verify --identity t-minus1 --n-min 10 --n-max 10 --entry-max 1": (
+        3,
+        "bound exceeded: n = 10 exceeds permutation bound 8\n",
+    ),
+    "table --kind r --n 9 --entry-max 0": (
         3,
         "bound exceeded: n = 9 exceeds permutation bound 8\n",
     ),

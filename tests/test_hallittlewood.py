@@ -162,6 +162,16 @@ def test_r_coset_single_coset_case():
     assert hall_littlewood_r_coset(2, (1, 1)) == (1 + t(2)) * x(2, 1) * x(2, 2)
 
 
+@pytest.mark.parametrize("seq", [(0,) * 9, (1, 0) * 4 + (1,)])
+def test_r_coset_refuses_n_9_before_it_builds_its_core(seq, monkeypatch):
+    def core_factor(*args):
+        raise AssertionError("the core was built")
+
+    monkeypatch.setattr(hallittlewood, "linear_factor_product", core_factor)
+    with pytest.raises(BoundExceededError, match="n = 9 exceeds"):
+        hall_littlewood_r_coset(9, seq)
+
+
 def r_coset_by_permuted_cores(n, seq):
     """The coset form summed from one permuted core Polynomial per
     representative, its numerator divided one Vandermonde factor at a time."""
@@ -274,6 +284,16 @@ def test_p_specialization_at_minus_one_is_schur_p():
     for nu, n in [((2,), 2), ((2, 1), 2), ((3, 1), 3), ((3, 2, 1), 4)]:
         padded = nu + (0,) * (n - len(nu))
         assert hall_littlewood_p_specialized(n, padded, -1) == schur_p_coset(nu, n)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("lam", [(2, 1), (3, 1), (3, 2, 1)])
+def test_p_above_the_cli_bound_specializes_to_the_oracles(lam, n):
+    """P at n = 9, 10 runs in the library: at t = 0 it is the Jacobi-Trudi
+    Schur S, at t = -1 the recursive Schur P."""
+    p = hall_littlewood_p(n, lam + (0,) * (n - len(lam)))
+    assert p.substitute_t(0) == schur_s_jacobi_trudi(lam, n)
+    assert p.substitute_t(-1) == schur_p_recursive(lam, n)
 
 
 # --- Schur S ----------------------------------------------------------------
@@ -418,10 +438,14 @@ def test_schur_p_validation():
         schur_p_coset((3, 2, 1), 2)
     with pytest.raises(ValueError, match="n must be positive"):
         schur_p_coset((), 0)
-    with pytest.raises(BoundExceededError, match="n = 9 exceeds"):
-        schur_p_coset((1,), 9)
     with pytest.raises(ValueError):
         schur_p_recursive((1, 2), 3)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("nu", [(1,), (2, 1)])
+def test_schur_p_coset_above_the_cli_bound(nu, n):
+    assert schur_p_coset(nu, n) == schur_p_recursive(nu, n)
 
 
 def test_straighten_schur_p():

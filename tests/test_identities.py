@@ -4,7 +4,6 @@ import pytest
 
 from conftest import block_orbits
 from hlgysin import (
-    BoundExceededError,
     NotDivisibleError,
     Polynomial,
     gaussian_binomial,
@@ -148,7 +147,8 @@ def test_orbit_comparison_expands_only_a_failing_witness():
     assert failing.witness == hall_littlewood_r(3, lam) - hall_littlewood_r(3, mu)
 
 
-def test_grassmann_verifiers_keep_the_permutation_bound():
+def test_grassmann_verifiers_pass_above_the_cli_bound():
+    """The verifiers enumerate no permutations, so n = 9 runs in the library."""
     for verify, args in [
         (verify_prop_juxtaposition, ((0,) * 4, (0,) * 5)),
         (verify_theorem_main, ((1, 0, 0, 0), (1, 0, 0, 0, 0))),
@@ -156,8 +156,8 @@ def test_grassmann_verifiers_keep_the_permutation_bound():
         (verify_t_minus1, ((1,), (2,))),
         (verify_cor_gaussian, ((1,), (2,))),
     ]:
-        with pytest.raises(BoundExceededError):
-            verify(9, 4, *args)
+        report = verify(9, 4, *args)
+        assert report.passed, report.line(include_elapsed=False)
 
 
 def test_t0_needs_two_nonempty_blocks():

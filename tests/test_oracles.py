@@ -1,6 +1,8 @@
 """The oracles stay apart from the engine: no engine module imports them.
 The verifiers and the CLI sit on top of the engine: no module under them
-imports either, so the push-forward input builder lives in the engine."""
+imports either, so the push-forward input builder lives in the engine.
+Among the core modules only symgroup, which enumerates cosets, holds the
+permutation bound."""
 
 import ast
 from pathlib import Path
@@ -41,3 +43,25 @@ def test_no_core_module_imports_the_verifiers_or_the_cli():
     for name in CORE:
         imports = set(imported_modules(PACKAGE / f"{name}.py"))
         assert not imports & {"hlgysin.identities", "hlgysin.cli"}, name
+
+
+def named(path):
+    """Every name a file of the package imports or reads."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+    yield from (module.rpartition(".")[2] for module in imported_modules(path))
+
+
+def test_only_symgroup_holds_the_permutation_bound_among_the_core():
+    """The bound guards enumeration only: no class or push-forward checks it."""
+    policy = {"ensure_within_bound", "DEFAULT_PERMUTATION_BOUND"}
+    holders = [name for name in CORE if policy & set(named(PACKAGE / f"{name}.py"))]
+    assert holders == ["symgroup"]
+
+
+def test_antisym_imports_nothing_from_symgroup():
+    imports = imported_modules(PACKAGE / "antisym.py")
+    assert not [m for m in imports if m.startswith("hlgysin.symgroup")]

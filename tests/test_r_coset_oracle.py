@@ -1,4 +1,4 @@
-"""R_lam for n = 6..8 checked at rational points against the coset formula.
+"""R_lam for n = 6..10 checked at rational points against the coset formula.
 
 For a sequence lam whose level sets are contiguous (Macdonald III (2.2),
 (2.14)),
@@ -80,6 +80,8 @@ CASES = (
     + partitions(7, 2)
     + [(0,) * 6 + (1,)]
     + [(2, 2, 1, 1) + (0,) * 4, (2, 1) + (0,) * 6, (1,) * 4 + (0,) * 4, (0,) * 7 + (1,)]
+    # above the CLI's bound: 72, 90, 720 and 1,260 cosets
+    + [(2, 1) + (0,) * 7, (2, 1) + (0,) * 8, (3, 2, 1) + (0,) * 7, (2, 2, 1, 1) + (0,) * 6]
 )
 
 
