@@ -17,8 +17,8 @@ composite is the Jacobi symmetrizer
 
     d_w0 f = (sum over w in S_n of sign(w) w(f)) / prod_{i<j} (x_i - x_j),
 
-which is how full-flag push-forwards and alternant quotients are formed
-without ever building the n!-term signed sum.
+which forms alternant quotients without ever building the n!-term signed
+sum.  gysin's full-flag push-forward gets the same value from the tower.
 
 One tower routine, _divided_difference_tower, runs both composites that
 keep a block symmetry at every step on one exponent vector per orbit: it

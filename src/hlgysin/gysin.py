@@ -15,12 +15,12 @@ one backwards, each merge being the Grassmann push-forward along the
 reduced word of its longest minimal coset representative.  No n!-term sum
 is formed and no division can fail.
 
-Except for the full flag, whose input has no symmetry, the push-forward
-runs on orbit representatives from its input to its answer.  The input is
-checked for block symmetry and then cut to the terms whose exponents weakly
-decrease within each run, one per orbit.  Each merge is a sequence of rows
-of antisym._divided_difference_tower, which carries representatives only,
-and the answer, symmetric, is expanded once from its partition keys.
+Every push-forward runs on orbit representatives from its input to its
+answer.  The input is checked for block symmetry and then cut to the terms
+whose exponents weakly decrease within each run, one per orbit.  Each merge
+is a sequence of rows of antisym._divided_difference_tower, which carries
+representatives only, and the answer, symmetric, is expanded once from its
+partition keys.
 Callers that build a symmetric input themselves can hand its
 representatives to _merge_runs directly.
 
@@ -29,8 +29,8 @@ cross = prod over i <= q < j of (x_i - c x_j) and A, B symmetric, builds
 that input's dominant orbits in one place, _grassmann_input, from the
 orbits of A and B by the Pieri rule, and _grassmann_orbits pushes them
 forward.  hallittlewood._rows, the one recursion behind R_lam (q = 1,
-c = t) and Schur P (q = 1, c = -1), and the five Grassmann verifiers all
-run on it; none forms the product.
+c = t), Schur P (q = 1, c = -1) and Schur S (q = 1, c = 0), and the five
+Grassmann verifiers all run on it; none forms the product.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .antisym import (
     _expand,
     _nonzero_orbits,
     _rearrangements,
-    jacobi_symmetrizer,
 )
 from .polyring import ArityMismatchError
 from .symgroup import Permutation
@@ -184,12 +183,12 @@ def _merge_runs(n, sizes, reps):
 
 
 def full_flag_pushforward(f, n):
-    """Push forward along the full flag: the Jacobi symmetrizer
-    (sum over all w of sign(w) w(f)) / Vandermonde.  No symmetry
-    precondition (all blocks are singletons)."""
+    """Push forward along the full flag: (sum over all w of sign(w) w(f))
+    / Vandermonde, the partial-flag push-forward along n singleton blocks.
+    No symmetry precondition; in no variables f is its own push-forward."""
     if f.arity != n:
         raise ArityMismatchError(f"polynomial arity {f.arity} does not match n = {n}")
-    return jacobi_symmetrizer(f)
+    return partial_flag_pushforward(f, RootSplit.full_flag(n)) if n else f
 
 
 def grassmann_pushforward(f, q, r):
@@ -257,18 +256,21 @@ def _grassmann_input(n, q, c, a, b):
 @lru_cache(maxsize=256)
 def _cross_sides(q, r, c, a_key):
     """(K, the partition keys of (-c)^|K| * m_{r-K} * A) for each multiset K
-    in [0..r]^q whose Q-factor is not zero, A given by its orbits as a
-    tuple of (partition key, t-items) pairs.  R's rows and Schur P's meet
-    the same few (q, r, c, A) again and again; the dicts are shared by
-    every caller, which reads them only."""
+    in [0..r]^q, increasing, whose Q-factor is not zero, A given by its
+    orbits as a tuple of (partition key, t-items) pairs; a K of weight zero
+    is skipped unbuilt.  The rows meet the same few (q, r, c, A) again and
+    again; the dicts are shared by every caller, which reads them only."""
     step, weights = _t_dict(-c), [{0: 1}]
     for _ in range(q * r):
         weights.append(_t_product(weights[-1], step))
     a_terms = [(x, dict(tc)) for key, tc in a_key for x in _rearrangements(key)]
     sides = []
     for ks in itertools.combinations_with_replacement(range(r + 1), q):
+        weight = weights[sum(ks)]
+        if not weight:
+            continue
         m_alpha_a = _monomial_product(tuple(r - k for k in ks), a_terms)
-        side = _scaled_orbits(m_alpha_a, weights[sum(ks)])
+        side = _scaled_orbits(m_alpha_a, weight)
         if side:
             sides.append((ks, side))
     return tuple(sides)
@@ -276,8 +278,10 @@ def _cross_sides(q, r, c, a_key):
 
 def _elementary_suffix(ks, b, pieri):
     """The orbits of e_{ks[0]} * ... * e_{ks[-1]} * B, B given by its
-    orbits b; ``pieri`` maps each suffix met so far to the Pieri products
+    orbits b and ks increasing, so that its zeros (e_0 = 1) lead and are
+    dropped; ``pieri`` maps each suffix met so far to the Pieri products
     of e_suffix * B."""
+    ks = ks[ks.count(0):]
     if not ks:
         return b
     products = pieri.get(ks[1:])
@@ -348,12 +352,10 @@ def _monomial_product(alpha, a_terms):
 def _scaled_orbits(orbits, u):
     """Each orbit's coefficient times u, a polynomial in t given as a dict
     from t-exponent to integer.  Neither u nor a coefficient is zero, so
-    no product is; a zero u gives no orbits."""
+    no product is."""
     if len(u) == 1:
         ((e, m),) = u.items()
         return {key: {e + t: m * c for t, c in tc.items()} for key, tc in orbits.items()}
-    if not u:
-        return {}
     return {key: _t_product(u, tc) for key, tc in orbits.items()}
 
 

@@ -36,8 +36,9 @@ approximation.
 
 At t = 0 the P-classes of partitions become Schur polynomials and at
 t = -1 the P-classes of strict partitions become Schur P-polynomials.
-Both rest on divided differences too: s_lam is the Demazure character
-pi_w0(x^lam), and P_nu is the same recursion, _rows, with c = -1,
+Both are the same recursion, _rows: s_lam with c = 0, whose cross factor
+x_1^(n-1) makes each row the Jozefiak-Lascoux-Pragacz formula at q = 1,
+and P_nu with c = -1,
 
     P_nu(x_1..x_n) = d_{n-1} ... d_1 ( x_1^nu_1 prod_{j>1} (x_1 + x_j)
                                        * P_{nu_2..nu_k}(x_2..x_n) ).
@@ -58,7 +59,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .antisym import _expand, divided_difference, longest_word
+from .antisym import _expand
 from .gysin import _grassmann_orbits
 from .polyring import (
     NotDivisibleError,
@@ -166,9 +167,10 @@ def _rows(seq, n, c):
     """The orbits of d_{n-1} ... d_1 ( x_1^seq_1 prod_{j>1} (x_1 - c x_j)
     * _rows(seq_2.., n - 1, c)(x_2..x_n) ), each partition x-key mapped to
     the orbit's coefficient, a dict from t-exponent to integer: R_seq for
-    c = t and n = len(seq), Schur P_seq for c = -1.  Each level is the
-    Grassmann row (1 | n-1) of gysin._grassmann_orbits; an empty seq gives
-    1, and a single variable x_1^seq_1."""
+    c = t and n = len(seq), Schur P_seq for c = -1 and Schur S_seq for
+    c = 0 and a partition seq.  Each level is the Grassmann row (1 | n-1)
+    of gysin._grassmann_orbits; an empty seq gives 1, and a single variable
+    x_1^seq_1."""
     if not seq:
         return {(0,) * n: {0: 1}}
     if n == 1:
@@ -272,22 +274,15 @@ def _as_partition_of_length(seq, n):
 
 
 def schur_s(partition, n):
-    """Schur polynomial s_lam(x_1..x_n) = pi_w0(x^lam), pi_a f = d_a(x_a f).
-
-    The Demazure character formula (Demazure 1974; Lascoux 2003, ch. 1),
-    along the reduced word of antisym.longest_word.  Every intermediate
-    pi_v(x^lam) is a key polynomial whose monomials are among those of
-    s_lam, so no step holds more terms than the answer.
-    """
-    return _schur_s(_as_partition_of_length(partition, n), n)
+    """Schur polynomial s_lam(x_1..x_n): the rows with c = 0, each the
+    Jozefiak-Lascoux-Pragacz formula at q = 1 (see the module docstring)."""
+    return _expand(n, _schur_s_orbits(_as_partition_of_length(partition, n), n))
 
 
-@lru_cache(maxsize=None)
-def _schur_s(lam, n):
-    p = Polynomial.monomial(n, lam)
-    for a in longest_word(n):
-        p = divided_difference(Polynomial.x(n, a) * p, a, a + 1)
-    return p
+def _schur_s_orbits(lam, n):
+    """s_lam(x_1..x_n), lam a partition of length n, as its partition keys,
+    each mapped to {0: coefficient}: the rows with c = 0."""
+    return _rows(lam, n, Polynomial.zero(0))
 
 
 def straighten_schur_s(seq):

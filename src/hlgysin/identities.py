@@ -9,12 +9,16 @@ The Grassmann verifiers (prop-juxtaposition, theorem-main, cor-gaussian,
 t-minus1 and t0-jlp) push forward with the engine's own Grassmann row,
 gysin._grassmann_orbits, and work on symmetric orbits from end to end.
 The push-forward's input cross * A(Q) * B(S) is never formed: its
-(q | r)-dominant orbits are built from the orbits of A and B (R's and P's
-per-orbit forms, the partition keys of Schur S and P) by the Pieri rule,
-and the merge carries orbit representatives to the answer's partition
-keys.  Both sides are compared as orbit dicts, and the witness LHS - RHS
-is expanded only when they differ, so it is the same polynomial as the
-one the full sides give.  This module holds verifier code only.
+(q | r)-dominant orbits are built from the orbits of A and B by the Pieri
+rule, and the merge carries orbit representatives to the answer's
+partition keys.  A and B, and the right side, are read as orbits from
+hallittlewood._rows, the recursion behind R (c = t), Schur P (c = -1) and
+Schur S (c = 0), or from P's division of R's orbits; no class is expanded
+to be cut back to its orbits.  At q = 1, prop-juxtaposition and t0-jlp
+restate how _rows builds R and Schur S.  Both sides are compared as orbit
+dicts, and the witness LHS - RHS is expanded only when they differ, so it
+is the same polynomial as the one the full sides give.  This module holds
+verifier code only.
 
 Two findings about sequences with interleaved equal values are handled
 explicitly rather than masked:
@@ -36,20 +40,20 @@ import time
 from dataclasses import dataclass
 
 from .antisym import _expand
-from .gysin import _grassmann_orbits, _run_representatives, _scaled_orbits, _t_dict
+from .gysin import _grassmann_orbits, _scaled_orbits, _t_dict
 from .hallittlewood import (
     _as_partition_of_length,
     _divided_orbits,
     _p_reps,
     _r_reps,
     _schur_p_orbits,
+    _schur_s_orbits,
     as_int_sequence,
     gaussian_binomial,
     gaussian_binomial_at_minus_one,
     hall_littlewood_r,
     is_partition,
     is_strict_partition,
-    schur_s,
     straighten_schur_p,
     straighten_schur_s,
     t_factorial,
@@ -136,11 +140,6 @@ class InstanceFamily:
 def _scaled(orbits, c):
     """Orbits times the arity-0 polynomial c."""
     return _scaled_orbits(orbits, _t_dict(c))
-
-
-def _symmetric_orbits(p):
-    """The orbits of a symmetric polynomial: its partition keys."""
-    return _run_representatives(p, (p.arity,))
 
 
 def _compared(name, instance, started, n, lhs, rhs, detail=None):
@@ -261,15 +260,14 @@ def verify_t0_jlp(n, q, lam, mu):
     started = time.perf_counter()
     r = n - q
     lam, mu = _as_partition_of_length(lam, q), _as_partition_of_length(mu, r)
-    a = _symmetric_orbits(schur_s(lam, q))
-    b = _symmetric_orbits(schur_s(mu, r))
+    a, b = _schur_s_orbits(lam, q), _schur_s_orbits(mu, r)
     lhs = _grassmann_orbits(n, q, Polynomial.zero(0), a, b)
     straightened = straighten_schur_s(lam + mu)
     if straightened is None:
         rhs = {}
     else:
         sign, shape = straightened
-        rhs = _scaled(_symmetric_orbits(schur_s(shape, n)), Polynomial.constant(0, sign))
+        rhs = _scaled(_schur_s_orbits(shape, n), Polynomial.constant(0, sign))
     instance = {"n": n, "q": q, "lambda": lam, "mu": mu}
     return _compared("t0-jlp", instance, started, n, lhs, rhs)
 

@@ -11,12 +11,14 @@ det(e_{lam'_i - i + j}) over the conjugate partition lam' (Macdonald,
 Symmetric Functions and Hall Polynomials, I (3.5)), and Schur P by hook
 sums and the two-row recursion, whose hooks are Jacobi-Trudi determinants
 too.  Neither calls a divided difference, so they share no push-forward
-code with the engine's schur_s (the Demazure form) or schur_p_coset (a
-leading-flag push-forward).  Alongside them: the explicit group
-enumerations and products (all of S_n, the stabilizer, the Vandermonde
-and the t-twisted Vandermonde) that the naive S_n sums of the tests are
-built from, and the blockwise full-flag symmetrizer whose composite with
-the partial-flag push-forward must reproduce the full one.
+code with the engine's schur_s or schur_p_coset (both rows of
+hallittlewood._rows).  Schur S also has its Demazure form pi_w0(x^lam),
+a chain of plain divided differences that builds no Grassmann row.
+Alongside them: the explicit group enumerations and products (all of S_n,
+the stabilizer, the Vandermonde and the t-twisted Vandermonde) that the
+naive S_n sums of the tests are built from, and the blockwise full-flag
+symmetrizer whose composite with the partial-flag push-forward must
+reproduce the full one.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ def hall_littlewood_p_specialized(n, seq, t_value):
 
 
 # ---------------------------------------------------------------------- #
-# Schur S by the dual Jacobi-Trudi determinant
+# Schur S by the dual Jacobi-Trudi determinant and the Demazure form
 
 
 @lru_cache(maxsize=None)
@@ -188,6 +190,20 @@ def _schur_s_jacobi_trudi(lam, n):
         return out
 
     return minor(tuple(range(size)))
+
+
+def schur_s_demazure(partition, n):
+    """Schur polynomial s_lam(x_1..x_n) = pi_w0(x^lam), pi_a f = d_a(x_a f).
+
+    The Demazure character formula (Demazure 1974; Lascoux 2003, ch. 1),
+    along the reduced word of antisym.longest_word.  Every intermediate
+    pi_v(x^lam) is a key polynomial whose monomials are among those of
+    s_lam, so no step holds more terms than the answer.
+    """
+    p = Polynomial.monomial(n, _as_partition_of_length(partition, n))
+    for a in longest_word(n):
+        p = divided_difference(Polynomial.x(n, a) * p, a, a + 1)
+    return p
 
 
 # ---------------------------------------------------------------------- #

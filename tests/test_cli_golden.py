@@ -1,17 +1,19 @@
 """CLI output pinned byte for byte: sha256 of (exit code, stdout) per command,
 and the exit code and stderr of each command, verbatim for those that fail.
 
-Every command runs in-process through ``hlgysin.cli.main``.  The digests
-were recorded while ``schur_s`` was still the Jacobi-Trudi determinant,
-before it became the Demazure form, so they pin that the swap changed no
-byte.  Those of R and P at n = 6..8 were recorded while each level of R
-still built the whole product of its row and the tail class, and those
-of the Grassmann verifiers at n = 5 and 6 while each built the whole
-product of its cross factor and block classes and pushed it forward by
-the plain divided-difference chain.  Those of Schur P at n = 6 and 8 were
-recorded while P_nu was still the leading-flag push-forward of its whole
-coset core x^nu prod (x_i + x_j).  Running this file as a script
-prints the table for the current checkout:
+Every command runs in-process through ``hlgysin.cli.main``.  The Schur S
+digests pin both swaps of ``schur_s``: Jacobi-Trudi determinant ->
+Demazure form -> the rows with c = 0.  Those at n = 2, 5, 9 and 12 were
+recorded while it was still the Jacobi-Trudi determinant, and the one at
+n = 10 while it was the Demazure form; neither swap changed a byte.
+Those of R and P at n = 6..8 were recorded while each level of R still
+built the whole product of its row and the tail class, and those of the
+Grassmann verifiers at n = 5 and 6 while each built the whole product of
+its cross factor and block classes and pushed it forward by the plain
+divided-difference chain.  Those of Schur P at n = 6 and 8 were recorded
+while P_nu was still the leading-flag push-forward of its whole coset
+core x^nu prod (x_i + x_j).  Running this file as a script prints the
+table for the current checkout:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -30,6 +32,7 @@ COMPUTE = [
     ["--kind", "schur-s", "--n", "2", "--lambda", "2,1"],
     ["--kind", "schur-s", "--n", "5", "--lambda", "3,2,2,1"],
     ["--kind", "schur-s", "--n", "9", "--lambda", "1"],
+    ["--kind", "schur-s", "--n", "10", "--lambda", "3,2,1"],
     ["--kind", "schur-s", "--n", "12", "--lambda", "2,1"],
     ["--kind", "schur-p", "--n", "4", "--nu", "3,1"],
     ["--kind", "gaussian", "--a", "3", "--b", "2"],
@@ -112,6 +115,9 @@ DIGESTS = {
     "compute --kind schur-s --n 9 --lambda 1 --format text": "39f8443f4ca8d8ad6b4c1bc2bfc148b2a37f3c558e1d2521e8c5e8c324b960cc",
     "compute --kind schur-s --n 9 --lambda 1 --format json": "2aa1d40c3f07b645e8dbf659c6cf3e139aedff57b951da43c3f57f9e75d4510f",
     "compute --kind schur-s --n 9 --lambda 1 --format latex": "0d9ac621f096305e4f285775776ec15beabd63dcd0bce808c1915587474d8c61",
+    "compute --kind schur-s --n 10 --lambda 3,2,1 --format text": "d4e2b7caba4b900ed6c83947b19228d45259fb72f15430ce76cdf4437f0bd047",
+    "compute --kind schur-s --n 10 --lambda 3,2,1 --format json": "11cdcc599740024e9b4c2e3b83318bfe762654dae61586d32387fa53e6ecc1d4",
+    "compute --kind schur-s --n 10 --lambda 3,2,1 --format latex": "1370eb8b6e6c642c27239aadf41e87f01969d6e116f37e3c156347d7c78b3d30",
     "compute --kind schur-s --n 12 --lambda 2,1 --format text": "4d8f3fafcf561bd3a0c92c17382a9ef8373442d455b0d2ab30b12b58872f9c7b",
     "compute --kind schur-s --n 12 --lambda 2,1 --format json": "24a525604b0b9d1d471ece678c1620451ddc1dedcd901d695cdae5c511bc8463",
     "compute --kind schur-s --n 12 --lambda 2,1 --format latex": "a3443e371f9250d0d89aff9aad0379f78cccb32bac00f3edc3daf676a5e48103",

@@ -22,6 +22,7 @@ from hlgysin import (
     grassmann_pushforward,
     hall_littlewood_p,
     hall_littlewood_r,
+    jacobi_symmetrizer,
     leading_flag_pushforward,
     partial_flag_pushforward,
     schur_p_coset,
@@ -140,6 +141,9 @@ def test_full_flag_pinned_values():
     for n in range(1, 5):
         stair = Polynomial.monomial(n, tuple(range(n - 1, -1, -1)))
         assert full_flag_pushforward(stair, n) == Polynomial.one(n)
+    # in no variables there is nothing to push forward
+    f = 3 * t(0) ** 2 - 1
+    assert full_flag_pushforward(f, 0) == f
 
 
 def test_leading_flag_pinned_values():
@@ -284,12 +288,14 @@ def random_polynomial(rng, n, terms=5, max_exp=3, max_t=2):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_full_flag_factors_through_any_split(n):
     """Symmetrizing inside each block first and then pushing along the split
-    agrees with the one-shot full-flag push-forward."""
+    agrees with the one-shot full-flag push-forward, which is the Jacobi
+    symmetrizer."""
     rng = random.Random(77 * n)
     for split_blocks in set_partitions(list(range(1, n + 1))):
         split = RootSplit(n, split_blocks)
         f = random_polynomial(rng, n)
         expected = full_flag_pushforward(f, n)
+        assert expected == jacobi_symmetrizer(f)
         inner = blockwise_full_flag(f, split)
         assert partial_flag_pushforward(inner, split) == expected
 

@@ -39,6 +39,7 @@ from hlgysin.oracles import (
     elementary_symmetric,
     hall_littlewood_p_specialized,
     schur_p_recursive,
+    schur_s_demazure,
     schur_s_jacobi_trudi,
 )
 
@@ -360,19 +361,23 @@ def test_schur_s_examples():
 
 
 def test_schur_s_equals_jacobi_trudi_and_bialternant():
-    """Three constructions of s_lam: the engine's Demazure form pi_w0(x^lam),
-    the Jacobi-Trudi determinant and the bialternant d_w0(x^(lam + delta))."""
+    """Four constructions of s_lam: the engine's rows with c = 0, the
+    Jacobi-Trudi determinant, the Demazure form pi_w0(x^lam) and the
+    bialternant d_w0(x^(lam + delta))."""
     for n in range(1, 5):
         delta = tuple(range(n - 1, -1, -1))
         for lam in itertools.product(range(4), repeat=n):
             if is_partition(lam):
                 staircase = tuple(a + d for a, d in zip(lam, delta))
                 bialternant = jacobi_symmetrizer(Polynomial.monomial(n, staircase))
-                assert schur_s(lam, n) == schur_s_jacobi_trudi(lam, n) == bialternant
+                s = schur_s(lam, n)
+                assert s == schur_s_jacobi_trudi(lam, n) == bialternant
+                assert s == schur_s_demazure(lam, n)
     # schur_s enumerates nothing, so no permutation bound applies to it
-    for n in range(9, 13):
-        for lam in [(1,), (1, 1), (2, 1)]:
-            assert schur_s(lam, n) == schur_s_jacobi_trudi(lam, n)
+    cases = [(lam, n) for n in range(9, 13) for lam in [(1,), (1, 1), (2, 1)]]
+    for lam, n in cases + [((3, 2, 1), 9), ((3, 2, 1), 10)]:
+        s = schur_s(lam, n)
+        assert s == schur_s_jacobi_trudi(lam, n) == schur_s_demazure(lam, n)
 
 
 def test_straighten_schur_s_examples():

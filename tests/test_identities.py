@@ -13,14 +13,15 @@ from hlgysin import (
     schur_s,
     t_factorial,
 )
+from hlgysin import hallittlewood, identities
+from hlgysin.antisym import _expand
 from hlgysin.gysin import _grassmann_input
-from hlgysin.hallittlewood import _p_reps, _r_reps, _schur_p_orbits
+from hlgysin.hallittlewood import _p_reps, _r_reps, _rows, _schur_p_orbits, _schur_s_orbits
 from hlgysin.identities import (
     IDENTITY_SUITES,
     InstanceFamily,
     VerificationReport,
     _compared,
-    _symmetric_orbits,
     d_coefficient,
     run_suite,
     verify_cor_gaussian,
@@ -131,11 +132,28 @@ def test_grassmann_input_at_c_zero_is_the_t0_product():
         for q in range(1, n):
             for lam in partitions_within(q, 2):
                 for mu in partitions_within(n - q, 2):
-                    a_poly, b_poly = schur_s(lam, q), schur_s(mu, n - q)
-                    a, b = _symmetric_orbits(a_poly), _symmetric_orbits(b_poly)
+                    a, b = _schur_s_orbits(lam, q), _schur_s_orbits(mu, n - q)
                     assert_input_is_the_product_filtered(
-                        n, q, zero, a, b, a_poly, b_poly
+                        n, q, zero, a, b, schur_s(lam, q), schur_s(mu, n - q)
                     )
+
+
+def test_schur_s_is_the_c_zero_row_that_t0_jlp_reads(monkeypatch):
+    """schur_s leaves the rows with c = 0 in _rows's cache, and t0-jlp takes
+    its orbits from there without expanding a Schur polynomial."""
+    lam, n = (2, 1, 1, 0), 4
+    s = schur_s(lam, n)
+    hits = _rows.cache_info().hits
+    assert _expand(n, _rows(lam, n, Polynomial.zero(0))) == s
+    assert _rows.cache_info().hits == hits + 1
+
+    def refuse(*args):
+        raise AssertionError("t0-jlp expanded a Schur polynomial")
+
+    monkeypatch.setattr(hallittlewood, "schur_s", refuse)
+    monkeypatch.setattr(identities, "schur_s", refuse, raising=False)
+    for lam, mu in [((2, 1), (1, 0)), ((1, 1), (2, 2)), ((0, 0), (3, 1))]:
+        assert_pass(verify_t0_jlp(4, 2, lam, mu))
 
 
 def test_orbit_comparison_expands_only_a_failing_witness():
