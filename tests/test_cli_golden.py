@@ -12,8 +12,11 @@ Grassmann verifiers at n = 5 and 6 while each built the whole product of
 its cross factor and block classes and pushed it forward by the plain
 divided-difference chain.  Those of Schur P at n = 6 and 8 were recorded
 while P_nu was still the leading-flag push-forward of its whole coset
-core x^nu prod (x_i + x_j).  Running this file as a script prints the
-table for the current checkout:
+core x^nu prod (x_i + x_j).  Those of lemma-sum, of the randomized
+suites, of t-minus1's randomized refusal and of the v, gaussian and
+formatted p tables were recorded while each verify suite was still its own
+generator and compute and table each wrote their own output.  Running this
+file as a script prints the table for the current checkout:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -97,6 +100,21 @@ COMMANDS = [
     # exit 3: permutation bound, checked on verify's --n-max and table's --n
     ["verify", "--identity", "t-minus1", "--n-min", "10", "--n-max", "10", "--entry-max", "1"],
     ["table", "--kind", "r", "--n", "9", "--entry-max", "0"],
+] + [
+    # the front end around the engine: every suite builder, randomized
+    # draws, and each table kind and format
+    ["verify", "--identity", "lemma-sum", "--n-max", "5"],
+    *(
+        ["verify", "--identity", identity, "--mode", "randomized", "--count", "20",
+         "--seed", "7", "--n-min", "5", "--n-max", "5"]
+        for identity in ("prop-juxtaposition", "theorem-main", "t0-jlp")
+    ),
+    # exit 2: a suite with no randomized mode
+    ["verify", "--identity", "t-minus1", "--mode", "randomized"],
+    ["table", "--kind", "p", "--n", "3", "--entry-max", "2", "--format", "json"],
+    ["table", "--kind", "p", "--n", "3", "--entry-max", "2", "--format", "latex"],
+    ["table", "--kind", "v", "--m-max", "4"],
+    ["table", "--kind", "gaussian", "--a-max", "2", "--b-max", "2"],
 ]
 
 DIGESTS = {
@@ -185,6 +203,15 @@ DIGESTS = {
     "compute --kind schur-p --n 9 --nu 1": "ac11339ffa8f270c4f781e0a3922bb1c80d9dee6e4b6911ca34538ed9ae03caa",
     "verify --identity t-minus1 --n-min 10 --n-max 10 --entry-max 1": "ac11339ffa8f270c4f781e0a3922bb1c80d9dee6e4b6911ca34538ed9ae03caa",
     "table --kind r --n 9 --entry-max 0": "ac11339ffa8f270c4f781e0a3922bb1c80d9dee6e4b6911ca34538ed9ae03caa",
+    "verify --identity lemma-sum --n-max 5": "665f4fab731e9227747698b3b22459824847e447d092e15769f1f7ccac0a0967",
+    "verify --identity prop-juxtaposition --mode randomized --count 20 --seed 7 --n-min 5 --n-max 5": "5aa9cfc4b31cff891c6eca920800b4a8f233420e3c0ce24da6d5ba87ca1de019",
+    "verify --identity theorem-main --mode randomized --count 20 --seed 7 --n-min 5 --n-max 5": "720a14d99b01b24dad36c4d47c6a8f458dccecea7ad633880d166fac8d2499a9",
+    "verify --identity t0-jlp --mode randomized --count 20 --seed 7 --n-min 5 --n-max 5": "f276c050f6e6545dd77b96da7dd05ade10246d76cd2d22ca6179dd640cd70098",
+    "verify --identity t-minus1 --mode randomized": "913da1f8df6f8fd47593840d533ba0458cc9873996bf310460abb495b34c232a",
+    "table --kind p --n 3 --entry-max 2 --format json": "6b82ea33ff31239fb7eb4330bde6870d8e4c838c2a9f05fd3726cae535b25319",
+    "table --kind p --n 3 --entry-max 2 --format latex": "573f8ff76f2886b5f12b717b7164dc453efb7632fcbcbc35121065b184108055",
+    "table --kind v --m-max 4": "17b5e5da3653f5786a86847b76f994d62abe18659f122cfb52bc3aae75031c3e",
+    "table --kind gaussian --a-max 2 --b-max 2": "8cde6913c830a5dc3eb9885addf58414139ab1d50697911af014cc2252b3ded8",
 }
 
 
@@ -236,6 +263,11 @@ FAILURES = {
     "table --kind r --n 9 --entry-max 0": (
         3,
         "bound exceeded: n = 9 exceeds permutation bound 8\n",
+    ),
+    "verify --identity t-minus1 --mode randomized": (
+        2,
+        "error: identity 't-minus1' has no randomized mode; randomized mode "
+        "samples prop-juxtaposition, t0-jlp, theorem-main\n",
     ),
 }
 
