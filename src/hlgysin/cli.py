@@ -14,6 +14,7 @@ bound exceeded: n > 8, a resource limit of this front end.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -59,11 +60,8 @@ def _build_parser():
         choices=["r", "p", "schur-s", "schur-p", "gaussian", "v"],
     )
     compute.add_argument("--n", type=int)
-    compute.add_argument("--q", type=int)
     compute.add_argument("--lambda", dest="lam", type=_sequence)
-    compute.add_argument("--mu", type=_sequence)
     compute.add_argument("--nu", type=_sequence)
-    compute.add_argument("--sigma", type=_sequence)
     compute.add_argument("--m", type=int)
     compute.add_argument("--a", type=int)
     compute.add_argument("--b", type=int)
@@ -116,6 +114,14 @@ def _render(poly, fmt, kind, params):
     )
 
 
+def _emit(output, out):
+    """Write output to the file out, when given, then print it."""
+    if out:
+        Path(out).write_text(output + "\n")
+    print(output)
+    return 0
+
+
 def _cmd_compute(parser, args):
     kind = args.kind
     if kind in ("r", "p"):
@@ -152,11 +158,7 @@ def _cmd_compute(parser, args):
         _require(parser, args.m >= 0, "--m must be nonnegative")
         poly = t_factorial(args.m)
         params = {"m": args.m}
-    output = _render(poly, args.format, kind, params)
-    if args.out:
-        Path(args.out).write_text(output + "\n")
-    print(output)
-    return 0
+    return _emit(_render(poly, args.format, kind, params), args.out)
 
 
 def _cmd_verify(parser, args):
@@ -228,16 +230,13 @@ def _cmd_table(parser, args):
         _require(parser, args.n >= 1, "--n must be positive")
         _require(parser, args.entry_max >= 0, "--entry-max must be nonnegative")
         ensure_within_bound(args.n)
-        import itertools
-
         func = hall_littlewood_p if args.kind == "p" else hall_littlewood_r
         for lam in itertools.product(range(args.entry_max + 1), repeat=args.n):
             label = "lambda=(" + ",".join(str(e) for e in lam) + ")"
             try:
                 poly = func(args.n, lam)
             except NotDivisibleError:
-                records.append((args.kind, {"n": args.n, "lambda": list(lam)}, None, label))
-                continue
+                poly = None
             records.append((args.kind, {"n": args.n, "lambda": list(lam)}, poly, label))
 
     if fmt == "json":
@@ -259,10 +258,7 @@ def _cmd_table(parser, args):
             else:
                 rows.append(f"{label}: {poly.to_text()}")
         output = "\n".join(rows)
-    if args.out:
-        Path(args.out).write_text(output + "\n")
-    print(output)
-    return 0
+    return _emit(output, args.out)
 
 
 def main(argv=None):

@@ -276,6 +276,8 @@ def _as_partition_of_length(seq, n):
 def schur_s(partition, n):
     """Schur polynomial s_lam(x_1..x_n): the rows with c = 0, each the
     Jozefiak-Lascoux-Pragacz formula at q = 1 (see the module docstring)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return _expand(n, _schur_s_orbits(_as_partition_of_length(partition, n), n))
 
 

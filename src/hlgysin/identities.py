@@ -2,8 +2,11 @@
 
 Each verifier builds both sides of one identity with the exact engine and
 returns a VerificationReport carrying the witness polynomial (LHS - RHS)
-when the sides differ.  Suites enumerate instance families deterministically
-(exhaustively or from a seed) and never stop at the first failure.
+when the sides differ.  A suite is one row of the table IDENTITY_SUITES:
+an identity's name, mapped to a callable that runs its verifier over an
+instance family, enumerated deterministically (exhaustively or from a
+seed), and never stops at the first failure.  Two builders make the rows
+of the split identities and of the strict-pair ones.
 
 The Grassmann verifiers (prop-juxtaposition, theorem-main, cor-gaussian,
 t-minus1 and t0-jlp) push forward with the engine's own Grassmann row,
@@ -341,22 +344,9 @@ def verify_cor_gaussian(n, q, nu, sigma):
 # suites
 
 
-def _sequences(length, bound):
-    return itertools.product(range(bound + 1), repeat=length)
-
-
-def _any_sequence(seq):
-    return True
-
-
 def _strict_partitions_within(max_len, bound):
     for k in range(0, max_len + 1):
         yield from itertools.combinations(range(bound, 0, -1), k)
-
-
-def _suite_lemma(family):
-    for n in family.ns():
-        yield verify_lemma_sum(n)
 
 
 def _split_instances(family, admits):
@@ -366,11 +356,12 @@ def _split_instances(family, admits):
     takes uniform entries and is redrawn until ``admits`` accepts it, so a
     suite that admits every sequence keeps the first draw."""
     bound = family.entry_bound
+    entries = range(bound + 1)
     if family.mode == "exhaustive":
         for n in family.ns():
             for q in family.qs(n):
-                for lam in filter(admits, _sequences(q, bound)):
-                    for mu in filter(admits, _sequences(n - q, bound)):
+                for lam in filter(admits, itertools.product(entries, repeat=q)):
+                    for mu in filter(admits, itertools.product(entries, repeat=n - q)):
                         yield n, q, lam, mu
     else:
         rng = random.Random(family.seed)
@@ -390,68 +381,47 @@ def _split_instances(family, admits):
             yield n, q, draw(q), draw(n - q)
 
 
-def _suite_juxtaposition(family):
-    for n, q, lam, mu in _split_instances(family, _any_sequence):
-        yield verify_prop_juxtaposition(n, q, lam, mu)
+def _split_suite(verify, admits=lambda seq: True):
+    """The suite that runs verify(n, q, lam, mu) on each split instance."""
+    return lambda family: itertools.starmap(verify, _split_instances(family, admits))
 
 
-def _suite_theorem(family):
-    for n, q, lam, mu in _split_instances(family, _any_sequence):
-        yield verify_theorem_main(n, q, lam, mu)
+def _strict_suite(name, verify, probe_shared=False):
+    """The suite that runs verify(n, q, nu, sigma) on each pair of strict
+    partitions with parts <= entry_bound that fit the blocks.  A pair that
+    shares a part is logged as skipped and, with ``probe_shared``, the
+    unreduced theorem-main, which needs no disjointness, runs on nu and
+    sigma padded with zeros."""
+
+    def suite(family):
+        for n in family.ns():
+            for q in family.qs(n):
+                r = n - q
+                for nu in _strict_partitions_within(q, family.entry_bound):
+                    for sigma in _strict_partitions_within(r, family.entry_bound):
+                        if not set(nu) & set(sigma):
+                            yield verify(n, q, nu, sigma)
+                            continue
+                        instance = {"n": n, "q": q, "nu": nu, "sigma": sigma}
+                        yield VerificationReport(
+                            name, instance, True, None, 0.0, "skipped-shared-part"
+                        )
+                        if probe_shared:
+                            lam = nu + (0,) * (q - len(nu))
+                            mu = sigma + (0,) * (r - len(sigma))
+                            yield verify_theorem_main(n, q, lam, mu)
+
+    return suite
 
 
-def _suite_t0(family):
-    for n, q, lam, mu in _split_instances(family, is_partition):
-        yield verify_t0_jlp(n, q, lam, mu)
-
-
-def _strict_pairs(family):
-    for n in family.ns():
-        for q in family.qs(n):
-            r = n - q
-            for nu in _strict_partitions_within(q, family.entry_bound):
-                for sigma in _strict_partitions_within(r, family.entry_bound):
-                    yield n, q, nu, sigma
-
-
-def _skip_report(name, n, q, nu, sigma):
-    return VerificationReport(
-        identity_name=name,
-        instance={"n": n, "q": q, "nu": nu, "sigma": sigma},
-        passed=True,
-        witness=None,
-        elapsed=0.0,
-        detail="skipped-shared-part",
-    )
-
-
-def _suite_t_minus1(family):
-    for n, q, nu, sigma in _strict_pairs(family):
-        if set(nu) & set(sigma):
-            yield _skip_report("t-minus1", n, q, nu, sigma)
-        else:
-            yield verify_t_minus1(n, q, nu, sigma)
-
-
-def _suite_cor_gaussian(family):
-    for n, q, nu, sigma in _strict_pairs(family):
-        if set(nu) & set(sigma):
-            yield _skip_report("cor-gaussian", n, q, nu, sigma)
-            # probe the unreduced identity, which needs no disjointness
-            lam = nu + (0,) * (q - len(nu))
-            mu = sigma + (0,) * (n - q - len(sigma))
-            yield verify_theorem_main(n, q, lam, mu)
-        else:
-            yield verify_cor_gaussian(n, q, nu, sigma)
-
-
+# identity name -> callable(InstanceFamily) -> that identity's reports
 IDENTITY_SUITES = {
-    "lemma-sum": _suite_lemma,
-    "prop-juxtaposition": _suite_juxtaposition,
-    "theorem-main": _suite_theorem,
-    "t0-jlp": _suite_t0,
-    "t-minus1": _suite_t_minus1,
-    "cor-gaussian": _suite_cor_gaussian,
+    "lemma-sum": lambda family: map(verify_lemma_sum, family.ns()),
+    "prop-juxtaposition": _split_suite(verify_prop_juxtaposition),
+    "theorem-main": _split_suite(verify_theorem_main),
+    "t0-jlp": _split_suite(verify_t0_jlp, is_partition),
+    "t-minus1": _strict_suite("t-minus1", verify_t_minus1),
+    "cor-gaussian": _strict_suite("cor-gaussian", verify_cor_gaussian, probe_shared=True),
 }
 
 # the suites that draw their instances through _split_instances

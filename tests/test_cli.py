@@ -1,5 +1,8 @@
+import argparse
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hlgysin
-from hlgysin import Polynomial
+from hlgysin import Polynomial, cli
 from hlgysin.cli import main
 from hlgysin.identities import VerificationReport
 
@@ -495,3 +498,28 @@ def test_console_script_installed(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout == "1 + t\n"
+
+
+# --- parser -----------------------------------------------------------------
+
+
+def _commands():
+    """Each subcommand's name -> its parser, as ``_build_parser`` makes them."""
+    (subparsers,) = [
+        action
+        for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return subparsers.choices
+
+
+@pytest.mark.parametrize("command", sorted(_commands()))
+def test_every_flag_is_read(command):
+    # a flag that the command's handler never reads is accepted, then ignored
+    source = inspect.getsource(getattr(cli, f"_cmd_{command}"))
+    unread = [
+        action.dest
+        for action in _commands()[command]._actions
+        if action.dest != "help" and not re.search(rf"\bargs\.{action.dest}\b", source)
+    ]
+    assert unread == []

@@ -242,8 +242,7 @@ FAILURES = {
     "compute --kind r --n 2 --lambda 1,x": (
         2,
         "usage: hlgysin compute [-h] --kind {r,p,schur-s,schur-p,gaussian,v} [--n N]\n"
-        "                       [--q Q] [--lambda LAM] [--mu MU] [--nu NU]\n"
-        "                       [--sigma SIGMA] [--m M] [--a A] [--b B]\n"
+        "                       [--lambda LAM] [--nu NU] [--m M] [--a A] [--b B]\n"
         "                       [--format {text,latex,json}] [--out OUT]\n"
         "hlgysin compute: error: argument --lambda: expected comma-separated "
         "integers, got '1,x'\n",

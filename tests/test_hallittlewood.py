@@ -358,6 +358,10 @@ def test_schur_s_examples():
         schur_s((1, 2), 2)
     with pytest.raises(ValueError):
         schur_s((2, 1, 1), 2)
+    # a negative n is refused, not read as an arity or an index
+    for lam, n in [((), -1), ((0, 0), -2)]:
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            schur_s(lam, n)
 
 
 def test_schur_s_equals_jacobi_trudi_and_bialternant():
