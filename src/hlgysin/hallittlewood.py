@@ -32,7 +32,11 @@ The one explicit sum over coset representatives left is the coset form
 of R, whose dependence on the chosen representatives is itself under
 study; its numerator must be an exact multiple of the Vandermonde, and a
 failed division surfaces as NotDivisibleError instead of a silent
-approximation.
+approximation.  Most failures are found before the numerator is built:
+its value at one integer point on each hyperplane x_1 = x_j comes from
+the core's product form, one term per representative, and a nonzero
+value means x_1 - x_j does not divide it, so the division would fail at
+a pair (1, j') and name x1, the text the coset form raises.
 
 At t = 0 the P-classes of partitions become Schur polynomials and at
 t = -1 the P-classes of strict partitions become Schur P-polynomials.
@@ -158,7 +162,9 @@ def hall_littlewood_r(n, seq):
 
 
 def _check_length(n, seq):
-    if n < 1 or len(seq) != n:
+    if n < 1:
+        raise ValueError("n must be positive")
+    if len(seq) != n:
         raise ValueError(f"sequence of length {len(seq)} does not match n = {n}")
 
 
@@ -183,6 +189,37 @@ def _r_reps(seq):
     return _rows(seq, len(seq), Polynomial.t(0))
 
 
+# The x-values of the hyperplane points (x_j set to x_1) and the value of
+# t at which the coset form's numerator is evaluated before it is built.
+_POINT = (2, 3, 5, 7, 11, 13, 17, 19)
+_T_VALUE = 3
+
+
+def _hyperplane_points(n):
+    """One integer point on each hyperplane x_1 = x_j, j = 2..n, n <= 8."""
+    base = _POINT[:n]
+    return [base[:j] + base[:1] + base[j + 1 :] for j in range(1, n)]
+
+
+def _numerator_value(seq, reps, signs, unequal, equal, point, t):
+    """The coset form's numerator sum_w sign(w) w(core) at integer x-values
+    point and t, never expanded: w(core)(point) is the core's product form
+    x^seq prod_unequal (x_i - t x_j) prod_equal (x_i - x_j) at
+    (point_{w(1)}, ..., point_{w(n)}), O(n^2) integer operations."""
+    total = 0
+    for w, sign in zip(reps, signs):
+        y = [point[i - 1] for i in w.images]
+        v = sign
+        for base, e in zip(y, seq):
+            v *= base**e
+        for i, j in unequal:
+            v *= y[i - 1] - t * y[j - 1]
+        for i, j in equal:
+            v *= y[i - 1] - y[j - 1]
+        total += v
+    return total
+
+
 def hall_littlewood_r_coset(n, seq):
     """R_seq again, via the stabilizer-coset form of the symmetrization.
 
@@ -200,14 +237,27 @@ def hall_littlewood_r_coset(n, seq):
     it divides.  Must agree with hall_littlewood_r; disagreement (or a
     failed division) is a genuine finding about the sequence, not an
     artifact.
+
+    Before the core is built, N is evaluated at one integer point on each
+    hyperplane x_1 = x_j (_numerator_value, from the core's product form),
+    and a nonzero value raises NotDivisibleError naming x1.  That is the
+    division's own outcome: the remainder of N by x_1 - x_j, monic in x_1,
+    is N(x_1 := x_j), which is then nonzero, and divide_by_vandermonde
+    takes every pair (1, j') before any other, so its first failing pair
+    names x1.  When every value is zero nothing is concluded, and N is
+    built and divided.
     """
     seq = as_int_sequence(seq)
     _check_length(n, seq)
     # first, so that past the bound it raises before the core is built
     reps = coset_reps(block_structure(seq))
+    signs = [w.sign() for w in reps]
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     unequal = [(i, j) for i, j in pairs if seq[i - 1] != seq[j - 1]]
     equal = [(i, j) for i, j in pairs if seq[i - 1] == seq[j - 1]]
+    for point in _hyperplane_points(n):
+        if _numerator_value(seq, reps, signs, unequal, equal, point, _T_VALUE):
+            raise NotDivisibleError("remainder of degree 0 in x1")
     core = (
         Polynomial.monomial(n, seq)
         * linear_factor_product(n, unequal, Polynomial.t(n))
@@ -217,9 +267,9 @@ def hall_littlewood_r_coset(n, seq):
     signed[-1] = [(key, -c) for key, c in signed[1]]
     terms = {}
     get = terms.get
-    for w in reps:
+    for w, sign in zip(reps, signs):
         image_of = _key_permuter(w.images)
-        for key, c in signed[w.sign()]:
+        for key, c in signed[sign]:
             key = image_of(key)
             terms[key] = get(key, 0) + c
     numerator = Polynomial._raw(n, {key: c for key, c in terms.items() if c})
@@ -325,10 +375,10 @@ def schur_p_coset(nu, n):
     nu = as_int_sequence(nu)
     if not is_strict_partition(nu):
         raise ValueError(f"not a strict partition: {nu!r}")
-    if len(nu) > n:
-        raise ValueError(f"strict partition {nu!r} needs more than {n} variables")
     if n < 1:
         raise ValueError("n must be positive")
+    if len(nu) > n:
+        raise ValueError(f"strict partition {nu!r} needs more than {n} variables")
     return _expand(n, _schur_p_orbits(nu, n))
 
 

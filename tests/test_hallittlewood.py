@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -136,6 +137,12 @@ def test_r_validation():
         hall_littlewood_r(2, (1, 0, 0))
     with pytest.raises(ValueError):
         hall_littlewood_r(2, (1, -1))
+    for build in (hall_littlewood_r, hall_littlewood_p, hall_littlewood_r_coset):
+        with pytest.raises(ValueError, match="^sequence of length 3 does not match n = 2$"):
+            build(2, (1, 0, 0))
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="^n must be positive$"):
+                build(n, ())
 
 
 def test_r_coset_matches_r_on_contiguous_level_sets():
@@ -173,22 +180,41 @@ def test_r_coset_refuses_n_9_before_it_builds_its_core(seq, monkeypatch):
         hall_littlewood_r_coset(9, seq)
 
 
-def r_coset_by_permuted_cores(n, seq):
-    """The coset form summed from one permuted core Polynomial per
-    representative, its numerator divided one Vandermonde factor at a time."""
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
+def level_pairs(seq):
+    """The pairs i < j with seq_i != seq_j, and those with seq_i == seq_j."""
+    pairs = list(itertools.combinations(range(1, len(seq) + 1), 2))
+    unequal = [(i, j) for i, j in pairs if seq[i - 1] != seq[j - 1]]
+    equal = [(i, j) for i, j in pairs if seq[i - 1] == seq[j - 1]]
+    return unequal, equal
+
+
+def permuted_cores_numerator(n, seq):
+    """The coset form's numerator summed from one permuted core Polynomial
+    per representative."""
+    unequal, equal = level_pairs(seq)
     core = (
         Polynomial.monomial(n, seq)
-        * linear_factor_product(n, [(i, j) for i, j in pairs if seq[i - 1] != seq[j - 1]], t(n))
-        * linear_factor_product(n, [(i, j) for i, j in pairs if seq[i - 1] == seq[j - 1]], 1)
+        * linear_factor_product(n, unequal, t(n))
+        * linear_factor_product(n, equal, 1)
     )
     terms = {}
     for w in coset_reps(block_structure(seq)):
         sign = w.sign()
         for key, c in core.permute_vars(w).terms.items():
             terms[key] = terms.get(key, 0) + sign * c
-    numerator = Polynomial(n, terms)
+    return Polynomial(n, terms)
+
+
+def r_coset_by_permuted_cores(n, seq):
+    """The coset form from permuted_cores_numerator, its numerator divided
+    one Vandermonde factor at a time."""
+    numerator = permuted_cores_numerator(n, seq)
     return t_factorial_product(seq).embed(n) * vandermonde_quotient_by_factors(numerator)
+
+
+@functools.lru_cache(maxsize=None)
+def permuted_cores_outcome(seq):
+    return quotient_or_error(r_coset_by_permuted_cores, len(seq), seq)
 
 
 R_COSET_SEQUENCES = [
@@ -202,13 +228,57 @@ def test_r_coset_equals_the_sum_of_permuted_cores_or_fails_with_its_text():
     n = 5, one interleaved and one contiguous sequence at n = 6."""
     outcomes = {}
     for seq in R_COSET_SEQUENCES:
-        expected = quotient_or_error(r_coset_by_permuted_cores, len(seq), seq)
+        expected = permuted_cores_outcome(seq)
         assert quotient_or_error(hall_littlewood_r_coset, len(seq), seq) == expected, seq
         outcomes[seq] = expected
     assert outcomes[(0, 1, 0, 1, 0, 1)] == "NotDivisibleError: remainder of degree 0 in x1"
     assert outcomes[(2, 2, 1, 1, 0, 0)] == hall_littlewood_r(6, (2, 2, 1, 1, 0, 0))
     failures = [seq for seq, o in outcomes.items() if isinstance(o, str)]
     assert failures and len(failures) < len(outcomes)
+
+
+def test_r_coset_without_its_certificate_equals_the_sum_of_permuted_cores(monkeypatch):
+    """With every hyperplane value read as 0, nothing is concluded before
+    the numerator is built, and the built numerator and its division give
+    the same quotient or error text on every sequence."""
+    monkeypatch.setattr(hallittlewood, "_numerator_value", lambda *args: 0)
+    for seq in R_COSET_SEQUENCES:
+        expected = permuted_cores_outcome(seq)
+        assert quotient_or_error(hall_littlewood_r_coset, len(seq), seq) == expected, seq
+
+
+@pytest.mark.parametrize("n, seq", [(3, (0, 1, 0)), (4, (0, 0, 1, 0)), (5, (0, 2, 1, 3, 1))])
+def test_r_coset_certificate_rejects_before_it_builds_its_core(n, seq, monkeypatch):
+    def core_factor(*args):
+        raise AssertionError("the core was built")
+
+    monkeypatch.setattr(hallittlewood, "linear_factor_product", core_factor)
+    with pytest.raises(NotDivisibleError) as excinfo:
+        hall_littlewood_r_coset(n, seq)
+    assert str(excinfo.value) == "remainder of degree 0 in x1"
+
+
+def test_r_coset_certificate_is_the_numerator_at_each_hyperplane_point():
+    """The value from the core's product form equals the expanded
+    numerator's at every point and t, which pins the direction of each w,
+    for every sequence with entries <= 2 at n <= 4; point j - 2 lies on
+    x_1 = x_j and on no other hyperplane."""
+    t_value = hallittlewood._T_VALUE
+    for n in range(1, 5):
+        points = hallittlewood._hyperplane_points(n)
+        assert [sorted(k for k in range(n) if p[k] == p[0]) for p in points] == [
+            [0, j] for j in range(1, n)
+        ]
+        assert all(len(set(p)) == n - 1 for p in points)
+        for seq in itertools.product(range(3), repeat=n):
+            reps = coset_reps(block_structure(seq))
+            signs = [w.sign() for w in reps]
+            numerator = permuted_cores_numerator(n, seq)
+            for point in points:
+                value = hallittlewood._numerator_value(
+                    seq, reps, signs, *level_pairs(seq), point, t_value
+                )
+                assert value == numerator.eval_at(point, t_value), (seq, point)
 
 
 # --- P classes --------------------------------------------------------------
@@ -445,8 +515,12 @@ def test_schur_p_validation():
         schur_p_coset((0,), 2)
     with pytest.raises(ValueError, match="needs more than 2 variables"):
         schur_p_coset((3, 2, 1), 2)
-    with pytest.raises(ValueError, match="n must be positive"):
+    with pytest.raises(ValueError, match="^n must be positive$"):
         schur_p_coset((), 0)
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        schur_p_coset((), -1)
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        schur_p_coset((1,), 0)
     with pytest.raises(ValueError):
         schur_p_recursive((1, 2), 3)
 
