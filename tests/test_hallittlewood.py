@@ -223,8 +223,8 @@ R_COSET_SEQUENCES = [
 
 
 def test_r_coset_equals_the_sum_of_permuted_cores_or_fails_with_its_text():
-    """The fused signed sum and the check on each hyperplane change neither
-    the quotient nor the error: every sequence with entries <= 2 up to
+    """The certificate, the fused signed sum and the check on each
+    hyperplane change neither the quotient nor the error: every sequence with entries <= 2 up to
     n = 5, one interleaved and one contiguous sequence at n = 6."""
     outcomes = {}
     for seq in R_COSET_SEQUENCES:
