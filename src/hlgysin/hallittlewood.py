@@ -32,9 +32,11 @@ The one explicit sum over coset representatives left is the coset form
 of R, whose dependence on the chosen representatives is itself under
 study; its numerator must be an exact multiple of the Vandermonde, and a
 failed division surfaces as NotDivisibleError instead of a silent
-approximation.  Most failures are found before the numerator is built:
-its value at one integer point on each hyperplane x_1 = x_j comes from
-the core's product form, one term per representative, and a nonzero
+approximation.  The quotient is one exact division by each factor
+x_i - x_j, the pairs in lexicographic order, and its first failing pair
+(i, j) names x_i.  Most failures are found before the numerator is
+built: its value at one integer point on each hyperplane x_1 = x_j comes
+from the core's product form, one term per representative, and a nonzero
 value means x_1 - x_j does not divide it, so the division would fail at
 a pair (1, j') and name x1, the text the coset form raises.
 
@@ -232,20 +234,19 @@ def hall_littlewood_r_coset(n, seq):
     the cleared terms is divided by the Vandermonde once.  N is summed in
     one dict: each representative w maps the cleared core's keys through
     its index map and adds the core's coefficients, negated in advance for
-    odd w; zeros are dropped once at the end.  divide_by_vandermonde
-    rejects an N that does not vanish on some hyperplane x_i = x_j before
-    it divides.  Must agree with hall_littlewood_r; disagreement (or a
-    failed division) is a genuine finding about the sequence, not an
-    artifact.
+    odd w; zeros are dropped once at the end.  Must agree with
+    hall_littlewood_r; disagreement (or a failed division) is a genuine
+    finding about the sequence, not an artifact.
 
     Before the core is built, N is evaluated at one integer point on each
     hyperplane x_1 = x_j (_numerator_value, from the core's product form),
     and a nonzero value raises NotDivisibleError naming x1.  That is the
     division's own outcome: the remainder of N by x_1 - x_j, monic in x_1,
     is N(x_1 := x_j), which is then nonzero, and divide_by_vandermonde
-    takes every pair (1, j') before any other, so its first failing pair
-    names x1.  When every value is zero nothing is concluded, and N is
-    built and divided.
+    divides by the factors x_i - x_j in lexicographic order, so it takes
+    every pair (1, j') before any other and its first failing pair names
+    x1.  When every value is zero nothing is concluded, and N is built and
+    divided.
     """
     seq = as_int_sequence(seq)
     _check_length(n, seq)

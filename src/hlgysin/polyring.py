@@ -24,23 +24,12 @@ terms (t for a constant divisor).  Each level of the dividend, its terms of
 one degree in v, is divided by that top coefficient: by its integer when it
 is a constant, term by term when it is one monomial, and by a recursive
 exact division otherwise.  So x_i - x_j (a quotient by the Vandermonde
-divides by one such factor at a time) has top coefficient 1 in x_i, and a
-polynomial in t alone has an integer top coefficient in t.  Only levels
-that hold terms are visited, so the cost follows the number of terms, not
-the size of the exponents.  A division that leaves a remainder raises
-NotDivisibleError; callers treat that as a correctness probe and never
-catch it to paper over a failure.
-
-The quotient by the Vandermonde prod_{i<j} (x_i - x_j) first restricts
-the dividend to each hyperplane x_i = x_j, in the order the division takes
-the pairs: one pass over the terms that merges the exponent of x_j into
-x_i.  The check is exact.  The remainder of p by x_i - x_j, monic in x_i,
-is p(x_i := x_j), so a restriction that does not vanish is the remainder
-the division would leave; and the x_i - x_j are pairwise non-associate
-primes, so the Vandermonde divides p exactly when every restriction
-vanishes, and the first pair that fails is the same in both orders.  A
-numerator that does not divide is thus rejected in one pass instead of
-after the divisions that precede the failing factor.
+divides by one such factor at a time, the pairs (i, j) in lexicographic
+order) has top coefficient 1 in x_i, and a polynomial in t alone has an
+integer top coefficient in t.  Only levels that hold terms are visited, so
+the cost follows the number of terms, not the size of the exponents.  A
+division that leaves a remainder raises NotDivisibleError; callers treat
+that as a correctness probe and never catch it to paper over a failure.
 """
 
 from __future__ import annotations
@@ -162,6 +151,12 @@ def _checked_arity(arity):
     return arity
 
 
+def _checked_coefficient(coeff):
+    if not isinstance(coeff, int) or isinstance(coeff, bool):
+        raise ValueError(f"coefficients must be integers, got {coeff!r}")
+    return coeff
+
+
 def _validated_terms(arity, terms):
     clean = {}
     for key, coeff in terms.items():
@@ -170,9 +165,7 @@ def _validated_terms(arity, terms):
             raise ValueError(f"exponent tuple {key!r} does not match arity {arity}")
         if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in key):
             raise ValueError(f"exponents must be nonnegative integers, got {key!r}")
-        if not isinstance(coeff, int) or isinstance(coeff, bool):
-            raise ValueError(f"coefficients must be integers, got {coeff!r}")
-        if coeff:
+        if _checked_coefficient(coeff):
             clean[key] = clean.get(key, 0) + coeff
             if not clean[key]:
                 del clean[key]
@@ -208,9 +201,9 @@ class Polynomial:
 
     @classmethod
     def constant(cls, arity, value):
-        if not value:
+        if not _checked_coefficient(value):
             return cls.zero(arity)
-        return cls._raw(_checked_arity(arity), {(0,) * (arity + 1): int(value)})
+        return cls._raw(_checked_arity(arity), {(0,) * (arity + 1): value})
 
     @classmethod
     def one(cls, arity):
@@ -219,6 +212,7 @@ class Polynomial:
     @classmethod
     def x(cls, arity, index):
         """The variable x_index (1-based)."""
+        _checked_arity(arity)
         if not 1 <= index <= arity:
             raise ValueError(f"variable index {index} out of range 1..{arity}")
         key = [0] * (arity + 1)
@@ -568,36 +562,20 @@ class Polynomial:
 
 
 def divide_by_vandermonde(p):
-    """Exact quotient p / prod_{i<j}(x_i - x_j), one linear factor at a time.
+    """Exact quotient p / prod_{i<j}(x_i - x_j): one exact division by each
+    factor x_i - x_j, the pairs (i, j) in lexicographic order.
 
-    Before dividing, p is restricted to each hyperplane x_i = x_j in the
-    order the division takes the pairs, and the first restriction that
-    does not vanish raises the NotDivisibleError the division would raise
-    at that pair (why this is exact: see the module docstring).  Only a p
-    that vanishes on every hyperplane is divided, and that division
-    decides the result.
+    Each division runs along x_i, where x_i - x_j has top coefficient 1, so
+    a failing pair (i, j) raises NotDivisibleError("remainder of degree 0
+    in x{i}"), the remainder being the quotient so far at x_i := x_j.  The
+    x_i - x_j are pairwise non-associate primes, so that quotient vanishes
+    on x_i = x_j exactly when p does: the first failing pair is the first
+    (i, j) in that order on whose hyperplane x_i = x_j p does not vanish.
     """
     n = p.arity
-    pairs = list(itertools.combinations(range(n), 2))
-    for i, j in pairs:
-        if not _vanishes_on_hyperplane(p.terms, n, i, j):
-            raise NotDivisibleError(f"remainder of degree 0 in x{i + 1}")
-    for i, j in pairs:
-        p = p.divide_exact(_linear_factor(n, i + 1, j + 1, 1))
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        p = p.divide_exact(_linear_factor(n, i, j, 1))
     return p
-
-
-def _vanishes_on_hyperplane(terms, arity, i, j):
-    """Whether the terms sum to zero at x_i = x_j (0-based positions i < j):
-    each key's exponent of x_j is merged into x_i, and the coefficients of
-    equal merged keys are summed."""
-    others = operator.itemgetter(*(q for q in range(arity + 1) if q != i and q != j))
-    merged = {}
-    get = merged.get
-    for key, c in terms.items():
-        key = (key[i] + key[j], others(key))
-        merged[key] = get(key, 0) + c
-    return not any(merged.values())
 
 
 def _linear_factor(arity, i, j, c):

@@ -36,7 +36,7 @@ def is_homogeneous_in_x(p):
 
 def vandermonde_quotient_by_factors(p):
     """p / prod_{i<j} (x_i - x_j) by one exact division per factor, pairs in
-    lexicographic order, with no check on the hyperplanes first."""
+    lexicographic order, each factor built by the ring's own subtraction."""
     n = p.arity
     for i, j in itertools.combinations(range(1, n + 1), 2):
         p = p.divide_exact(Polynomial.x(n, i) - Polynomial.x(n, j))

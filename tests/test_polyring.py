@@ -56,6 +56,21 @@ def test_validation_errors():
         Polynomial.x(2, 1) * Polynomial.x(3, 1)
 
 
+def test_constant_and_x_validate_like_the_constructor():
+    for value in (0.5, "3", True, False, 0.0, None):
+        with pytest.raises(ValueError) as expected:
+            Polynomial(1, {(0, 0): value})
+        with pytest.raises(ValueError) as exc:
+            Polynomial.constant(1, value)
+        assert str(exc.value) == str(expected.value)
+        assert str(exc.value) == f"coefficients must be integers, got {value!r}"
+    assert Polynomial.constant(1, -3) == Polynomial(1, {(0, 0): -3})
+    for arity, index in [(2.0, 1), ("2", 1), (-1, 1), (None, 1), (2.0, 0)]:
+        with pytest.raises(ValueError) as exc:
+            Polynomial.x(arity, index)
+        assert str(exc.value) == f"arity must be a nonnegative integer, got {arity!r}"
+
+
 def test_constructors_reject_a_negative_arity():
     for make in (
         Polynomial,

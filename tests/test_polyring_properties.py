@@ -1,5 +1,7 @@
 """Hypothesis property tests of the polynomial ring."""
 
+import itertools
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -12,7 +14,7 @@ from conftest import (  # noqa: E402
     settings,
     vandermonde_quotient_by_factors,
 )
-from hlgysin import divide_by_vandermonde  # noqa: E402
+from hlgysin import NotDivisibleError, divide_by_vandermonde  # noqa: E402
 from hlgysin.oracles import vandermonde  # noqa: E402
 
 
@@ -53,3 +55,29 @@ def test_vandermonde_quotient_agrees_with_the_factor_by_factor_division(f):
     assert quotient_or_error(divide_by_vandermonde, f) == quotient_or_error(
         vandermonde_quotient_by_factors, f
     )
+
+
+def first_index_off_a_hyperplane(f):
+    """The smallest i with some j > i for which f at x_j := x_i is nonzero,
+    or None: each key's exponent of x_j is moved onto x_i and the
+    coefficients of equal keys are summed."""
+    for i, j in itertools.combinations(range(f.arity), 2):
+        restricted = {}
+        for key, c in f.terms.items():
+            key = list(key)
+            key[i], key[j] = key[i] + key[j], 0
+            restricted[tuple(key)] = restricted.get(tuple(key), 0) + c
+        if any(restricted.values()):
+            return i + 1
+    return None
+
+
+@settings(200)
+@given(vandermonde_dividends())
+def test_vandermonde_quotient_times_the_vandermonde_is_the_dividend_or_names_its_hyperplane(f):
+    try:
+        quotient = divide_by_vandermonde(f)
+    except NotDivisibleError as exc:
+        assert str(exc) == f"remainder of degree 0 in x{first_index_off_a_hyperplane(f)}"
+    else:
+        assert quotient * vandermonde(f.arity) == f
