@@ -13,9 +13,10 @@ unsigned field per exponent, so a monomial product is one int addition
 Maple 14", 2009).  The field width, 1, 2, 4 or 8 bytes, is chosen per
 product to hold the largest exponent sum in any one field, so no field
 can carry into its neighbour; a sum of 2**64 or more raises
-ExponentOverflowError.  Storage stays tuples: permuting variables and
-dividing by x_i - x_j index single exponents, which tuples do faster than
-packed ints, so only the product packs its keys, and unpacks the result.
+ExponentOverflowError.  Storage stays tuples: permuting variables indexes
+single exponents, which tuples do faster than packed ints, so only the
+product and the quotient by the Vandermonde pack their keys, and unpack
+the result.
 
 Exact division is one algorithm for every divisor: long division along one
 position v of the divisor, with coefficients in the other variables.  v is
@@ -23,19 +24,21 @@ the variable, x_i or t, whose top coefficient in the divisor has the fewest
 terms (t for a constant divisor).  Each level of the dividend, its terms of
 one degree in v, is divided by that top coefficient: by its integer when it
 is a constant, term by term when it is one monomial, and by a recursive
-exact division otherwise.  So x_i - x_j (a quotient by the Vandermonde
-divides by one such factor at a time, the pairs (i, j) in lexicographic
-order) has top coefficient 1 in x_i, and a polynomial in t alone has an
-integer top coefficient in t.  Only levels that hold terms are visited, so
-the cost follows the number of terms, not the size of the exponents.  A
-division that leaves a remainder raises NotDivisibleError; callers treat
+exact division otherwise.  So x_i - x_j has top coefficient 1 in x_i, and a
+polynomial in t alone has an integer top coefficient in t.  Only levels
+that hold terms are visited, so the cost follows the number of terms, not
+the size of the exponents.  Beside it, divide_by_vandermonde runs the same
+long division by each factor x_i - x_j, the pairs (i, j) in lexicographic
+order, on packed keys: it packs the dividend once, moves each term with one
+int addition and unpacks the quotient once, so it pays neither
+divide_exact's set-up per divisor nor its rebuilding of a tuple per term.
+A division that leaves a remainder raises NotDivisibleError; callers treat
 that as a correctness probe and never catch it to paper over a failure.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import operator
 import struct
 from functools import lru_cache
@@ -50,17 +53,31 @@ class NotDivisibleError(ArithmeticError):
 
 
 class ExponentOverflowError(ValueError):
-    """A product would have an exponent of 2**64 or more."""
+    """A product would have an exponent of 2**64 or more, or a dividend of
+    divide_by_vandermonde has a total x-degree or t-exponent that large."""
 
 
-# struct codes of the unsigned field widths a product may pack at, in bytes
+# struct codes of the unsigned field widths keys may pack at, in bytes
 _FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 @lru_cache(maxsize=None)
-def _key_layout(fields, width):
-    """Big-endian layout of ``fields`` unsigned fields of ``width`` bytes."""
-    return struct.Struct(f">{fields}{_FIELD_CODES[width]}")
+def _packing(fields, width):
+    """Packed keys of ``fields`` unsigned big-endian fields of ``width``
+    bytes, the first exponent in the highest field: a function taking
+    (key, coefficient) pairs to a list of them on int keys, one taking such
+    pairs back to a dict of terms, and the bits of one field."""
+    layout = struct.Struct(f">{fields}{_FIELD_CODES[width]}")
+    pack, unpack, size = layout.pack, layout.unpack, layout.size
+    from_bytes = int.from_bytes
+
+    def pack_terms(pairs):
+        return [(from_bytes(pack(*k), "big"), c) for k, c in pairs]
+
+    def unpack_terms(pairs):
+        return {unpack(k.to_bytes(size, "big")): c for k, c in pairs}
+
+    return pack_terms, unpack_terms, 8 * width
 
 
 def _field_width(top):
@@ -146,7 +163,7 @@ def _key_permuter(images):
 
 
 def _checked_arity(arity):
-    if not isinstance(arity, int) or arity < 0:
+    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
         raise ValueError(f"arity must be a nonnegative integer, got {arity!r}")
     return arity
 
@@ -213,7 +230,8 @@ class Polynomial:
     def x(cls, arity, index):
         """The variable x_index (1-based)."""
         _checked_arity(arity)
-        if not 1 <= index <= arity:
+        is_int = isinstance(index, int) and not isinstance(index, bool)
+        if not (is_int and 1 <= index <= arity):
             raise ValueError(f"variable index {index} out of range 1..{arity}")
         key = [0] * (arity + 1)
         key[index - 1] = 1
@@ -313,14 +331,11 @@ class Polynomial:
         # Packed keys (see the module docstring): fields wide enough for the
         # largest exponent sum in any field, so ka + kb never carries.
         top = max(map(operator.add, map(max, zip(*a)), map(max, zip(*b))))
-        width = _field_width(top)
-        layout = _key_layout(self.arity + 1, width)
-        pack, from_bytes = layout.pack, int.from_bytes
-        packed_a = [(from_bytes(pack(*ka), "big"), ca) for ka, ca in a.items()]
+        pack, unpack, _ = _packing(self.arity + 1, _field_width(top))
+        packed_a = pack(a.items())
         out = {}
         get = out.get
-        for kb, cb in b.items():
-            kb = from_bytes(pack(*kb), "big")
+        for kb, cb in pack(b.items()):
             for ka, ca in packed_a:
                 key = ka + kb
                 s = get(key, 0) + ca * cb
@@ -328,10 +343,7 @@ class Polynomial:
                     out[key] = s
                 else:
                     del out[key]
-        unpack, size = layout.unpack, layout.size
-        return Polynomial._raw(
-            self.arity, {unpack(k.to_bytes(size, "big")): c for k, c in out.items()}
-        )
+        return Polynomial._raw(self.arity, unpack(out.items()))
 
     __rmul__ = __mul__
 
@@ -563,19 +575,77 @@ class Polynomial:
 
 def divide_by_vandermonde(p):
     """Exact quotient p / prod_{i<j}(x_i - x_j): one exact division by each
-    factor x_i - x_j, the pairs (i, j) in lexicographic order.
+    factor x_i - x_j, the pairs (i, j) in lexicographic order, on packed
+    keys.
 
-    Each division runs along x_i, where x_i - x_j has top coefficient 1, so
-    a failing pair (i, j) raises NotDivisibleError("remainder of degree 0
-    in x{i}"), the remainder being the quotient so far at x_i := x_j.  The
-    x_i - x_j are pairwise non-associate primes, so that quotient vanishes
-    on x_i = x_j exactly when p does: the first failing pair is the first
-    (i, j) in that order on whose hyperplane x_i = x_j p does not vanish.
+    The terms are packed once (see the module docstring) and the quotient
+    unpacked once.  The field width holds p's largest total x-degree, or
+    its largest t-exponent if that is larger: a division only lowers the
+    degree, and each term it carries moves one degree from x_i to x_j, so
+    no field of any intermediate term outgrows it.  A total x-degree or
+    t-exponent of 2**64 or more raises ExponentOverflowError, as a product
+    does.
+
+    Each division is divide_exact's long division along x_i, where x_i -
+    x_j has top coefficient 1.  Taken from the top degree in x_i down, the
+    terms of degree d >= 1 are the quotient's terms of degree d - 1, and
+    each carries its product with x_j / x_i into degree d - 1.  A level of
+    one degree holds its keys with the x_i field cleared, so it becomes the
+    quotient's level unchanged, and a carry is one int addition.  Only
+    levels that hold terms are visited.  So a failing pair (i, j) raises
+    NotDivisibleError("remainder of degree 0 in x{i}"), the remainder being
+    the quotient so far at x_i := x_j.  The x_i - x_j are pairwise
+    non-associate primes, so that quotient vanishes on x_i = x_j exactly
+    when p does: the first failing pair is the first (i, j) in that order
+    on whose hyperplane x_i = x_j p does not vanish.
     """
-    n = p.arity
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        p = p.divide_exact(_linear_factor(n, i, j, 1))
-    return p
+    n, terms = p.arity, p.terms
+    if n < 2 or not terms:
+        return p
+    top = max(max(sum(k[:n]) for k in terms), max(k[n] for k in terms))
+    pack, unpack, bits = _packing(n + 1, _field_width(top))
+    mask = (1 << bits) - 1
+    packed = pack(terms.items())
+    for i in range(1, n):
+        # x_i is field i - 1, counted from the highest of the n + 1 fields;
+        # the levels along x_i serve every pair (i, j) and are joined after
+        shift = bits * (n + 1 - i)
+        levels = {}
+        for k, c in packed:
+            d = (k >> shift) & mask
+            levels.setdefault(d, {})[k - (d << shift)] = c
+        for j in range(i + 1, n + 1):
+            x_j = 1 << bits * (n + 1 - j)
+            heap = [-d for d in levels]
+            heapq.heapify(heap)
+            quotient = {}
+            while heap:
+                d = -heapq.heappop(heap)
+                level = levels.pop(d)
+                if not level:
+                    continue
+                if not d:
+                    raise NotDivisibleError(f"remainder of degree 0 in x{i}")
+                below = levels.get(d - 1)
+                if below is None:
+                    below = levels[d - 1] = {}
+                    heapq.heappush(heap, 1 - d)
+                get = below.get
+                for k, c in level.items():
+                    k += x_j
+                    s = get(k, 0) + c
+                    if s:
+                        below[k] = s
+                    else:
+                        del below[k]
+                quotient[d - 1] = level
+            levels = quotient
+        packed = [
+            (k + (d << shift), c)
+            for d, level in levels.items()
+            for k, c in level.items()
+        ]
+    return Polynomial._raw(n, unpack(packed))
 
 
 def _linear_factor(arity, i, j, c):

@@ -247,6 +247,22 @@ def test_r_coset_without_its_certificate_equals_the_sum_of_permuted_cores(monkey
         assert quotient_or_error(hall_littlewood_r_coset, len(seq), seq) == expected, seq
 
 
+def test_r_coset_divides_its_numerator_without_divide_exact(monkeypatch):
+    """The Vandermonde quotient runs on packed keys, never through
+    Polynomial.divide_exact: with divide_exact raising and the certificate
+    off, every numerator is built and divided, and the quotient or error
+    text is the same on every sequence."""
+    expected = {seq: permuted_cores_outcome(seq) for seq in R_COSET_SEQUENCES}
+
+    def divide_exact(*args):
+        raise AssertionError("divide_exact was called")
+
+    monkeypatch.setattr(Polynomial, "divide_exact", divide_exact)
+    monkeypatch.setattr(hallittlewood, "_numerator_value", lambda *args: 0)
+    for seq, outcome in expected.items():
+        assert quotient_or_error(hall_littlewood_r_coset, len(seq), seq) == outcome, seq
+
+
 @pytest.mark.parametrize("n, seq", [(3, (0, 1, 0)), (4, (0, 0, 1, 0)), (5, (0, 2, 1, 3, 1))])
 def test_r_coset_certificate_rejects_before_it_builds_its_core(n, seq, monkeypatch):
     def core_factor(*args):

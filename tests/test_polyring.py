@@ -65,10 +65,22 @@ def test_constant_and_x_validate_like_the_constructor():
         assert str(exc.value) == str(expected.value)
         assert str(exc.value) == f"coefficients must be integers, got {value!r}"
     assert Polynomial.constant(1, -3) == Polynomial(1, {(0, 0): -3})
-    for arity, index in [(2.0, 1), ("2", 1), (-1, 1), (None, 1), (2.0, 0)]:
+    for arity, index in [(2.0, 1), ("2", 1), (-1, 1), (None, 1), (2.0, 0), (True, 1)]:
         with pytest.raises(ValueError) as exc:
             Polynomial.x(arity, index)
         assert str(exc.value) == f"arity must be a nonnegative integer, got {arity!r}"
+    for make, arity in [
+        (lambda arity: Polynomial(arity, {}), True),
+        (Polynomial.zero, True),
+        (Polynomial.t, False),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            make(arity)
+        assert str(exc.value) == f"arity must be a nonnegative integer, got {arity!r}"
+    for index in (1.0, True):
+        with pytest.raises(ValueError) as exc:
+            Polynomial.x(2, index)
+        assert str(exc.value) == f"variable index {index} out of range 1..2"
 
 
 def test_constructors_reject_a_negative_arity():
@@ -164,6 +176,15 @@ def test_exponent_sums_reaching_2_to_the_64_raise_a_typed_error():
         with pytest.raises(ExponentOverflowError):
             p * at
     assert issubclass(ExponentOverflowError, ValueError)
+    # a Vandermonde quotient's fields hold the dividend's total x-degree
+    below = Polynomial.monomial(2, (half - 1, half - 1))
+    assert divide_by_vandermonde(below * vandermonde(2)) == below
+    for dividend in [
+        Polynomial.monomial(2, (half, half)),
+        Polynomial.monomial(2, (1, 0), 2**64),
+    ]:
+        with pytest.raises(ExponentOverflowError):
+            divide_by_vandermonde(dividend)
 
 
 def test_pow():
@@ -286,6 +307,8 @@ def test_division_cost_follows_the_terms_not_the_exponents():
     assert (x1_big * (x1 - x2)).divide_exact(x1 - x2) == x1_big
     assert (3 * t_big).divide_exact(3) == t_big
     assert (t_big * (1 + t)).divide_exact(1 + t) == t_big
+    x1_big = Polynomial.monomial(3, (big, 0, 0))
+    assert divide_by_vandermonde(x1_big * vandermonde(3)) == x1_big
 
 
 def test_vandermonde_and_difference_product(random_poly):

@@ -14,8 +14,8 @@ from conftest import (  # noqa: E402
     settings,
     vandermonde_quotient_by_factors,
 )
-from hlgysin import NotDivisibleError, divide_by_vandermonde  # noqa: E402
-from hlgysin.oracles import vandermonde  # noqa: E402
+from hlgysin import NotDivisibleError, Polynomial, divide_by_vandermonde  # noqa: E402
+from hlgysin.oracles import difference_product, vandermonde  # noqa: E402
 
 
 # small exponents, and exponents near 2**32 and 2**40: division must cost
@@ -81,3 +81,43 @@ def test_vandermonde_quotient_times_the_vandermonde_is_the_dividend_or_names_its
         assert str(exc) == f"remainder of degree 0 in x{first_index_off_a_hyperplane(f)}"
     else:
         assert quotient * vandermonde(f.arity) == f
+
+
+@st.composite
+def field_edge_dividends(draw):
+    """f = m * h * V' in 3 or 4 variables, with a total x-degree from one
+    below 2**8 (or 2**16) to 12 above it.
+
+    V' is the Vandermonde, or it without the factor x_1 - x_n, so that the
+    division fails at the pair (1, n).  m is a monomial with x-exponents up
+    to 1 and a t-exponent that is small or near 2**32 or 2**40.  h is
+    x_1^a x_n^b - x_{n-1} x_n^c with a and b below 2**8 (2**16): when a + b
+    - c is 2**8 (2**16), the remainder x_n^(a+b) - x_{n-1} x_n^c of h at
+    x_1 := x_n is zero if the x_n field overflows into the x_{n-1} field,
+    so a width taken from the largest single exponent, not from the total
+    degree, shows as a pair that divides.
+    """
+    n = draw(st.integers(3, 4))
+    edge = draw(st.sampled_from([2**8, 2**16]))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    if draw(st.booleans()):
+        pairs.remove((1, n))
+    x_exponents = draw(st.tuples(*[st.integers(0, 1)] * n))
+    t_exponent = draw(st.sampled_from([0, 2, 2**32 - 1, 2**40 + 1]))
+    m = Polynomial.monomial(n, x_exponents, t_exponent, draw(st.sampled_from([1, -2])))
+    degree = draw(st.integers(edge - 1, edge + 12))
+    top = degree - len(pairs) - sum(x_exponents)
+    c = top - edge if top >= edge else draw(st.integers(0, 3))
+    a = top // 2
+    h = Polynomial.monomial(n, (a,) + (0,) * (n - 2) + (top - a,)) - Polynomial.monomial(
+        n, (0,) * (n - 2) + (1, c)
+    )
+    return m * h * difference_product(n, pairs)
+
+
+@settings(40)
+@given(field_edge_dividends())
+def test_vandermonde_quotient_at_field_width_edges_agrees_with_the_factor_by_factor_division(f):
+    assert quotient_or_error(divide_by_vandermonde, f) == quotient_or_error(
+        vandermonde_quotient_by_factors, f
+    )
