@@ -18,9 +18,11 @@ is formed and no division can fail.
 Every push-forward runs on orbit representatives from its input to its
 answer.  The input is checked for block symmetry and then cut to the terms
 whose exponents weakly decrease within each run, one per orbit.  Each merge
-is a sequence of rows of antisym._divided_difference_tower, which carries
-representatives only, and the answer, symmetric, is expanded once from its
-partition keys.
+is a sequence of rows of antisym._divided_difference_tower, a linear map on
+representatives: each orbit, by the value it moves to the row's first
+position and the key after it, picks a memoized image (antisym._row_image)
+that the row adds in, and no step of a row is built.  The answer, symmetric,
+is expanded once from its partition keys.
 Callers that build a symmetric input themselves can hand its
 representatives to _merge_runs directly.
 

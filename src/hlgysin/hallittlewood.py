@@ -16,13 +16,13 @@ antisym): R_lam is the tower of projective-bundle push-forwards
 
 the juxtaposition identity at q = 1: each level is the Grassmann row
 (1 | n-1) with c = t of gysin._grassmann_orbits.  Its input is symmetric
-in x_2..x_n, so the tower carries one exponent vector per orbit of the
-block symmetry each step keeps (antisym._divided_difference_tower).  Every
-level stays in that form: R_{lam_2..lam_n} is held by its partition keys,
-and the row x_1^lam_1 prod_{j>1} (x_1 - t x_j) = sum_k (-t)^k
-x_1^(lam_1+n-1-k) e_k(x_2..x_n) acts on them by the Pieri rule for
-monomials, in the input builder every Grassmann row shares, so no level
-builds the full product.  The tower is one cached recursion on orbits,
+in x_2..x_n, so the row runs on one exponent vector per orbit and maps
+each, by its x_1-exponent and the key of x_2..x_n, to a memoized image of
+d_{n-1} ... d_1 (antisym._divided_difference_tower).  Every level stays
+in that form: R_{lam_2..lam_n} is held by its partition keys, and the row
+x_1^lam_1 prod_{j>1} (x_1 - t x_j) = sum_k (-t)^k x_1^(lam_1+n-1-k)
+e_k(x_2..x_n) acts on them by the Pieri rule for monomials, in the input
+builder every Grassmann row shares, so no level builds the full product.  The tower is one cached recursion on orbits,
 _rows; each call expands its answer and caches nothing expanded.  P_lam
 divides each orbit's polynomial in t by v_lam(t): R's x-coefficients are
 exactly those polynomials, so P is defined exactly when each division is

@@ -26,12 +26,16 @@ one degree in v, is divided by that top coefficient: by its integer when it
 is a constant, term by term when it is one monomial, and by a recursive
 exact division otherwise.  So x_i - x_j has top coefficient 1 in x_i, and a
 polynomial in t alone has an integer top coefficient in t.  Only levels
-that hold terms are visited, so the cost follows the number of terms, not
-the size of the exponents.  Beside it, divide_by_vandermonde runs the same
-long division by each factor x_i - x_j, the pairs (i, j) in lexicographic
-order, on packed keys: it packs the dividend once, moves each term with one
-int addition and unpacks the quotient once, so it pays neither
-divide_exact's set-up per divisor nor its rebuilding of a tuple per term.
+that hold terms are visited, so a division that comes out exact costs in
+proportion to the terms it meets, not to the size of the exponents.  One
+that fails need not: by x_i - x_j it carries terms down one degree of x_i
+at a time until a level below the divisor's is reached, so x_i^e fails
+only after visiting every level from e down to 0.  Beside it,
+divide_by_vandermonde runs the same long division by each factor
+x_i - x_j, the pairs (i, j) in lexicographic order, on packed keys: it
+packs the dividend once, moves each term with one int addition and
+unpacks the quotient once, so it pays neither divide_exact's set-up per
+divisor nor its rebuilding of a tuple per term.
 A division that leaves a remainder raises NotDivisibleError; callers treat
 that as a correctness probe and never catch it to paper over a failure.
 """
@@ -436,7 +440,9 @@ class Polynomial:
         exponent in v.  The top level is divided by the divisor's top
         coefficient, and that quotient times the rest of the divisor is
         taken off the lower levels; a level left below the divisor's degree
-        in v is a remainder.
+        in v is a remainder.  An exact quotient costs in proportion to the
+        terms met; a failing one may walk every level of v down to the
+        remainder's, which for x_i - x_j can be every degree of x_i.
         """
         divisor = self._coerce(divisor)
         if divisor is None:

@@ -222,6 +222,14 @@ def test_theorem_main_cleared_input_side():
     assert "cleared-form" in report.detail
 
 
+def test_t_minus1_at_the_frontier():
+    """The bench family's hardest shape at n = 11: the first row of its
+    Grassmann merge peaked at 217,568 keys when each step of the row was
+    built, and took about 7.7 s; with the memoized row images it takes
+    about 1.4 s (see --durations)."""
+    assert_pass(verify_t_minus1(11, 4, (3, 1), (2,)))
+
+
 def test_t0_pinned():
     assert_pass(verify_t0_jlp(2, 1, (1,), (0,)))
     assert_pass(verify_t0_jlp(2, 1, (0,), (1,)))  # (0,1) straightens to zero
