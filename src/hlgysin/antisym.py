@@ -172,9 +172,9 @@ def _row_image(u, beta, r):
     so smaller e are skipped unbuilt.
 
     The flat layout is measured, not style.  As (key, coefficient) pairs
-    the images leave about twice as many GC-tracked tuples behind, enough
-    to pull the process's first generation-1 collection (1-1.5 ms) into
-    the bench's first oracles-schur instance.  That workload's
+    an image of m keys leaves 2m + 1 GC-tracked tuples behind, not one,
+    enough to pull the process's first generation-1 collection (1-1.5 ms)
+    into the benchmark's first oracles-schur instance.  That workload's
     instance_ref_p90 is its 18th-slowest instance of 174, the one that
     hosts that pass, and it read +25 to +40 % with pairs; with flat tuples
     the pass stays where it was.
