@@ -172,12 +172,14 @@ def _row_image(u, beta, r):
     so smaller e are skipped unbuilt.
 
     The flat layout is measured, not style.  As (key, coefficient) pairs
-    an image of m keys leaves 2m + 1 GC-tracked tuples behind, not one,
-    enough to pull the process's first generation-1 collection (1-1.5 ms)
-    into the benchmark's first oracles-schur instance.  That workload's
-    instance_ref_p90 is its 18th-slowest instance of 174, the one that
-    hosts that pass, and it read +25 to +40 % with pairs; with flat tuples
-    the pass stays where it was.
+    an image of m keys leaves 2m + 1 GC-tracked tuples behind, not one.
+    Without the floor on e, that pulled the process's first generation-1
+    collection (1-1.5 ms) into the benchmark's first oracles-schur
+    instance in every worker checked, and that workload's
+    instance_ref_p90, its 18th-slowest instance of 174 and the one that
+    hosts that pass, read 0.90-0.92 against 0.66-0.70 with flat tuples.
+    With the floor, pairs left the pass in place in the runs checked; the
+    flat layout keeps the margin whatever the recursion computes.
 
     The cache is bounded like the package's others.  t-minus1 with q = 4,
     nu = (3, 1), sigma = (2) meets 30,688, 51,937 and 84,768 distinct

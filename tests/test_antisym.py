@@ -251,11 +251,11 @@ def test_every_cached_image_is_one_flat_tuple_of_ints(monkeypatch):
     """Each image is one tuple of ints: a key's exponents, then its nonzero
     coefficient, key after key.  The layout is measured, not style.  Held
     as (key, coefficient) pairs the images leave many more GC-tracked
-    tuples behind, and on the oracles-schur benchmark workload that pulled
-    the process's first generation-1 collection from its second instance
-    into its first.  instance_ref_p90 there is the 18th-slowest instance
-    of 174, the one that hosts that pass, and it read +25 to +40 % with
-    pairs; do not tidy the images back into pairs."""
+    tuples behind, and on the oracles-schur benchmark workload that has
+    pulled the process's first generation-1 collection from its second
+    instance into its first.  instance_ref_p90 there is the 18th-slowest
+    instance of 174, the one that hosts that pass, and it read +25 to
+    +40 % with pairs; do not tidy the images back into pairs."""
     seen = []
     compute = antisym._row_image.__wrapped__
 
