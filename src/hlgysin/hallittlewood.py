@@ -163,9 +163,18 @@ def hall_littlewood_r(n, seq):
     return _expand(n, _r_reps(seq))
 
 
+def _checked_n(n, least):
+    """n, refused with ValueError unless it is an int, not a bool, and at
+    least ``least`` (0 or 1)."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < least:
+        raise ValueError("n must be positive" if least else "n must be nonnegative")
+    return n
+
+
 def _check_length(n, seq):
-    if n < 1:
-        raise ValueError("n must be positive")
+    _checked_n(n, 1)
     if len(seq) != n:
         raise ValueError(f"sequence of length {len(seq)} does not match n = {n}")
 
@@ -327,8 +336,7 @@ def _as_partition_of_length(seq, n):
 def schur_s(partition, n):
     """Schur polynomial s_lam(x_1..x_n): the rows with c = 0, each the
     Jozefiak-Lascoux-Pragacz formula at q = 1 (see the module docstring)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _checked_n(n, 0)
     return _expand(n, _schur_s_orbits(_as_partition_of_length(partition, n), n))
 
 
@@ -376,8 +384,7 @@ def schur_p_coset(nu, n):
     nu = as_int_sequence(nu)
     if not is_strict_partition(nu):
         raise ValueError(f"not a strict partition: {nu!r}")
-    if n < 1:
-        raise ValueError("n must be positive")
+    _checked_n(n, 1)
     if len(nu) > n:
         raise ValueError(f"strict partition {nu!r} needs more than {n} variables")
     return _expand(n, _schur_p_orbits(nu, n))

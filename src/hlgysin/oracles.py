@@ -8,12 +8,15 @@ path of a CLI command.
 The Schur specializations are implemented independently of the
 Hall-Littlewood engine: Schur S as the dual Jacobi-Trudi determinant
 det(e_{lam'_i - i + j}) over the conjugate partition lam' (Macdonald,
-Symmetric Functions and Hall Polynomials, I (3.5)), and Schur P by hook
-sums and the two-row recursion, whose hooks are Jacobi-Trudi determinants
-too.  Neither calls a divided difference, so they share no push-forward
-code with the engine's schur_s or schur_p_coset (both rows of
-hallittlewood._rows).  Schur S also has its Demazure form pi_w0(x^lam),
-a chain of plain divided differences that builds no Grassmann row.
+Symmetric Functions and Hall Polynomials, I (3.5)), and Schur P by the
+one-row closed form P_m = sum 2^(len(lam) - 1) m_lam and the two-row
+recursion, every product taken on monomial orbits with its own partition
+and rearrangement enumeration.  Neither calls a divided difference, so
+they share no push-forward code with the engine's schur_s or
+schur_p_coset (both rows of hallittlewood._rows), and the Schur P oracle
+uses none of the engine's orbit machinery (_rows, _expand, gysin).
+Schur S also has its Demazure form pi_w0(x^lam), a chain of plain
+divided differences that builds no Grassmann row.
 Alongside them: the explicit group enumerations and products (all of S_n,
 the stabilizer, the Vandermonde and the t-twisted Vandermonde) that the
 naive S_n sums of the tests are built from, and the blockwise full-flag
@@ -25,11 +28,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 
 from .antisym import divided_difference, longest_word
 from .hallittlewood import (
     _as_partition_of_length,
+    _checked_n,
     as_int_sequence,
     hall_littlewood_p,
     is_strict_partition,
@@ -207,66 +212,144 @@ def schur_s_demazure(partition, n):
 
 
 # ---------------------------------------------------------------------- #
-# Schur P by hook sums and the two-row recursion
+# Schur P by its one-row closed form and the two-row recursion, on orbits
 
 
 def schur_p_recursive(nu, n):
-    """Schur P-polynomial by hook sums and the two-row recursion.
+    """Schur P-polynomial by the one-row closed form and the two-row
+    recursion, on monomial orbits.
 
-    One-row: P_m = sum of Schur polynomials of the hooks (m - j, 1^j).
-    Two-row: P_{i,j} = P_i P_j + 2 * sum_{d=1}^{j-1} (-1)^d P_{i+d} P_{j-d}
-    + (-1)^j P_{i+j}.  Longer strict partitions expand along the first row
-    (odd length) or into two-row minors (even length).
+    One row: prod_i (1 + x_i z) / (1 - x_i z) = sum_r q_r z^r with
+    P_(r) = q_r / 2 for r >= 1 (Macdonald, Symmetric Functions and Hall
+    Polynomials, III section 8), so P_m = sum over the partitions lam of m
+    with at most n parts of 2^(len(lam) - 1) m_lam.  Two rows: P_{i,j} =
+    P_i P_j + 2 * sum_{d=1}^{j-1} (-1)^d P_{i+d} P_{j-d} + (-1)^j P_{i+j}.
+    Longer strict partitions expand along the first row (odd length) or
+    into two-row minors (even length).  Every intermediate is a homogeneous
+    symmetric polynomial held as (degree, {partition key of length n:
+    coefficient}), multiplied by _orbit_product; the answer is expanded
+    once, at the end.
     """
     nu = as_int_sequence(nu)
     if not is_strict_partition(nu):
         raise ValueError(f"not a strict partition: {nu!r}")
+    _checked_n(n, 0)
     if len(nu) > n:
         raise ValueError(f"strict partition {nu!r} needs more than {n} variables")
-    return _schur_p_rec(nu, n)
+    _, orbits = _schur_p_rec(nu, n)
+    terms = {}
+    for key, c in orbits.items():
+        for x in _distinct_rearrangements(key):
+            terms[x + (0,)] = c
+    return Polynomial._raw(n, terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
+def _partitions_of(m, n):
+    """The partitions of m with at most n parts, each padded with zeros to
+    a weakly decreasing tuple of length n."""
+
+    def parts(m, k, top):
+        if k == 0:
+            if m == 0:
+                yield ()
+            return
+        for first in range(min(m, top), -(-m // k) - 1, -1):
+            for rest in parts(m - first, k - 1, first):
+                yield (first,) + rest
+
+    return tuple(parts(m, n, m))
+
+
+@lru_cache(maxsize=256)
+def _distinct_rearrangements(key):
+    """Every distinct ordering of the entries of a weakly decreasing tuple."""
+    if len(key) < 2:
+        return (key,)
+    return tuple(
+        (v,) + rest
+        for i, v in enumerate(key)
+        if i == 0 or v != key[i - 1]
+        for rest in _distinct_rearrangements(key[:i] + key[i + 1:])
+    )
+
+
+def _term_count(orbits):
+    return sum(len(_distinct_rearrangements(key)) for key in orbits)
+
+
+def _orbit_product(f, g, n):
+    """The product of two homogeneous symmetric polynomials held as
+    (degree, orbits): the coefficient of x^lam in fg is
+    sum_b g_b f_{sort(lam - b)}, lam over the partitions of the degree with
+    at most n parts, b over the terms of the factor with fewer terms."""
+    (df, fo), (dg, go) = f, g
+    if _term_count(fo) < _term_count(go):
+        fo, go = go, fo
+    terms = [(b, c) for key, c in go.items() for b in _distinct_rearrangements(key)]
+    get = fo.get
+    out = {}
+    for lam in _partitions_of(df + dg, n):
+        total = 0
+        for b, c in terms:
+            rest = tuple(map(operator.sub, lam, b))
+            if min(rest) >= 0:
+                a = get(tuple(sorted(rest, reverse=True)))
+                if a:
+                    total += a * c
+        if total:
+            out[lam] = total
+    return df + dg, out
+
+
+def _orbit_sum(degree, scaled):
+    """sum of s * f over (s, f) in ``scaled``, each f of this degree."""
+    out = {}
+    get = out.get
+    for s, (_, orbits) in scaled:
+        for key, c in orbits.items():
+            out[key] = get(key, 0) + s * c
+    return degree, {key: c for key, c in out.items() if c}
+
+
+@lru_cache(maxsize=256)
 def _schur_p_one_row(m, n):
     if m == 0:
-        return Polynomial.one(n)
-    out = Polynomial.zero(n)
-    for j in range(m):
-        if j + 1 > n:
-            break  # hooks with more rows than variables vanish
-        hook = (m - j,) + (1,) * j
-        out = out + schur_s_jacobi_trudi(hook, n)
-    return out
+        return 0, {(0,) * n: 1}
+    return m, {lam: 2 ** (n - lam.count(0) - 1) for lam in _partitions_of(m, n)}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _schur_p_two_rows(i, j, n):
-    out = _schur_p_one_row(i, n) * _schur_p_one_row(j, n)
+    def row_product(a, b):
+        return _orbit_product(_schur_p_one_row(a, n), _schur_p_one_row(b, n), n)
+
+    scaled = [(1, row_product(i, j))]
     for d in range(1, j):
-        term = _schur_p_one_row(i + d, n) * _schur_p_one_row(j - d, n)
-        out = out + (2 if d % 2 == 0 else -2) * term
-    out = out + (1 if j % 2 == 0 else -1) * _schur_p_one_row(i + j, n)
-    return out
+        scaled.append((2 if d % 2 == 0 else -2, row_product(i + d, j - d)))
+    scaled.append((1 if j % 2 == 0 else -1, _schur_p_one_row(i + j, n)))
+    return _orbit_sum(i + j, scaled)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _schur_p_rec(nu, n):
     k = len(nu)
     if k == 0:
-        return Polynomial.one(n)
+        return _schur_p_one_row(0, n)
     if k == 1:
         return _schur_p_one_row(nu[0], n)
     if k == 2:
         return _schur_p_two_rows(nu[0], nu[1], n)
-    out = Polynomial.zero(n)
+    scaled = []
     if k % 2:
         for a in range(k):
             rest = nu[:a] + nu[a + 1:]
-            term = _schur_p_one_row(nu[a], n) * _schur_p_rec(rest, n)
-            out = out + (term if a % 2 == 0 else -term)
+            term = _orbit_product(_schur_p_one_row(nu[a], n), _schur_p_rec(rest, n), n)
+            scaled.append((1 if a % 2 == 0 else -1, term))
     else:
         for b in range(1, k):
             rest = nu[1:b] + nu[b + 1:]
-            term = _schur_p_two_rows(nu[0], nu[b], n) * _schur_p_rec(rest, n)
-            out = out + (term if b % 2 else -term)
-    return out
+            minor = _schur_p_two_rows(nu[0], nu[b], n)
+            term = _orbit_product(minor, _schur_p_rec(rest, n), n)
+            scaled.append((1 if b % 2 else -1, term))
+    return _orbit_sum(sum(nu), scaled)

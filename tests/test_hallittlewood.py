@@ -513,6 +513,15 @@ def test_schur_p_one_row_is_hook_sum():
     n = 3
     expected = schur_s((3,), n) + schur_s((2, 1), n) + schur_s((1, 1, 1), n)
     assert schur_p_recursive((3,), n) == expected
+    # the oracle's closed form against the Jacobi-Trudi hooks (m - j, 1^j);
+    # hooks with more than n rows vanish
+    for m in range(1, 7):
+        for n in range(1, 7):
+            hooks = [(m - j,) + (1,) * j for j in range(min(m, n))]
+            expected = Polynomial.zero(n)
+            for hook in hooks:
+                expected = expected + schur_s_jacobi_trudi(hook, n)
+            assert schur_p_recursive((m,), n) == expected, (m, n)
 
 
 def test_schur_p_recursive_equals_coset():
@@ -539,10 +548,49 @@ def test_schur_p_validation():
         schur_p_coset((1,), 0)
     with pytest.raises(ValueError):
         schur_p_recursive((1, 2), 3)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        schur_p_recursive((), -1)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        schur_p_recursive((1,), -1)
+    with pytest.raises(ValueError, match="^n must be an integer, got '3'$"):
+        schur_p_recursive((2,), "3")
+    with pytest.raises(ValueError, match="^n must be an integer, got True$"):
+        schur_p_recursive((1,), True)
+    with pytest.raises(ValueError, match="needs more than 0 variables"):
+        schur_p_recursive((1,), 0)
+    assert schur_p_recursive((), 0) == Polynomial.one(0)
 
 
-@pytest.mark.parametrize("n", [9, 10])
-@pytest.mark.parametrize("nu", [(1,), (2, 1)])
+@pytest.mark.parametrize(
+    "construct, args",
+    [
+        (hall_littlewood_r, (True, (1,))),
+        (hall_littlewood_p, (True, (1,))),
+        (hall_littlewood_r_coset, (True, (1,))),
+        (hall_littlewood_r, (1.0, (1,))),
+        (schur_s, ((), True)),
+        (schur_s, ((2,), 2.0)),
+        (schur_p_coset, ((1,), True)),
+        (schur_p_coset, ((1,), 1.0)),
+        (schur_p_recursive, ((1,), False)),
+    ],
+)
+def test_n_must_be_an_int_not_a_bool(construct, args):
+    """n is refused with ValueError unless it is an int, as an arity is."""
+    with pytest.raises(ValueError, match="^n must be an integer, got "):
+        construct(*args)
+
+
+# each case is named nu<index of its shape>-<n>, so adding a case renames none
+ABOVE_THE_CLI_BOUND = [(1,), (2, 1), (4, 2, 1), (5, 3, 1), (4, 3, 2, 1)]
+ABOVE_THE_CLI_BOUND_CASES = [(0, 9), (0, 10), (1, 9), (1, 10), (2, 9), (3, 9), (4, 9)]
+
+
+@pytest.mark.parametrize(
+    "nu, n",
+    [(ABOVE_THE_CLI_BOUND[i], n) for i, n in ABOVE_THE_CLI_BOUND_CASES],
+    ids=[f"nu{i}-{n}" for i, n in ABOVE_THE_CLI_BOUND_CASES],
+)
 def test_schur_p_coset_above_the_cli_bound(nu, n):
     assert schur_p_coset(nu, n) == schur_p_recursive(nu, n)
 

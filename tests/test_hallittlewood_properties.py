@@ -12,7 +12,7 @@ from conftest import dominant_orbits, settings  # noqa: E402
 
 from hlgysin import Polynomial, hall_littlewood_p  # noqa: E402
 from hlgysin.gysin import _grassmann_input  # noqa: E402
-from hlgysin.oracles import schur_s_jacobi_trudi  # noqa: E402
+from hlgysin.oracles import _orbit_product, schur_s_jacobi_trudi  # noqa: E402
 from hlgysin.polyring import linear_factor_product  # noqa: E402
 
 
@@ -67,3 +67,41 @@ def test_row_product_on_random_symmetric_tails(case, c):
     )
     full = row * tail.embed(n, offset=1)
     assert _grassmann_input(n, 1, c, {(head,): {0: 1}}, orbits) == dominant_orbits(full)
+
+
+@st.composite
+def homogeneous_symmetric(draw, n):
+    """(degree, orbits): a random homogeneous symmetric polynomial in n
+    variables, as its partition keys -> nonzero integer coefficient."""
+    degree = draw(st.integers(0, 4))
+    keys = sorted(
+        key
+        for key in itertools.combinations_with_replacement(range(degree, -1, -1), n)
+        if sum(key) == degree
+    )
+    orbits = draw(st.dictionaries(
+        st.sampled_from(keys), st.integers(-3, 3).filter(bool), max_size=4
+    ))
+    return degree, orbits
+
+
+def expanded(n, orbits):
+    return Polynomial(n, {
+        perm + (0,): c
+        for key, c in orbits.items()
+        for perm in set(itertools.permutations(key))
+    })
+
+
+@settings(100)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.just(n), homogeneous_symmetric(n), homogeneous_symmetric(n))
+))
+def test_orbit_product_is_the_product_of_the_expansions(case):
+    """The Schur P oracle's product on partition keys, expanded, is the
+    ring's product of the expanded factors."""
+    n, f, g = case
+    degree, orbits = _orbit_product(f, g, n)
+    assert degree == f[0] + g[0]
+    assert all(orbits.values())
+    assert expanded(n, orbits) == expanded(n, f[1]) * expanded(n, g[1])

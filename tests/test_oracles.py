@@ -39,6 +39,18 @@ def test_no_engine_module_imports_the_oracles():
         assert "hlgysin.oracles" not in imports, name
 
 
+def test_the_oracles_take_nothing_from_the_engines_orbit_machinery():
+    """The Schur P oracle enumerates its own partitions and rearrangements."""
+    imports = set(imported_modules(PACKAGE / "oracles.py"))
+    engine_orbits = {
+        "hlgysin.antisym._rearrangements",
+        "hlgysin.antisym._expand",
+        "hlgysin.hallittlewood._rows",
+    }
+    assert not imports & engine_orbits
+    assert not [m for m in imports if m.startswith("hlgysin.gysin")]
+
+
 def test_no_core_module_imports_the_verifiers_or_the_cli():
     for name in CORE:
         imports = set(imported_modules(PACKAGE / f"{name}.py"))
