@@ -107,7 +107,7 @@ def is_strict_partition(seq):
 @lru_cache(maxsize=None)
 def t_factorial(m):
     """(1 + t)(1 + t + t^2) ... (1 + t + ... + t^(m-1)); equals m! at t = 1."""
-    if m < 0:
+    if _checked_int(m, "m") < 0:
         raise ValueError("m must be nonnegative")
     out = Polynomial.one(0)
     for i in range(2, m + 1):
@@ -126,7 +126,7 @@ def t_factorial_product(seq):
 
 def gaussian_binomial(a, b):
     """Gaussian polynomial [a+b choose a] as t_factorial(a+b)/(t_factorial(a)*t_factorial(b))."""
-    if a < 0 or b < 0:
+    if _checked_int(a, "a") < 0 or _checked_int(b, "b") < 0:
         raise ValueError("a and b must be nonnegative")
     return t_factorial(a + b).divide_exact(t_factorial(a) * t_factorial(b))
 
@@ -138,7 +138,7 @@ def gaussian_binomial_at_minus_one(a, b):
     C(floor((a+b)/2), floor(a/2)).  Computed combinatorially, not by
     substitution, so it can serve as an independent oracle.
     """
-    if a < 0 or b < 0:
+    if _checked_int(a, "a") < 0 or _checked_int(b, "b") < 0:
         raise ValueError("a and b must be nonnegative")
     if (a * b) % 2:
         return 0
@@ -163,12 +163,18 @@ def hall_littlewood_r(n, seq):
     return _expand(n, _r_reps(seq))
 
 
+def _checked_int(value, name):
+    """value, refused with a ValueError naming it unless it is an int and
+    not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _checked_n(n, least):
     """n, refused with ValueError unless it is an int, not a bool, and at
     least ``least`` (0 or 1)."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < least:
+    if _checked_int(n, "n") < least:
         raise ValueError("n must be positive" if least else "n must be nonnegative")
     return n
 
@@ -321,6 +327,7 @@ def _divided_orbits(orbits, v):
 
 
 def _as_partition_of_length(seq, n):
+    _checked_n(n, 0)
     seq = as_int_sequence(seq)
     if not all(a >= b for a, b in zip(seq, seq[1:])):
         raise ValueError(f"not a partition: {seq!r}")
@@ -336,7 +343,6 @@ def _as_partition_of_length(seq, n):
 def schur_s(partition, n):
     """Schur polynomial s_lam(x_1..x_n): the rows with c = 0, each the
     Jozefiak-Lascoux-Pragacz formula at q = 1 (see the module docstring)."""
-    _checked_n(n, 0)
     return _expand(n, _schur_s_orbits(_as_partition_of_length(partition, n), n))
 
 

@@ -46,6 +46,7 @@ from .antisym import _expand
 from .gysin import _grassmann_orbits, _scaled_orbits, _t_dict
 from .hallittlewood import (
     _as_partition_of_length,
+    _checked_int,
     _divided_orbits,
     _p_reps,
     _r_reps,
@@ -167,7 +168,7 @@ def _report(name, instance, witness, started, detail=None):
 
 def _split_params(n, q, lam, mu):
     lam, mu = as_int_sequence(lam), as_int_sequence(mu)
-    r = n - q
+    r = _checked_int(n, "n") - _checked_int(q, "q")
     if not 1 <= q <= n - 1:
         raise ValueError(f"q must lie in 1..{n - 1}")
     if len(lam) != q or len(mu) != r:
@@ -261,7 +262,7 @@ def verify_t0_jlp(n, q, lam, mu):
     Grassmann split gives the straightened Schur polynomial of the
     concatenation."""
     started = time.perf_counter()
-    r = n - q
+    r = _checked_int(n, "n") - _checked_int(q, "q")
     lam, mu = _as_partition_of_length(lam, q), _as_partition_of_length(mu, r)
     a, b = _schur_s_orbits(lam, q), _schur_s_orbits(mu, r)
     lhs = _grassmann_orbits(n, q, Polynomial.zero(0), a, b)
@@ -280,13 +281,15 @@ def d_coefficient(n, q, k, h):
 
     Zero when (q-k)(n-q-h) is odd, otherwise (-1)^((q-k)h) times the
     binomial C(floor((n-k-h)/2), floor((q-k)/2))."""
+    for value, name in ((n, "n"), (q, "q"), (k, "k"), (h, "h")):
+        _checked_int(value, name)
     sign = -1 if ((q - k) * h) % 2 else 1
     return sign * gaussian_binomial_at_minus_one(q - k, n - q - h)
 
 
 def _strict_pair_params(n, q, nu, sigma):
     nu, sigma = as_int_sequence(nu), as_int_sequence(sigma)
-    r = n - q
+    r = _checked_int(n, "n") - _checked_int(q, "q")
     if not 1 <= q <= n - 1:
         raise ValueError(f"q must lie in 1..{n - 1}")
     if not is_strict_partition(nu) or not is_strict_partition(sigma):

@@ -142,9 +142,10 @@ def hall_littlewood_p_specialized(n, seq, t_value):
 # Schur S by the dual Jacobi-Trudi determinant and the Demazure form
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def elementary_symmetric(k, n):
     """e_k(x_1..x_n): sum of all squarefree monomials of degree k."""
+    _checked_n(n, 0)
     if k < 0 or k > n:
         return Polynomial.zero(n)
     terms = {}

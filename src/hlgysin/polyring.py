@@ -18,24 +18,22 @@ single exponents, which tuples do faster than packed ints, so only the
 product and the quotient by the Vandermonde pack their keys, and unpack
 the result.
 
-Exact division is one algorithm for every divisor: long division along one
-position v of the divisor, with coefficients in the other variables.  v is
-the variable, x_i or t, whose top coefficient in the divisor has the fewest
-terms (t for a constant divisor).  Each level of the dividend, its terms of
-one degree in v, is divided by that top coefficient: by its integer when it
-is a constant, term by term when it is one monomial, and by a recursive
-exact division otherwise.  So x_i - x_j has top coefficient 1 in x_i, and a
-polynomial in t alone has an integer top coefficient in t.  Only levels
-that hold terms are visited, so a division that comes out exact costs in
-proportion to the terms it meets, not to the size of the exponents.  One
-that fails need not: by x_i - x_j it carries terms down one degree of x_i
-at a time until a level below the divisor's is reached, so x_i^e fails
-only after visiting every level from e down to 0.  Beside it,
-divide_by_vandermonde runs the same long division by each factor
-x_i - x_j, the pairs (i, j) in lexicographic order, on packed keys: it
-packs the dividend once, moves each term with one int addition and
-unpacks the quotient once, so it pays neither divide_exact's set-up per
-divisor nor its rebuilding of a tuple per term.
+Exact division is the textbook long division by the divisor's leading
+term, its largest in the lexicographic order of exponent tuples (x_1
+first, t last).  The largest term left of the dividend must be a multiple
+of the leading term, monomial and coefficient; that multiple joins the
+quotient, and its product with the divisor's other terms, all smaller, is
+taken off what is left.  The order is a well-order that multiplication
+keeps, so each step removes the largest term and adds only smaller ones,
+and an exact division costs in proportion to the terms it meets, not to
+the size of the exponents.  A failing one need not: by x_i - x_j, whose
+leading term is x_i, x_i^e carries one term down one degree of x_i per
+step, so it fails only after e steps.  Beside it, divide_by_vandermonde
+runs the same division by each factor x_i - x_j, the pairs (i, j) in
+lexicographic order, on packed keys: it packs the dividend once, moves
+each term with one int addition and unpacks the quotient once, so it pays
+neither divide_exact's set-up per divisor nor its rebuilding of a tuple
+per term.
 A division that leaves a remainder raises NotDivisibleError; callers treat
 that as a correctness probe and never catch it to paper over a failure.
 """
@@ -90,68 +88,6 @@ def _field_width(top):
         if not top >> (8 * width):
             return width
     raise ExponentOverflowError(f"exponent sum {top} does not fit in 64 bits")
-
-
-def _main_position(terms, arity):
-    """The position to divide along and the divisor's degree in it: among
-    the positions the divisor ``terms`` involve, the one whose top
-    coefficient has the fewest terms; t (position ``arity``) for a
-    constant."""
-    best, main, degree = len(terms) + 1, arity, 0
-    for position, column in enumerate(zip(*terms)):
-        top = max(column)
-        if top and column.count(top) < best:
-            best, main, degree = column.count(top), position, top
-    return main, degree
-
-
-def _mover(delta):
-    """A function taking exponent tuples to the list of them plus ``delta``.
-
-    Divisors such as x_i - x_j and polynomials in t move one exponent per
-    term: slicing that one field costs a third to a half less than adding
-    whole tuples, and a delta of zero keeps the keys.
-    """
-    moved = [p for p, d in enumerate(delta) if d]
-    if not moved:
-        return list
-    if len(moved) == 1:
-        p = moved[0]
-        d, q = delta[p], p + 1
-        return lambda keys: [k[:p] + (k[p] + d,) + k[q:] for k in keys]
-    return lambda keys: [tuple(map(operator.add, k, delta)) for k in keys]
-
-
-def _level_divider(lead, v, arity):
-    """A function dividing a level, a dict of terms of one degree in
-    position v, by ``lead``, the divisor's terms of top degree in v; it
-    raises NotDivisibleError when the quotient is not exact.
-
-    A lead of several terms is divided by ``divide_exact`` itself: its
-    terms differ outside v, so the recursion divides along another position
-    whose top coefficient has fewer terms, and it ends at one term.
-    """
-    if len(lead) > 1:
-        lead = Polynomial._raw(arity, lead)
-        return lambda level: Polynomial._raw(arity, level).divide_exact(lead).terms
-    ((key, c),) = lead.items()
-    unmove = _mover(tuple(map(operator.neg, key)))
-    # exponents can only go negative outside position v, where level >= lead
-    check = sum(key) > key[v]
-
-    def divide(level):
-        keys = unmove(level)
-        if check and min(map(min, keys)) < 0:
-            raise NotDivisibleError("leading monomial does not divide")
-        quotient = {}
-        for k, a in zip(keys, level.values()):
-            b, r = divmod(a, c)
-            if r:
-                raise NotDivisibleError("leading coefficient does not divide")
-            quotient[k] = b
-        return quotient
-
-    return divide
 
 
 def _key_permuter(images):
@@ -384,6 +320,8 @@ class Polynomial:
 
     def substitute_t(self, value):
         """Substitute an integer for t."""
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"t must be an integer, got {value!r}")
         n = self.arity
         out = {}
         for key, c in self.terms.items():
@@ -435,59 +373,54 @@ class Polynomial:
     def divide_exact(self, divisor):
         """Exact quotient self/divisor; raises NotDivisibleError on remainder.
 
-        Long division along one position v of the divisor (see the module
-        docstring).  The dividend's terms are kept in levels by their
-        exponent in v.  The top level is divided by the divisor's top
-        coefficient, and that quotient times the rest of the divisor is
-        taken off the lower levels; a level left below the divisor's degree
-        in v is a remainder.  An exact quotient costs in proportion to the
-        terms met; a failing one may walk every level of v down to the
-        remainder's, which for x_i - x_j can be every degree of x_i.
+        Long division by the divisor's lexicographically largest term (see
+        the module docstring).  A term left over that this leading term does
+        not divide names the first position where its exponent falls short,
+        "remainder of degree k in x_i" or "in t", or else says "leading
+        coefficient does not divide".
         """
         divisor = self._coerce(divisor)
         if divisor is None:
             raise TypeError("divisor must be a Polynomial or int")
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return self
         n = self.arity
-        v, top = _main_position(divisor.terms, n)
-        lead, tail = {}, []
-        for key, c in divisor.terms.items():
-            if key[v] == top:
-                lead[key] = c
-            else:
-                tail.append((key[v] - top, _mover(key), -c))
-        divide_level = _level_divider(lead, v, n)
-        levels = {}
-        for key, c in self.terms.items():
-            levels.setdefault(key[v], {})[key] = c
-        heap = [-k for k in levels]
+        lead, c = max(divisor.terms.items())
+        neg_lead = tuple(map(operator.neg, lead))
+        # What is left of the dividend is held on negated keys, so that a heap
+        # of them pops the largest term first; a zero stays where terms cancel.
+        # The quotient's term x^q of a key is x^(-key - lead), and its product
+        # with a term x^k of the tail has the negated key key + (lead - k).
+        tail = [
+            (tuple(map(operator.sub, lead, k)), -a)
+            for k, a in divisor.terms.items()
+            if k != lead
+        ]
+        left = {tuple(map(operator.neg, k)): a for k, a in self.terms.items()}
+        heap = list(left)
         heapq.heapify(heap)
         quotient = {}
         while heap:
-            k = -heapq.heappop(heap)
-            level = levels.pop(k)
-            if not level:
+            key = heapq.heappop(heap)
+            a = left.pop(key)
+            if not a:
                 continue
-            if k < top:
+            q = tuple(map(operator.sub, neg_lead, key))
+            if min(q) < 0:
+                v = next(v for v, e in enumerate(q) if e < 0)
                 name = "t" if v == n else f"x{v + 1}"
-                raise NotDivisibleError(f"remainder of degree {k} in {name}")
-            q = divide_level(level)
-            quotient.update(q)
-            for offset, move, c in tail:
-                below = k + offset
-                target = levels.get(below)
-                if target is None:
-                    target = levels[below] = {}
-                    heapq.heappush(heap, -below)
-                for key, qc in zip(move(q), q.values()):
-                    s = target.get(key, 0) + c * qc
-                    if s:
-                        target[key] = s
-                    else:
-                        del target[key]
+                raise NotDivisibleError(f"remainder of degree {-key[v]} in {name}")
+            b, r = divmod(a, c)
+            if r:
+                raise NotDivisibleError("leading coefficient does not divide")
+            quotient[q] = b
+            for shift, d in tail:
+                k = tuple(map(operator.add, key, shift))
+                if k in left:
+                    left[k] += b * d
+                else:
+                    left[k] = b * d
+                    heapq.heappush(heap, k)
         return Polynomial._raw(n, quotient)
 
     # ------------------------------------------------------------------ #
@@ -592,18 +525,19 @@ def divide_by_vandermonde(p):
     t-exponent of 2**64 or more raises ExponentOverflowError, as a product
     does.
 
-    Each division is divide_exact's long division along x_i, where x_i -
-    x_j has top coefficient 1.  Taken from the top degree in x_i down, the
-    terms of degree d >= 1 are the quotient's terms of degree d - 1, and
-    each carries its product with x_j / x_i into degree d - 1.  A level of
-    one degree holds its keys with the x_i field cleared, so it becomes the
-    quotient's level unchanged, and a carry is one int addition.  Only
-    levels that hold terms are visited.  So a failing pair (i, j) raises
-    NotDivisibleError("remainder of degree 0 in x{i}"), the remainder being
-    the quotient so far at x_i := x_j.  The x_i - x_j are pairwise
-    non-associate primes, so that quotient vanishes on x_i = x_j exactly
-    when p does: the first failing pair is the first (i, j) in that order
-    on whose hyperplane x_i = x_j p does not vanish.
+    Each division is divide_exact's long division by x_i - x_j, whose
+    leading term x_i divides every term of positive degree in x_i.  Taken
+    from the top degree in x_i down, the terms of degree d >= 1 are the
+    quotient's terms of degree d - 1, and each carries its product with
+    x_j / x_i into degree d - 1.  A level of one degree holds its keys with
+    the x_i field cleared, so it becomes the quotient's level unchanged,
+    and a carry is one int addition.  Only levels that hold terms are
+    visited.  So a failing pair (i, j) raises NotDivisibleError("remainder
+    of degree 0 in x{i}"), the remainder being the quotient so far at
+    x_i := x_j.  The x_i - x_j are pairwise non-associate primes, so that
+    quotient vanishes on x_i = x_j exactly when p does: the first failing
+    pair is the first (i, j) in that order on whose hyperplane x_i = x_j p
+    does not vanish.
     """
     n, terms = p.arity, p.terms
     if n < 2 or not terms:
@@ -654,27 +588,10 @@ def divide_by_vandermonde(p):
     return Polynomial._raw(n, unpack(packed))
 
 
-def _linear_factor(arity, i, j, c):
-    """x_i - c x_j for 1-based indices, built from its terms: x_i, and each
-    term of c moved by x_j with its sign flipped."""
-    key = [0] * (arity + 1)
-    key[i - 1] = 1
-    terms = {tuple(key): 1}
-    c_terms = c.terms if isinstance(c, Polynomial) else {(0,) * (arity + 1): c}
-    for k, coeff in c_terms.items():
-        k = k[: j - 1] + (k[j - 1] + 1,) + k[j:]
-        s = terms.get(k, 0) - coeff
-        if s:
-            terms[k] = s
-        else:
-            terms.pop(k, None)
-    return Polynomial._raw(arity, terms)
-
-
 def linear_factor_product(arity, pairs, c):
     """prod (x_i - c x_j) over the given 1-based index pairs (i, j); ``c`` is
     an int or Polynomial.t(arity)."""
     out = Polynomial.one(arity)
     for i, j in pairs:
-        out = out * _linear_factor(arity, i, j, c)
+        out = out * (Polynomial.x(arity, i) - c * Polynomial.x(arity, j))
     return out

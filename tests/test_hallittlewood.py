@@ -33,6 +33,7 @@ from hlgysin import (
 from hlgysin.gysin import _grassmann_input
 from hlgysin import hallittlewood
 from hlgysin.hallittlewood import _rows
+from hlgysin.identities import d_coefficient
 from hlgysin.polyring import linear_factor_product
 from hlgysin.symgroup import block_structure, coset_reps
 from hlgysin.oracles import (
@@ -578,6 +579,30 @@ def test_schur_p_validation():
 def test_n_must_be_an_int_not_a_bool(construct, args):
     """n is refused with ValueError unless it is an int, as an arity is."""
     with pytest.raises(ValueError, match="^n must be an integer, got "):
+        construct(*args)
+
+
+@pytest.mark.parametrize(
+    "construct, args, name",
+    [
+        (t_factorial, (2.0,), "m"),
+        (t_factorial, (True,), "m"),
+        (gaussian_binomial, (1.0, 2), "a"),
+        (gaussian_binomial, (True, 2), "a"),
+        (gaussian_binomial, (2, False), "b"),
+        (gaussian_binomial_at_minus_one, (1.5, 2), "a"),
+        (gaussian_binomial_at_minus_one, (2, True), "b"),
+        (d_coefficient, (3, 1, 0.0, 0), "k"),
+        (d_coefficient, (3.0, 1, 0, 0), "n"),
+        (d_coefficient, (3, True, 0, 0), "q"),
+        (d_coefficient, (3, 1, 0, 0.0), "h"),
+    ],
+)
+def test_t_polynomial_constructors_take_only_ints(construct, args, name):
+    """Each argument is refused with a ValueError naming it unless it is an
+    int, even where the cache already holds the equal int's answer."""
+    t_factorial(1), t_factorial(2)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         construct(*args)
 
 

@@ -17,6 +17,7 @@ from hlgysin import hallittlewood, identities
 from hlgysin.antisym import _expand
 from hlgysin.gysin import _grassmann_input
 from hlgysin.hallittlewood import _p_reps, _r_reps, _rows, _schur_p_orbits, _schur_s_orbits
+from hlgysin.oracles import elementary_symmetric, schur_s_demazure, schur_s_jacobi_trudi
 from hlgysin.identities import (
     IDENTITY_SUITES,
     InstanceFamily,
@@ -31,6 +32,32 @@ from hlgysin.identities import (
     verify_t_minus1,
     verify_theorem_main,
 )
+
+
+@pytest.mark.parametrize(
+    "construct, args, text",
+    [
+        (elementary_symmetric, (1, True), "n must be an integer, got True"),
+        (schur_s_jacobi_trudi, ((2,), 2.0), "n must be an integer, got 2.0"),
+        (schur_s_jacobi_trudi, ((1,), -1), "n must be nonnegative"),
+        (schur_s_demazure, ((1,), 2.0), "n must be an integer, got 2.0"),
+        (verify_prop_juxtaposition, (3.0, 1, (1,), (0, 0)), "n must be an integer, got 3.0"),
+        (verify_theorem_main, (3.0, 1, (1,), (0, 0)), "n must be an integer, got 3.0"),
+        (verify_t0_jlp, (3.0, 1, (1,), (0, 0)), "n must be an integer, got 3.0"),
+        (verify_t_minus1, (3.0, 1, (1,), ()), "n must be an integer, got 3.0"),
+        (verify_cor_gaussian, (3.0, 1, (1,), ()), "n must be an integer, got 3.0"),
+        (verify_prop_juxtaposition, (3, True, (1,), (0, 0)), "q must be an integer, got True"),
+        (verify_t0_jlp, (3, 1.0, (1,), (0, 0)), "q must be an integer, got 1.0"),
+        (verify_t_minus1, (3, True, (1,), ()), "q must be an integer, got True"),
+    ],
+)
+def test_oracles_and_verifiers_take_only_an_int_n_and_q(construct, args, text):
+    """n and q are refused with a ValueError naming them unless they are
+    ints, even where the cache already holds the equal int's answer."""
+    elementary_symmetric(1, 1)
+    with pytest.raises(ValueError) as exc:
+        construct(*args)
+    assert str(exc.value) == text
 
 
 def assert_pass(report):

@@ -244,6 +244,13 @@ def test_substitute_t():
     assert p.substitute_t(2).eval_at([1, 0], 99) == 4
 
 
+def test_substitute_t_takes_only_an_int():
+    for value in (1.5, True, "2", None):
+        with pytest.raises(ValueError) as exc:
+            Polynomial.t(1).substitute_t(value)
+        assert str(exc.value) == f"t must be an integer, got {value!r}"
+
+
 def test_embed_offset():
     p = Polynomial.x(2, 1) * Polynomial.x(2, 2)
     lifted = p.embed(4, offset=1)
@@ -275,8 +282,8 @@ def test_divide_t_only_path(poly):
 
 def test_divide_general_path(random_poly):
     x1, x2, x3 = (Polynomial.x(3, i) for i in (1, 2, 3))
-    # e_2 has a top coefficient of two terms in every variable, so its
-    # levels are divided by a recursive exact division
+    # e_2 has two terms of top degree in every variable; its leading term
+    # is x1 x2
     e2 = x1 * x2 + x1 * x3 + x2 * x3
     for _ in range(6):
         p = random_poly(3)
@@ -288,6 +295,33 @@ def test_divide_general_path(random_poly):
             f.divide_exact(q)
     with pytest.raises(ZeroDivisionError):
         Polynomial.one(2).divide_exact(Polynomial.zero(2))
+
+
+def test_division_failure_texts_are_pinned():
+    t = Polynomial.t(0)
+    x1, x2, x3 = (Polynomial.x(3, i) for i in (1, 2, 3))
+    e2 = x1 * x2 + x1 * x3 + x2 * x3
+    y, s = Polynomial.x(1, 1), Polynomial.t(1)
+    cases = [
+        (1 + t**2, 1 + t, "remainder of degree 0 in t"),
+        (t, 1 + t + t**2, "remainder of degree 1 in t"),
+        (3 * t, 2, "leading coefficient does not divide"),
+        (x1, x3 - x1, "remainder of degree 0 in x1"),
+        (x2**2, x1 - x3, "remainder of degree 0 in x1"),
+        (x1 * x2**2, e2, "remainder of degree 0 in x2"),
+        (y * s + 1, 1 + s, "remainder of degree 0 in t"),
+    ]
+    for f, q, text in cases:
+        with pytest.raises(NotDivisibleError) as exc:
+            f.divide_exact(q)
+        assert str(exc.value) == text
+
+
+def test_a_leading_monomial_that_does_not_divide_names_the_variable():
+    y1, y2 = Polynomial.x(2, 1), Polynomial.x(2, 2)
+    with pytest.raises(NotDivisibleError) as exc:
+        (y1 + 1).divide_exact(y1 * y2 + y2)
+    assert str(exc.value) == "remainder of degree 0 in x2"
 
 
 def test_linear_difference_division_of_zero_is_zero():
