@@ -70,6 +70,7 @@ from .gysin import _grassmann_orbits
 from .polyring import (
     NotDivisibleError,
     Polynomial,
+    _checked_int,
     _key_permuter,
     divide_by_vandermonde,
     linear_factor_product,
@@ -161,14 +162,6 @@ def hall_littlewood_r(n, seq):
     seq = as_int_sequence(seq)
     _check_length(n, seq)
     return _expand(n, _r_reps(seq))
-
-
-def _checked_int(value, name):
-    """value, refused with a ValueError naming it unless it is an int and
-    not a bool."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def _checked_n(n, least):

@@ -46,7 +46,6 @@ from .antisym import _expand
 from .gysin import _grassmann_orbits, _scaled_orbits, _t_dict
 from .hallittlewood import (
     _as_partition_of_length,
-    _checked_int,
     _divided_orbits,
     _p_reps,
     _r_reps,
@@ -63,7 +62,7 @@ from .hallittlewood import (
     t_factorial,
     t_factorial_product,
 )
-from .polyring import NotDivisibleError, Polynomial
+from .polyring import NotDivisibleError, Polynomial, _checked_int
 
 
 @dataclass

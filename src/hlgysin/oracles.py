@@ -39,7 +39,7 @@ from .hallittlewood import (
     hall_littlewood_p,
     is_strict_partition,
 )
-from .polyring import ArityMismatchError, Polynomial
+from .polyring import ArityMismatchError, Polynomial, _checked_int
 from .symgroup import Permutation, ensure_within_bound
 
 # ---------------------------------------------------------------------- #
@@ -146,7 +146,7 @@ def hall_littlewood_p_specialized(n, seq, t_value):
 def elementary_symmetric(k, n):
     """e_k(x_1..x_n): sum of all squarefree monomials of degree k."""
     _checked_n(n, 0)
-    if k < 0 or k > n:
+    if _checked_int(k, "k") < 0 or k > n:
         return Polynomial.zero(n)
     terms = {}
     for combo in itertools.combinations(range(n), k):

@@ -7,16 +7,12 @@ x-exponents followed by the t-exponent -- to nonzero integer coefficients.
 Instances are immutable by convention: no operation mutates its operands,
 so values may be shared and memoized freely.
 
-Multiplication packs each exponent tuple into one int, a fixed-width
-unsigned field per exponent, so a monomial product is one int addition
-(Monagan & Pearce, "Sparse polynomial multiplication and division in
-Maple 14", 2009).  The field width, 1, 2, 4 or 8 bytes, is chosen per
-product to hold the largest exponent sum in any one field, so no field
-can carry into its neighbour; a sum of 2**64 or more raises
-ExponentOverflowError.  Storage stays tuples: permuting variables indexes
-single exponents, which tuples do faster than packed ints, so only the
-product and the quotient by the Vandermonde pack their keys, and unpack
-the result.
+Multiplication is the plain sparse product: each pair of terms adds its
+exponent tuples and multiplies its coefficients into one dict.  Exponents
+are Python ints, so no product overflows.  The package's products are
+small, about a dozen term pairs each, too few to repay packing keys into
+ints; only divide_by_vandermonde, which moves every term of a large
+dividend once per factor, packs its keys.
 
 Exact division is the textbook long division by the divisor's leading
 term, its largest in the lexicographic order of exponent tuples (x_1
@@ -29,11 +25,8 @@ and an exact division costs in proportion to the terms it meets, not to
 the size of the exponents.  A failing one need not: by x_i - x_j, whose
 leading term is x_i, x_i^e carries one term down one degree of x_i per
 step, so it fails only after e steps.  Beside it, divide_by_vandermonde
-runs the same division by each factor x_i - x_j, the pairs (i, j) in
-lexicographic order, on packed keys: it packs the dividend once, moves
-each term with one int addition and unpacks the quotient once, so it pays
-neither divide_exact's set-up per divisor nor its rebuilding of a tuple
-per term.
+runs the same division by each factor x_i - x_j on packed keys, so it
+pays neither divide_exact's set-up per divisor nor a new tuple per term.
 A division that leaves a remainder raises NotDivisibleError; callers treat
 that as a correctness probe and never catch it to paper over a failure.
 """
@@ -43,7 +36,6 @@ from __future__ import annotations
 import heapq
 import operator
 import struct
-from functools import lru_cache
 
 
 class ArityMismatchError(ValueError):
@@ -55,31 +47,12 @@ class NotDivisibleError(ArithmeticError):
 
 
 class ExponentOverflowError(ValueError):
-    """A product would have an exponent of 2**64 or more, or a dividend of
-    divide_by_vandermonde has a total x-degree or t-exponent that large."""
+    """A dividend of divide_by_vandermonde has a total x-degree or a
+    t-exponent of 2**64 or more, too large for its widest packed field."""
 
 
 # struct codes of the unsigned field widths keys may pack at, in bytes
 _FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-@lru_cache(maxsize=None)
-def _packing(fields, width):
-    """Packed keys of ``fields`` unsigned big-endian fields of ``width``
-    bytes, the first exponent in the highest field: a function taking
-    (key, coefficient) pairs to a list of them on int keys, one taking such
-    pairs back to a dict of terms, and the bits of one field."""
-    layout = struct.Struct(f">{fields}{_FIELD_CODES[width]}")
-    pack, unpack, size = layout.pack, layout.unpack, layout.size
-    from_bytes = int.from_bytes
-
-    def pack_terms(pairs):
-        return [(from_bytes(pack(*k), "big"), c) for k, c in pairs]
-
-    def unpack_terms(pairs):
-        return {unpack(k.to_bytes(size, "big")): c for k, c in pairs}
-
-    return pack_terms, unpack_terms, 8 * width
 
 
 def _field_width(top):
@@ -106,6 +79,14 @@ def _checked_arity(arity):
     if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
         raise ValueError(f"arity must be a nonnegative integer, got {arity!r}")
     return arity
+
+
+def _checked_int(value, name):
+    """value, refused with a ValueError naming it unless it is an int and
+    not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _checked_coefficient(coeff):
@@ -255,7 +236,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if not other:
+            if not _checked_coefficient(other):
                 return Polynomial.zero(self.arity)
             return Polynomial._raw(
                 self.arity, {k: c * other for k, c in self.terms.items()}
@@ -263,32 +244,23 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.terms or not other.terms:
-            return Polynomial.zero(self.arity)
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        # Packed keys (see the module docstring): fields wide enough for the
-        # largest exponent sum in any field, so ka + kb never carries.
-        top = max(map(operator.add, map(max, zip(*a)), map(max, zip(*b))))
-        pack, unpack, _ = _packing(self.arity + 1, _field_width(top))
-        packed_a = pack(a.items())
+        add = operator.add
         out = {}
         get = out.get
-        for kb, cb in pack(b.items()):
-            for ka, ca in packed_a:
-                key = ka + kb
+        for kb, cb in other.terms.items():
+            for ka, ca in self.terms.items():
+                key = tuple(map(add, ka, kb))
                 s = get(key, 0) + ca * cb
                 if s:
                     out[key] = s
                 else:
                     del out[key]
-        return Polynomial._raw(self.arity, unpack(out.items()))
+        return Polynomial._raw(self.arity, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
+        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         out = Polynomial.one(self.arity)
         base = self
@@ -320,8 +292,7 @@ class Polynomial:
 
     def substitute_t(self, value):
         """Substitute an integer for t."""
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"t must be an integer, got {value!r}")
+        _checked_int(value, "t")
         n = self.arity
         out = {}
         for key, c in self.terms.items():
@@ -342,6 +313,9 @@ class Polynomial:
         n = self.arity
         if len(point) != n:
             raise ArityMismatchError(f"{len(point)} values for arity {n}")
+        for i, value in enumerate(point, 1):
+            _checked_int(value, f"x{i}")
+        _checked_int(t_value, "t")
         total = 0
         for key, c in self.terms.items():
             v = c
@@ -356,7 +330,8 @@ class Polynomial:
     def embed(self, arity, offset=0):
         """Reinterpret in a larger ring, x_i |-> x_{i+offset}; t is shared."""
         n = self.arity
-        if offset < 0 or offset + n > arity:
+        _checked_arity(arity)
+        if _checked_int(offset, "offset") < 0 or offset + n > arity:
             raise ArityMismatchError(
                 f"cannot embed arity {n} at offset {offset} into arity {arity}"
             )
@@ -517,13 +492,15 @@ def divide_by_vandermonde(p):
     factor x_i - x_j, the pairs (i, j) in lexicographic order, on packed
     keys.
 
-    The terms are packed once (see the module docstring) and the quotient
-    unpacked once.  The field width holds p's largest total x-degree, or
+    Each exponent tuple is packed once into one int, a fixed-width unsigned
+    field per exponent (Monagan & Pearce, "Sparse polynomial multiplication
+    and division in Maple 14", 2009), and the quotient unpacked once.  The
+    field width, 1, 2, 4 or 8 bytes, holds p's largest total x-degree, or
     its largest t-exponent if that is larger: a division only lowers the
     degree, and each term it carries moves one degree from x_i to x_j, so
-    no field of any intermediate term outgrows it.  A total x-degree or
-    t-exponent of 2**64 or more raises ExponentOverflowError, as a product
-    does.
+    no field of any intermediate term outgrows it or carries into its
+    neighbour.  A total x-degree or t-exponent of 2**64 or more raises
+    ExponentOverflowError.
 
     Each division is divide_exact's long division by x_i - x_j, whose
     leading term x_i divides every term of positive degree in x_i.  Taken
@@ -543,9 +520,13 @@ def divide_by_vandermonde(p):
     if n < 2 or not terms:
         return p
     top = max(max(sum(k[:n]) for k in terms), max(k[n] for k in terms))
-    pack, unpack, bits = _packing(n + 1, _field_width(top))
+    # n + 1 unsigned big-endian fields, x_1 in the highest and t in the lowest
+    width = _field_width(top)
+    layout = struct.Struct(f">{n + 1}{_FIELD_CODES[width]}")
+    pack, unpack, size = layout.pack, layout.unpack, layout.size
+    bits = 8 * width
     mask = (1 << bits) - 1
-    packed = pack(terms.items())
+    packed = [(int.from_bytes(pack(*k), "big"), c) for k, c in terms.items()]
     for i in range(1, n):
         # x_i is field i - 1, counted from the highest of the n + 1 fields;
         # the levels along x_i serve every pair (i, j) and are joined after
@@ -585,7 +566,9 @@ def divide_by_vandermonde(p):
             for d, level in levels.items()
             for k, c in level.items()
         ]
-    return Polynomial._raw(n, unpack(packed))
+    return Polynomial._raw(
+        n, {unpack(k.to_bytes(size, "big")): c for k, c in packed}
+    )
 
 
 def linear_factor_product(arity, pairs, c):

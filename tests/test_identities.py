@@ -38,6 +38,8 @@ from hlgysin.identities import (
     "construct, args, text",
     [
         (elementary_symmetric, (1, True), "n must be an integer, got True"),
+        (elementary_symmetric, (True, 2), "k must be an integer, got True"),
+        (elementary_symmetric, (1.0, 2), "k must be an integer, got 1.0"),
         (schur_s_jacobi_trudi, ((2,), 2.0), "n must be an integer, got 2.0"),
         (schur_s_jacobi_trudi, ((1,), -1), "n must be nonnegative"),
         (schur_s_demazure, ((1,), 2.0), "n must be an integer, got 2.0"),

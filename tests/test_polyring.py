@@ -12,8 +12,8 @@ from hlgysin.oracles import all_permutations, difference_product, vandermonde
 from hlgysin.symgroup import Permutation
 
 # Exponents within 2 of 2**7, 2**8, 2**15, ...: alone or summed in a
-# product they straddle 2**8, 2**16 and 2**32, where the packed product
-# changes its field width.
+# product they straddle 2**8, 2**16 and 2**32, where the packed keys of
+# divide_by_vandermonde change their field width.
 FIELD_EDGE_BASES = (0,) + tuple(2**k - 2 for k in (7, 8, 15, 16, 31, 32))
 
 
@@ -64,6 +64,12 @@ def test_constant_and_x_validate_like_the_constructor():
             Polynomial.constant(1, value)
         assert str(exc.value) == str(expected.value)
         assert str(exc.value) == f"coefficients must be integers, got {value!r}"
+    x1 = Polynomial.x(1, 1)
+    for value in (True, False):
+        for combine in (lambda: x1 * value, lambda: value * x1, lambda: x1 + value):
+            with pytest.raises(ValueError) as exc:
+                combine()
+            assert str(exc.value) == f"coefficients must be integers, got {value!r}"
     assert Polynomial.constant(1, -3) == Polynomial(1, {(0, 0): -3})
     for arity, index in [(2.0, 1), ("2", 1), (-1, 1), (None, 1), (2.0, 0), (True, 1)]:
         with pytest.raises(ValueError) as exc:
@@ -172,9 +178,11 @@ def test_exponent_sums_reaching_2_to_the_64_raise_a_typed_error():
     # the bound is per field: a large x_1 beside a large t does not raise
     x1, t = Polynomial.monomial(2, (half, 0)), Polynomial.monomial(2, (0, 0), half)
     assert x1 * t == Polynomial.monomial(2, (half, 0), half)
-    for at in [x1, Polynomial.monomial(2, (0, 0), half + 1)]:
-        with pytest.raises(ExponentOverflowError):
-            p * at
+    # products keep exponents of any size
+    assert p * x1 == Polynomial.monomial(2, (2**64, 1), half - 1)
+    assert p * Polynomial.monomial(2, (0, 0), half + 1) == Polynomial.monomial(
+        2, (half, 1), 2**64
+    )
     assert issubclass(ExponentOverflowError, ValueError)
     # a Vandermonde quotient's fields hold the dividend's total x-degree
     below = Polynomial.monomial(2, (half - 1, half - 1))
@@ -191,8 +199,10 @@ def test_pow():
     p = Polynomial.x(1, 1) + Polynomial.t(1)
     assert p**0 == Polynomial.one(1)
     assert p**3 == p * p * p
-    with pytest.raises(ValueError):
-        p ** (-1)
+    for exponent in (-1, True, False, 1.0):
+        with pytest.raises(ValueError) as exc:
+            p**exponent
+        assert str(exc.value) == "exponent must be a nonnegative integer"
 
 
 def test_is_homogeneous_in_x(poly):
@@ -256,8 +266,32 @@ def test_embed_offset():
     lifted = p.embed(4, offset=1)
     assert lifted == Polynomial.x(4, 2) * Polynomial.x(4, 3)
     assert p.embed(2) == p
-    with pytest.raises(ValueError):
-        p.embed(2, offset=1)
+    for arity, offset in [(2, 1), (4, 3), (4, -1)]:
+        with pytest.raises(ArityMismatchError):
+            p.embed(arity, offset)
+    for arity in (3.0, True, -1, None):
+        with pytest.raises(ValueError) as exc:
+            p.embed(arity)
+        assert str(exc.value) == f"arity must be a nonnegative integer, got {arity!r}"
+    for offset in (True, 1.0, None):
+        with pytest.raises(ValueError) as exc:
+            p.embed(3, offset)
+        assert str(exc.value) == f"offset must be an integer, got {offset!r}"
+
+
+def test_eval_at_takes_only_int_values():
+    p = Polynomial.x(2, 1) + Polynomial.t(2)
+    assert p.eval_at((1, 2), 2) == 3
+    for point, t_value, text in [
+        ((1, 2), 2.5, "t must be an integer, got 2.5"),
+        ((1, 2), True, "t must be an integer, got True"),
+        ((1.5, 2), 2, "x1 must be an integer, got 1.5"),
+        ((True, 2), 2, "x1 must be an integer, got True"),
+        ((1, "2"), 2, "x2 must be an integer, got '2'"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            p.eval_at(point, t_value)
+        assert str(exc.value) == text
 
 
 # --- exact division ------------------------------------------------------

@@ -1,13 +1,17 @@
-"""No private name of the package is left that nothing in the package reads.
+"""No private name of the package is left that nothing in the package reaches.
 
 A private name starts with one underscore.  Those checked are the
 module-level functions, classes and constants of every module of the
 package, and the methods of its classes.  A name is read where a module
-loads it as a name or an attribute, or imports it; a definition reading
-its own name, as a recursion does, does not count."""
+loads it as a name or an attribute, or imports it.  The roots are the
+public functions and classes, every public method, and every other
+module-level statement.  A private name is reached where a root reads it,
+or where the definition of a reached name does; so a helper read only by
+helpers that nothing reaches, or by itself, as a recursion does, is
+reported with them."""
 
 import ast
-from collections import Counter
+from collections import defaultdict
 from pathlib import Path
 
 import hlgysin
@@ -20,31 +24,34 @@ def is_private(name):
 
 
 def definitions(tree):
-    """(node, name) for each private name that a top-level statement of
-    ``tree`` defines, and for each private method with its own node."""
+    """(node, private names it defines) for each top-level statement of
+    ``tree`` and each method of its classes; a node defining none is a
+    root."""
     found = []
     for node in tree.body:
+        names = []
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            found.append((node, node.name))
-        if isinstance(node, ast.ClassDef):
-            found += [(item, item.name) for item in node.body if isinstance(item, ast.FunctionDef)]
+            names = [node.name]
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            found += [
-                (node, name.id) for target in targets for name in ast.walk(target)
-                if isinstance(name, ast.Name)
-            ]
-    return [(node, name) for node, name in found if is_private(name)]
+            names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+        found.append((node, names))
+        if isinstance(node, ast.ClassDef):
+            found += [(item, [item.name]) for item in node.body if isinstance(item, ast.FunctionDef)]
+    return [(node, [name for name in names if is_private(name)]) for node, names in found]
 
 
 def reads(node):
-    """How often each name is read within ``node``."""
-    read = Counter()
-    for item in ast.walk(node):
-        if isinstance(item, ast.Name) and isinstance(item.ctx, ast.Load):
-            read[item.id] += 1
-        elif isinstance(item, ast.Attribute) and isinstance(item.ctx, ast.Load):
-            read[item.attr] += 1
+    """The names read within ``node``; a class's methods are left out, as
+    they are definitions of their own."""
+    parts = [node]
+    if isinstance(node, ast.ClassDef):
+        body = [item for item in node.body if not isinstance(item, ast.FunctionDef)]
+        parts = node.bases + node.keywords + node.decorator_list + body
+    read = set()
+    for item in (item for part in parts for item in ast.walk(part)):
+        if isinstance(item, (ast.Name, ast.Attribute)) and isinstance(item.ctx, ast.Load):
+            read.add(item.id if isinstance(item, ast.Name) else item.attr)
         elif isinstance(item, ast.ImportFrom):
             read.update(alias.name for alias in item.names)
     return read
@@ -52,15 +59,19 @@ def reads(node):
 
 def unread_private_names(sources):
     """The private names defined in ``sources``, a list of module texts,
-    that no module reads outside the name's own definition."""
-    trees = [ast.parse(source) for source in sources]
-    read = sum((reads(tree) for tree in trees), Counter())
-    return [
-        name
-        for tree in trees
-        for node, name in definitions(tree)
-        if read[name] <= reads(node)[name]
-    ]
+    that no root reaches, in the order they are defined."""
+    found = [d for source in sources for d in definitions(ast.parse(source))]
+    defining = defaultdict(list)
+    for node, names in found:
+        for name in names:
+            defining[name].append(node)
+    todo = [node for node, names in found if not names]
+    reached = set()
+    while todo:
+        for name in reads(todo.pop()) & defining.keys() - reached:
+            reached.add(name)
+            todo += defining[name]
+    return [name for _, names in found for name in names if name not in reached]
 
 
 def test_unread_private_names_are_found():
@@ -75,7 +86,20 @@ def test_unread_private_names_are_found():
         "    def __len__(self):\n        return 0\n"
     )
     caller = "from engine import _used, _Box\nprint(_Box()._kept())\n"
-    assert unread_private_names([engine, caller]) == ["_SPARE", "_walk", "_lost"]
+    # _WIDTH is read only by _walk, which nothing reaches
+    assert unread_private_names([engine, caller]) == ["_WIDTH", "_SPARE", "_walk", "_lost"]
+    chains = (
+        "def _mover(k):\n    return k + 1\n"
+        "def _level_divider(k):\n    return _mover(k)\n"
+        "def _ping(k):\n    return _pong(k)\n"
+        "def _pong(k):\n    return _ping(k)\n"
+        "_BASE = 2\n"
+        "def _scale(k):\n    return _BASE * k\n"
+        "class Ring:\n"
+        "    def double(self, k):\n        return self._twice(k)\n"
+        "    def _twice(self, k):\n        return _scale(k)\n"
+    )
+    assert unread_private_names([chains]) == ["_mover", "_level_divider", "_ping", "_pong"]
 
 
 def test_every_private_name_of_the_package_is_read():
