@@ -23,7 +23,6 @@ from .symgroup import (
     coset_reps,
     ensure_within_bound,
 )
-from .antisym import divided_difference, jacobi_symmetrizer
 from .hallittlewood import (
     gaussian_binomial,
     gaussian_binomial_at_minus_one,
@@ -60,6 +59,8 @@ from .identities import (
     verify_t_minus1,
     verify_theorem_main,
 )
+
+from .oracles import divided_difference, jacobi_symmetrizer
 
 # Not in __all__: the benchmark calls the Schur P oracle by this name.
 from .oracles import schur_p_recursive  # noqa: F401

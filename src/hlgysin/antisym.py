@@ -1,24 +1,20 @@
-"""Divided differences: the one primitive behind every push-forward.
+"""Divided differences on orbits: the one primitive behind every push-forward.
 
 For 1-based indices i != j the divided difference is
 
     d_ij f = (f - s_ij f) / (x_i - x_j),
 
-where s_ij swaps x_i and x_j.  It is computed term by term in closed form:
-a term x_i^a x_j^b with a > b maps to sum_{k < a-b} x_i^(b+k) x_j^(a-1-k),
-one with a < b to minus the same sum with a and b exchanged, and one with
-a == b to zero.  No division is performed, so nothing can fail and nothing
-is left to check.
+where s_ij swaps x_i and x_j.  On a term it has a closed form: x_i^a x_j^b
+with a > b maps to sum_{k < a-b} x_i^(b+k) x_j^(a-1-k), one with a < b to
+minus the same sum with a and b exchanged, and one with a == b to zero.
+No division is performed, so nothing can fail and nothing is left to
+check.
 
 Push-forwards in the Chern-root model are composites of the adjacent
 d_a = d_{a,a+1} along reduced words (Bernstein-Gelfand-Gelfand 1973;
-Demazure 1974).  Along a reduced word of the longest element w0 of S_n the
-composite is the Jacobi symmetrizer
-
-    d_w0 f = (sum over w in S_n of sign(w) w(f)) / prod_{i<j} (x_i - x_j),
-
-which forms alternant quotients without ever building the n!-term signed
-sum.  gysin's full-flag push-forward gets the same value from the tower.
+Demazure 1974).  This module holds them only on orbits; the plain
+divided difference of a whole polynomial, and the Jacobi symmetrizer
+along the longest element of S_n, are oracles (hlgysin.oracles).
 
 One routine, _divided_difference_tower, runs every composite that keeps a
 block symmetry at every step, on one exponent vector per orbit: it takes
@@ -65,49 +61,8 @@ from functools import lru_cache
 from .polyring import Polynomial
 
 
-def divided_difference(f, i, j):
-    """(f - s_ij f) / (x_i - x_j) for 1-based variable indices i != j."""
-    n = f.arity
-    if i == j or not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"need two distinct indices in 1..{n}, got {i} and {j}")
-    i, j = i - 1, j - 1
-    out = {}
-    for key, c in f.terms.items():
-        a, b = key[i], key[j]
-        if a == b:
-            continue
-        if a < b:
-            a, b, c = b, a, -c
-        k = list(key)
-        for e in range(b, a):
-            k[i] = e
-            k[j] = a + b - 1 - e
-            nk = tuple(k)
-            s = out.get(nk, 0) + c
-            if s:
-                out[nk] = s
-            else:
-                del out[nk]
-    return Polynomial._raw(n, out)
-
-
-def longest_word(m):
-    """A reduced word of the longest element of S_m, letters 1..m-1, to be
-    applied first letter first: [m-1, m-2, m-1, ..., 1, 2, ..., m-1]."""
-    return [j for k in range(m - 1, 0, -1) for j in range(k, m)]
-
-
-def jacobi_symmetrizer(p):
-    """Exact value of  (sum over w in S_n of sign(w) w(p)) / prod_{i<j}(x_i - x_j),
-    computed as the divided difference along the longest element of S_n."""
-    for a in longest_word(p.arity):
-        p = divided_difference(p, a, a + 1)
-    return p
-
-
-def _divided_difference_tower(n, reps, start=0, k=1, stop=None):
-    """d_{stop-1} ... d_k f, d_k applied first, on orbit representatives;
-    stop defaults to n.
+def _divided_difference_tower(n, reps, start, k, stop):
+    """d_{stop-1} ... d_k f, d_k applied first, on orbit representatives.
 
     f is symmetric in the coarse block start+1..k and in k+1..n, and the
     positions 1..start are passive.  reps holds, for each orbit, the
@@ -118,10 +73,7 @@ def _divided_difference_tower(n, reps, start=0, k=1, stop=None):
     stop = k + r the rows d_{q+r-1} ... d_q, ..., d_{stop-1} ... d_k make up
     the Grassmann push-forward of the blocks k..q | q+1..n.  This is not
     checked.  The representatives for the blocks (start+1..k-1 | k..n) are
-    returned.  The defaults start = 0, k = 1, stop = n give the tower
-    d_{n-1} ... d_1 that builds R_lam: f is symmetric in x_2..x_n, the
-    answer is symmetric, and its partition keys are returned; _expand makes
-    the polynomial.
+    returned.
 
     Each orbit and each distinct value u of its coarse block add the
     orbit's coefficient times _row_image(u, beta, stop - k), beta the keys'
@@ -129,8 +81,6 @@ def _divided_difference_tower(n, reps, start=0, k=1, stop=None):
     (see the module docstring).  The t-coefficients are touched once per
     key of an image; no intermediate row is built.
     """
-    if stop is None:
-        stop = n
     r = stop - k
     width = n - k + 1  # of a key of the row's images
     out = {}

@@ -232,27 +232,19 @@ def _grassmann_input(n, q, c, a, b):
     m the monomial symmetric polynomial, and the dominant part of each
     summand is the product of the dominant parts of its two factors.
     The Q-factors depend on q, r, c and A only (_cross_sides); e_K * B is
-    the Pieri step applied |K| times, memoized on the suffix of K.  A key
-    that one summand alone meets keeps that summand's coefficient, so
-    zeros are looked for only when two summands met.
+    the Pieri step applied |K| times, memoized on the suffix of K.  Each
+    pair of a Q-orbit and an S-orbit adds its product into the result, and
+    the zeros are dropped once, at the end.
     """
     a_key = tuple((key, tuple(tc.items())) for key, tc in a.items())
     pieri = {}  # suffix of K -> {k: orbits of e_k * e_suffix * B}
     reps = {}
-    met = False
     for ks, q_side in _cross_sides(q, n - q, c, a_key):
         s_side = _elementary_suffix(ks, b, pieri)
         for gamma, tq in q_side.items():
-            for delta, tc in _scaled_orbits(s_side, tq).items():
-                key = gamma + delta
-                g = reps.get(key)
-                if g is None:
-                    reps[key] = tc
-                else:
-                    met = True
-                    for t, v in tc.items():
-                        g[t] = g.get(t, 0) + v
-    return _nonzero_orbits(reps) if met else reps
+            for delta, tc in s_side.items():
+                _add_t_product(reps.setdefault(gamma + delta, {}), tq, tc)
+    return _nonzero_orbits(reps)
 
 
 @lru_cache(maxsize=256)
@@ -264,7 +256,7 @@ def _cross_sides(q, r, c, a_key):
     again; the dicts are shared by every caller, which reads them only."""
     step, weights = _t_dict(-c), [{0: 1}]
     for _ in range(q * r):
-        weights.append(_t_product(weights[-1], step))
+        weights.append(_add_t_product({}, weights[-1], step))
     a_terms = [(x, dict(tc)) for key, tc in a_key for x in _rearrangements(key)]
     sides = []
     for ks in itertools.combinations_with_replacement(range(r + 1), q):
@@ -336,29 +328,20 @@ def _monomial_product(alpha, a_terms):
     """The partition keys of m_alpha * A for a partition alpha, A given by
     all its terms as (x-exponents, {t-exponent: coefficient}) pairs."""
     out = {}
-    met = False
     for x in _rearrangements(alpha):
         for y, tc in a_terms:
             key = tuple(map(operator.add, x, y))
             if all(map(operator.ge, key, key[1:])):
-                g = out.get(key)
-                if g is None:
-                    out[key] = dict(tc)
-                else:
-                    met = True
-                    for t, c in tc.items():
-                        g[t] = g.get(t, 0) + c
-    return _nonzero_orbits(out) if met else out
+                g = out.setdefault(key, {})
+                for t, c in tc.items():
+                    g[t] = g.get(t, 0) + c
+    return _nonzero_orbits(out)
 
 
 def _scaled_orbits(orbits, u):
     """Each orbit's coefficient times u, a polynomial in t given as a dict
-    from t-exponent to integer.  Neither u nor a coefficient is zero, so
-    no product is."""
-    if len(u) == 1:
-        ((e, m),) = u.items()
-        return {key: {e + t: m * c for t, c in tc.items()} for key, tc in orbits.items()}
-    return {key: _t_product(u, tc) for key, tc in orbits.items()}
+    from t-exponent to integer."""
+    return _nonzero_orbits({key: _add_t_product({}, u, tc) for key, tc in orbits.items()})
 
 
 def _t_dict(p):
@@ -366,9 +349,12 @@ def _t_dict(p):
     return {t: c for (t,), c in p.terms.items()}
 
 
-def _t_product(u, v):
-    out = {}
+def _add_t_product(out, u, v):
+    """Add u * v into out and return out, each a polynomial in t as a dict
+    from t-exponent to integer; a coefficient that cancels stays in out
+    as 0."""
     for t1, c1 in u.items():
         for t2, c2 in v.items():
-            out[t1 + t2] = out.get(t1 + t2, 0) + c1 * c2
-    return {t: c for t, c in out.items() if c}
+            t = t1 + t2
+            out[t] = out.get(t, 0) + c1 * c2
+    return out

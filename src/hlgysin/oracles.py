@@ -17,6 +17,16 @@ schur_p_coset (both rows of hallittlewood._rows), and the Schur P oracle
 uses none of the engine's orbit machinery (_rows, _expand, gysin).
 Schur S also has its Demazure form pi_w0(x^lam), a chain of plain
 divided differences that builds no Grassmann row.
+
+The plain divided difference acts on a whole polynomial, term by term,
+where the engine's acts only on orbits (antisym).  Along a reduced word of
+the longest element w0 of S_n it gives the Jacobi symmetrizer, the
+bialternant
+
+    d_w0 f = (sum over w in S_n of sign(w) w(f)) / prod_{i<j} (x_i - x_j),
+
+without building the n!-term signed sum; gysin's full-flag push-forward
+gets the same value from the tower.
 Alongside them: the explicit group enumerations and products (all of S_n,
 the stabilizer, the Vandermonde and the t-twisted Vandermonde) that the
 naive S_n sums of the tests are built from, and the blockwise full-flag
@@ -31,7 +41,6 @@ import math
 import operator
 from functools import lru_cache
 
-from .antisym import divided_difference, longest_word
 from .hallittlewood import (
     _as_partition_of_length,
     _checked_n,
@@ -109,6 +118,50 @@ def stabilizer_elements(blocks):
                 images[pos - 1] = val
         out.append(Permutation(images))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------- #
+# divided differences of whole polynomials and the bialternant
+
+
+def divided_difference(f, i, j):
+    """(f - s_ij f) / (x_i - x_j) for 1-based variable indices i != j."""
+    n = f.arity
+    if i == j or not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"need two distinct indices in 1..{n}, got {i} and {j}")
+    i, j = i - 1, j - 1
+    out = {}
+    for key, c in f.terms.items():
+        a, b = key[i], key[j]
+        if a == b:
+            continue
+        if a < b:
+            a, b, c = b, a, -c
+        k = list(key)
+        for e in range(b, a):
+            k[i] = e
+            k[j] = a + b - 1 - e
+            nk = tuple(k)
+            s = out.get(nk, 0) + c
+            if s:
+                out[nk] = s
+            else:
+                del out[nk]
+    return Polynomial._raw(n, out)
+
+
+def longest_word(m):
+    """A reduced word of the longest element of S_m, letters 1..m-1, to be
+    applied first letter first: [m-1, m-2, m-1, ..., 1, 2, ..., m-1]."""
+    return [j for k in range(m - 1, 0, -1) for j in range(k, m)]
+
+
+def jacobi_symmetrizer(p):
+    """Exact value of  (sum over w in S_n of sign(w) w(p)) / prod_{i<j}(x_i - x_j),
+    computed as the divided difference along the longest element of S_n."""
+    for a in longest_word(p.arity):
+        p = divided_difference(p, a, a + 1)
+    return p
 
 
 # ---------------------------------------------------------------------- #
@@ -202,7 +255,7 @@ def schur_s_demazure(partition, n):
     """Schur polynomial s_lam(x_1..x_n) = pi_w0(x^lam), pi_a f = d_a(x_a f).
 
     The Demazure character formula (Demazure 1974; Lascoux 2003, ch. 1),
-    along the reduced word of antisym.longest_word.  Every intermediate
+    along the reduced word of longest_word.  Every intermediate
     pi_v(x^lam) is a key polynomial whose monomials are among those of
     s_lam, so no step holds more terms than the answer.
     """

@@ -60,7 +60,7 @@ def _field_width(top):
     for width in _FIELD_CODES:
         if not top >> (8 * width):
             return width
-    raise ExponentOverflowError(f"exponent sum {top} does not fit in 64 bits")
+    raise ExponentOverflowError(f"total x-degree or t-exponent {top} does not fit in 64 bits")
 
 
 def _key_permuter(images):

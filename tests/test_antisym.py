@@ -114,7 +114,7 @@ def chain(f):
 def tower(f):
     """d_{n-1} ... d_1 f on the orbit representatives of f, expanded."""
     n = f.arity
-    return _expand(n, _divided_difference_tower(n, dominant_orbits(f)))
+    return _expand(n, _divided_difference_tower(n, dominant_orbits(f), 0, 1, n))
 
 
 @st.composite

@@ -8,7 +8,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given = hypothesis.given
 
-from conftest import dominant_orbits, settings  # noqa: E402
+from conftest import block_orbits, settings  # noqa: E402
 
 from hlgysin import Polynomial, hall_littlewood_p  # noqa: E402
 from hlgysin.gysin import _grassmann_input  # noqa: E402
@@ -32,18 +32,34 @@ def test_p_at_t_zero_is_the_jacobi_trudi_schur_polynomial(case):
 
 
 @st.composite
-def symmetric_tails(draw):
-    """(head, n, orbits): a random class symmetric in n - 1 variables, as
-    partition keys -> {t-exponent: nonzero coefficient}, and an exponent
-    for x_1."""
-    n = draw(st.integers(2, 5))
-    keys = st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1).map(
+def symmetric_orbits(draw, m):
+    """A random class symmetric in m variables, as partition keys ->
+    {t-exponent: nonzero coefficient}."""
+    keys = st.lists(st.integers(0, 3), min_size=m, max_size=m).map(
         lambda parts: tuple(sorted(parts, reverse=True))
     )
     t_polys = st.dictionaries(
         st.integers(0, 3), st.integers(-3, 3).filter(bool), min_size=1, max_size=3
     )
-    return draw(st.integers(0, 3)), n, draw(st.dictionaries(keys, t_polys, max_size=4))
+    return draw(st.dictionaries(keys, t_polys, max_size=4))
+
+
+@st.composite
+def grassmann_factors(draw):
+    """(n, q, a, b): random classes A symmetric in q <= 3 variables and B
+    symmetric in the n - q others, as orbits."""
+    n = draw(st.integers(2, 5))
+    q = draw(st.integers(1, min(3, n - 1)))
+    return n, q, draw(symmetric_orbits(q)), draw(symmetric_orbits(n - q))
+
+
+def expanded_with_t(m, orbits):
+    return Polynomial(m, {
+        perm + (k,): coeff
+        for key, tc in orbits.items()
+        for perm in set(itertools.permutations(key))
+        for k, coeff in tc.items()
+    })
 
 
 # c = t is R's row, c = -1 Schur P's and c = 0 the t = 0 shadow's
@@ -51,22 +67,17 @@ ROW_CONSTANTS = st.sampled_from([Polynomial.t(0), Polynomial.constant(0, -1), Po
 
 
 @settings(100)
-@given(symmetric_tails(), ROW_CONSTANTS)
+@given(grassmann_factors(), ROW_CONSTANTS)
 def test_row_product_on_random_symmetric_tails(case, c):
-    """The Grassmann input (1 | n-1) built from orbits against the product
-    x_1^head prod_{j>1} (x_1 - c x_j) * tail, filtered to its dominant terms."""
-    head, n, orbits = case
-    tail = Polynomial(n - 1, {
-        perm + (k,): coeff
-        for key, tc in orbits.items()
-        for perm in set(itertools.permutations(key))
-        for k, coeff in tc.items()
-    })
-    row = Polynomial.x(n, 1) ** head * linear_factor_product(
-        n, [(1, j) for j in range(2, n + 1)], c.embed(n)
+    """The Grassmann input (q | n-q) built from orbits against the product
+    prod_{i<=q<j} (x_i - c x_j) * A(x_1..x_q) * B(x_{q+1}..x_n), filtered to
+    its block-dominant terms."""
+    n, q, a, b = case
+    cross = linear_factor_product(
+        n, [(i, j) for i in range(1, q + 1) for j in range(q + 1, n + 1)], c.embed(n)
     )
-    full = row * tail.embed(n, offset=1)
-    assert _grassmann_input(n, 1, c, {(head,): {0: 1}}, orbits) == dominant_orbits(full)
+    full = cross * expanded_with_t(q, a).embed(n) * expanded_with_t(n - q, b).embed(n, offset=q)
+    assert _grassmann_input(n, q, c, a, b) == block_orbits(full, (q, n - q))
 
 
 @st.composite

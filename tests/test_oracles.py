@@ -51,6 +51,25 @@ def test_the_oracles_take_nothing_from_the_engines_orbit_machinery():
     assert not [m for m in imports if m.startswith("hlgysin.gysin")]
 
 
+def test_the_oracles_import_nothing_from_antisym():
+    """The plain divided difference and the bialternant are oracles, so the
+    engine's divided differences on orbits are checked against code that
+    shares nothing with them."""
+    imports = imported_modules(PACKAGE / "oracles.py")
+    assert not [m for m in imports if m.startswith("hlgysin.antisym")]
+
+
+def test_antisym_defines_no_public_function():
+    """antisym holds only the orbit tower and its helpers."""
+    tree = ast.parse((PACKAGE / "antisym.py").read_text())
+    public = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert public == []
+
+
 def test_no_core_module_imports_the_verifiers_or_the_cli():
     for name in CORE:
         imports = set(imported_modules(PACKAGE / f"{name}.py"))
