@@ -16,13 +16,14 @@ reduced word of its longest minimal coset representative.  No n!-term sum
 is formed and no division can fail.
 
 Every push-forward runs on orbit representatives from its input to its
-answer.  The input is checked for block symmetry and then cut to the terms
-whose exponents weakly decrease within each run, one per orbit.  Each merge
-is a sequence of rows of antisym._divided_difference_tower, a linear map on
-representatives: each orbit, by the value it moves to the row's first
-position and the key after it, picks a memoized image (antisym._row_image)
-that the row adds in, and no step of a row is built.  The answer, symmetric,
-is expanded once from its partition keys.
+answer.  The input is relabelled, checked for block symmetry and cut to
+the terms whose exponents weakly decrease within each run, one per orbit,
+in one pass over its terms.  Each merge is a sequence of rows of
+antisym._divided_difference_tower, a linear map on representatives: each
+orbit, by the value it moves to the row's first position and the key after
+it, picks a memoized image (antisym._row_image) that the row adds in, and
+no step of a row is built.  The answer, symmetric, is expanded once from
+its partition keys.
 Callers that build a symmetric input themselves can hand its
 representatives to _merge_runs directly.
 
@@ -49,8 +50,7 @@ from .antisym import (
     _nonzero_orbits,
     _rearrangements,
 )
-from .polyring import ArityMismatchError
-from .symgroup import Permutation
+from .polyring import ArityMismatchError, _checked_int
 
 
 class NonInvariantInputError(ValueError):
@@ -69,10 +69,12 @@ class RootSplit:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(tuple(sorted(b)) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        if self.n < 1:
+        if _checked_int(self.n, "n") < 1:
             raise ValueError("n must be positive")
+        blocks = tuple(
+            tuple(sorted(_checked_int(i, "block member") for i in b)) for b in self.blocks
+        )
+        object.__setattr__(self, "blocks", blocks)
         if any(not b for b in blocks):
             raise ValueError("blocks must be nonempty")
         flat = sorted(itertools.chain.from_iterable(blocks))
@@ -89,78 +91,65 @@ class RootSplit:
     @classmethod
     def full_flag(cls, n):
         """n singleton blocks."""
-        return cls(n, tuple((i,) for i in range(1, n + 1)))
+        return cls(n, tuple((i,) for i in range(1, _checked_int(n, "n") + 1)))
 
     @classmethod
     def leading_flag(cls, k, n):
         """k singleton blocks then one block k+1..n (full flag when k >= n-1)."""
-        if not 0 <= k <= n:
+        if not 0 <= _checked_int(k, "k") <= _checked_int(n, "n"):
             raise ValueError(f"k must lie in 0..{n}")
         head = tuple((i,) for i in range(1, k + 1))
         if k == n:
             return cls(n, head)
         return cls(n, head + (tuple(range(k + 1, n + 1)),))
 
-    def block_symmetry_generators(self):
-        """Transpositions of consecutive members of each block; they generate
-        the Young subgroup preserving the split."""
-        for b in self.blocks:
-            for a, c in zip(b, b[1:]):
-                yield Permutation.transposition(self.n, a, c)
-
 
 def _check_block_sizes(q, r):
-    if q < 1 or r < 1:
+    if _checked_int(q, "q") < 1 or _checked_int(r, "r") < 1:
         raise ValueError("both block sizes must be positive")
-
-
-def _check_block_symmetric(f, split):
-    for g in split.block_symmetry_generators():
-        if f.permute_vars(g) != f:
-            raise NonInvariantInputError(
-                f"polynomial is not symmetric within block structure {split.blocks!r}"
-            )
 
 
 def partial_flag_pushforward(f, split):
     """Push f forward along the flag of quotients determined by the split.
 
     f must be invariant under permutations within each block (checked).
-    One variable permutation w relabels the blocks, in their given order,
-    into consecutive runs.  w keeps the order inside each block, so its
-    sign is the parity of the cross-block pairs i < j it reverses, and the
-    push-forward changes by that sign.  Only the relabelled terms whose
-    exponents weakly decrease within each run are kept, one per orbit of
-    the runs' symmetry; _merge_runs pushes them forward, and the symmetric
-    answer is expanded once from its partition keys.
+    One pass over its terms relabels the blocks, in their given order, into
+    consecutive runs, checks that each term keeps its coefficient when two
+    neighbours inside a run swap, and keeps the terms whose exponents weakly
+    decrease within each run, one per orbit.  The relabelling keeps the
+    order inside each block, so its sign is the parity of the cross-block
+    pairs i < j it reverses, and the kept coefficients carry that sign.
+    _merge_runs pushes them forward, and the symmetric answer is expanded
+    once from its partition keys.
     """
-    if f.arity != split.n:
+    n = split.n
+    if f.arity != n:
         raise ArityMismatchError(
-            f"polynomial arity {f.arity} does not match split on {split.n} variables"
+            f"polynomial arity {f.arity} does not match split on {n} variables"
         )
-    _check_block_symmetric(f, split)
+    order = [i - 1 for b in split.blocks for i in b]
+    relabel = operator.itemgetter(*order, n)
+    terms = {relabel(key): c for key, c in f.terms.items()}
+    sizes = [len(b) for b in split.blocks]
+    ends = set(itertools.accumulate(sizes))
+    pairs = [i for i in range(n - 1) if i + 1 not in ends]
+    odd = sum(a > b for a, b in itertools.combinations(order, 2)) % 2
+    reps = {}
+    for key, c in terms.items():
+        dominant = True
+        for i in pairs:
+            a, b = key[i], key[i + 1]
+            if a != b:
+                if terms.get(key[:i] + (b, a) + key[i + 2 :]) != c:
+                    raise NonInvariantInputError(
+                        f"polynomial is not symmetric within block structure {split.blocks!r}"
+                    )
+                dominant = dominant and a > b
+        if dominant:
+            reps.setdefault(key[:n], {})[key[n]] = -c if odd else c
     if len(split.blocks) == 1:
         return f
-    w = Permutation(itertools.chain.from_iterable(split.blocks)).inverse()
-    sizes = [len(b) for b in split.blocks]
-    orbits = _merge_runs(split.n, sizes, _run_representatives(f.permute_vars(w), sizes))
-    if w.sign() < 0:
-        orbits = {key: {t: -c for t, c in tc.items()} for key, tc in orbits.items()}
-    return _expand(split.n, orbits)
-
-
-def _run_representatives(f, sizes):
-    """The terms of f whose exponents weakly decrease within each run of
-    consecutive variables of the given sizes, grouped as the tower carries
-    them: x-exponents -> {t-exponent: coefficient}."""
-    n = f.arity
-    ends = set(itertools.accumulate(sizes))
-    pairs = [i for i in range(1, n) if i not in ends]
-    reps = {}
-    for key, c in f.terms.items():
-        if all(key[i - 1] >= key[i] for i in pairs):
-            reps.setdefault(key[:n], {})[key[n]] = c
-    return reps
+    return _expand(n, _merge_runs(n, sizes, reps))
 
 
 def _merge_runs(n, sizes, reps):
@@ -188,7 +177,7 @@ def full_flag_pushforward(f, n):
     """Push forward along the full flag: (sum over all w of sign(w) w(f))
     / Vandermonde, the partial-flag push-forward along n singleton blocks.
     No symmetry precondition; in no variables f is its own push-forward."""
-    if f.arity != n:
+    if f.arity != _checked_int(n, "n"):
         raise ArityMismatchError(f"polynomial arity {f.arity} does not match n = {n}")
     return partial_flag_pushforward(f, RootSplit.full_flag(n)) if n else f
 

@@ -114,6 +114,11 @@ class InstanceFamily:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("entry_bound", "count", "seed"):
+            _checked_int(getattr(self, name), name)
+        for name in ("n_range", "q_range"):
+            for value in getattr(self, name) or ():
+                _checked_int(value, f"each entry of {name}")
         if self.mode not in ("exhaustive", "randomized"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "randomized" and self.count < 1:
@@ -185,6 +190,7 @@ def verify_lemma_sum(n):
     """Symmetrized t-twisted Vandermonde quotient with trivial exponents
     equals the t-factorial of n."""
     started = time.perf_counter()
+    _checked_int(n, "n")
     lhs = hall_littlewood_r(n, (0,) * n)
     rhs = t_factorial(n).embed(n)
     return _report("lemma-sum", {"n": n}, lhs - rhs, started)

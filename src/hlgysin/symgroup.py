@@ -56,6 +56,8 @@ class Permutation:
     def transposition(cls, n, a, b):
         if a == b:
             raise ValueError("transposition needs two distinct points")
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise ValueError(f"transposition points {a}, {b} must lie in 1..{n}")
         images = list(range(1, n + 1))
         images[a - 1], images[b - 1] = b, a
         return cls(images)

@@ -93,6 +93,15 @@ def test_root_split_validation():
         RootSplit(2, ((1, 2), ()))
     with pytest.raises(ValueError):
         RootSplit(0, ())
+    for n, blocks, text in [
+        (True, ((1,),), "n must be an integer, got True"),
+        (2.0, ((1,), (2,)), "n must be an integer, got 2.0"),
+        (2, ((1,), ("2",)), "block member must be an integer, got '2'"),
+        (2, ((1.0, 2),), "block member must be an integer, got 1.0"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            RootSplit(n, blocks)
+        assert str(exc.value) == text
 
 
 def test_root_split_factories():
@@ -108,6 +117,18 @@ def test_root_split_factories():
         RootSplit.grassmann(0, 2)
     with pytest.raises(ValueError):
         RootSplit.leading_flag(4, 3)
+    f = Polynomial.one(3)
+    for call, text in [
+        (lambda: full_flag_pushforward(Polynomial.one(1), True), "n must be an integer, got True"),
+        (lambda: RootSplit.full_flag(2.0), "n must be an integer, got 2.0"),
+        (lambda: grassmann_pushforward(f, 1.5, 2), "q must be an integer, got 1.5"),
+        (lambda: grassmann_pushforward(f, 1, True), "r must be an integer, got True"),
+        (lambda: leading_flag_pushforward(f, 1.0, 3), "k must be an integer, got 1.0"),
+        (lambda: leading_flag_pushforward(f, 1, 3.0), "n must be an integer, got 3.0"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == text
 
 
 def test_cross_pair_count():
@@ -183,9 +204,15 @@ def test_every_public_pushforward_checks_block_symmetry():
         (x(3, 3), ((1,), (2, 3))),
         (x(4, 1) * x(4, 3) ** 2, ((2,), (1, 3), (4,))),
         (x(5, 1) + x(5, 4), ((1, 3), (2, 4), (5,))),
+        # the swapped partner is there, with another coefficient
+        (x(2, 1) ** 2 * x(2, 2) + 2 * x(2, 1) * x(2, 2) ** 2, ((1, 2),)),
+        (x(3, 1) ** 2 * x(3, 3) + 2 * x(3, 1) * x(3, 3) ** 2, ((1, 3), (2,))),
     ]:
-        with pytest.raises(NonInvariantInputError):
+        with pytest.raises(NonInvariantInputError) as exc:
             partial_flag_pushforward(f, RootSplit(f.arity, blocks))
+        assert str(exc.value) == (
+            f"polynomial is not symmetric within block structure {blocks!r}"
+        )
 
 
 def plain_pushforward(f, split):
@@ -232,6 +259,37 @@ def test_partial_flag_pushforward_is_the_plain_divided_difference_loop(
         g = young_symmetrized(random_poly(split.n, n_terms=4, max_exp=6), sizes)
         f = g.permute_vars(relabel)  # symmetric within each block of the split
         assert partial_flag_pushforward(f, split) == plain_pushforward(f, split)
+
+
+@pytest.mark.parametrize("blocks", MERGE_SPLITS, ids=str)
+def test_one_term_added_to_a_block_symmetric_input_is_refused(blocks):
+    """Every term of f has distinct exponents, so adding one of them again
+    leaves its swapped partners with the old coefficient."""
+    split = RootSplit(sum(map(len, blocks)), blocks)
+    relabel = Permutation(itertools.chain.from_iterable(blocks))
+    sizes = [len(b) for b in blocks]
+    staircase = Polynomial.monomial(split.n, tuple(range(split.n)))
+    f = young_symmetrized(staircase, sizes).permute_vars(relabel)
+    partial_flag_pushforward(f, split)
+    key = min(f.terms)
+    g = f + Polynomial.monomial(split.n, key[:-1], key[-1])
+    with pytest.raises(NonInvariantInputError):
+        partial_flag_pushforward(g, split)
+
+
+def test_an_odd_relabelling_keeps_the_push_forward(random_poly):
+    """The blocks (2, 4), (1, 3), (5,) run together as 2, 4, 1, 3, 5, an odd
+    permutation: the relabelled push-forward is negated back."""
+    blocks = ((2, 4), (1, 3), (5,))
+    split = RootSplit(5, blocks)
+    relabel = Permutation(itertools.chain.from_iterable(blocks))
+    assert relabel.sign() == -1
+    for _ in range(2):
+        g = young_symmetrized(random_poly(5, n_terms=3, max_exp=5), [2, 2, 1])
+        f = g.permute_vars(relabel)
+        pushed = partial_flag_pushforward(f, split)
+        assert not pushed.is_zero
+        assert pushed == plain_pushforward(f, split) == naive_pushforward(f, split)
 
 
 # --- structural properties --------------------------------------------------

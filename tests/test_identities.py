@@ -51,6 +51,7 @@ from hlgysin.identities import (
         (verify_prop_juxtaposition, (3, True, (1,), (0, 0)), "q must be an integer, got True"),
         (verify_t0_jlp, (3, 1.0, (1,), (0, 0)), "q must be an integer, got 1.0"),
         (verify_t_minus1, (3, True, (1,), ()), "q must be an integer, got True"),
+        (verify_lemma_sum, (2.0,), "n must be an integer, got 2.0"),
     ],
 )
 def test_oracles_and_verifiers_take_only_an_int_n_and_q(construct, args, text):
@@ -339,6 +340,22 @@ def test_instance_family_validation():
         InstanceFamily(mode="surprise")
     with pytest.raises(ValueError):
         InstanceFamily(entry_bound=-1)
+
+
+@pytest.mark.parametrize(
+    "fields, text",
+    [
+        ({"n_range": (1.0, 2.0)}, "each entry of n_range must be an integer, got 1.0"),
+        ({"q_range": (1, True)}, "each entry of q_range must be an integer, got True"),
+        ({"entry_bound": True}, "entry_bound must be an integer, got True"),
+        ({"mode": "randomized", "count": 2.0}, "count must be an integer, got 2.0"),
+        ({"seed": "7"}, "seed must be an integer, got '7'"),
+    ],
+)
+def test_instance_family_takes_only_ints(fields, text):
+    with pytest.raises(ValueError) as exc:
+        InstanceFamily(**fields)
+    assert str(exc.value) == text
 
 
 def test_run_suite_lemma():

@@ -7,6 +7,8 @@ permutation bound."""
 import ast
 from pathlib import Path
 
+import pytest
+
 import hlgysin
 
 PACKAGE = Path(hlgysin.__file__).resolve().parent
@@ -93,6 +95,9 @@ def test_only_symgroup_holds_the_permutation_bound_among_the_core():
     assert holders == ["symgroup"]
 
 
-def test_antisym_imports_nothing_from_symgroup():
-    imports = imported_modules(PACKAGE / "antisym.py")
+@pytest.mark.parametrize("name", ["antisym", "gysin"])
+def test_antisym_imports_nothing_from_symgroup(name):
+    """The orbit tower and the push-forwards relabel variables by key maps,
+    never by permutations."""
+    imports = imported_modules(PACKAGE / f"{name}.py")
     assert not [m for m in imports if m.startswith("hlgysin.symgroup")]

@@ -40,6 +40,10 @@ def test_permutation_validation():
         Permutation((0, 1))
     with pytest.raises(ValueError):
         Permutation.transposition(3, 2, 2)
+    for a, b in [(1, 5), (0, 2)]:
+        with pytest.raises(ValueError) as exc:
+            Permutation.transposition(3, a, b)
+        assert str(exc.value) == f"transposition points {a}, {b} must lie in 1..3"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
