@@ -50,7 +50,7 @@ from .antisym import (
     _nonzero_orbits,
     _rearrangements,
 )
-from .polyring import ArityMismatchError, _checked_int
+from .polyring import ArityMismatchError, _checked_int, _checked_ints
 
 
 class NonInvariantInputError(ValueError):
@@ -69,11 +69,13 @@ class RootSplit:
     blocks: tuple
 
     def __post_init__(self):
-        if _checked_int(self.n, "n") < 1:
-            raise ValueError("n must be positive")
-        blocks = tuple(
-            tuple(sorted(_checked_int(i, "block member") for i in b)) for b in self.blocks
-        )
+        _checked_int(self.n, "n", 1)
+        try:
+            blocks = tuple(
+                tuple(sorted(_checked_ints(b, "block members", 1))) for b in self.blocks
+            )
+        except TypeError:
+            raise ValueError(f"blocks must be a sequence of blocks, got {self.blocks!r}") from None
         object.__setattr__(self, "blocks", blocks)
         if any(not b for b in blocks):
             raise ValueError("blocks must be nonempty")
@@ -84,8 +86,7 @@ class RootSplit:
     @classmethod
     def grassmann(cls, q, r):
         """Two blocks 1..q and q+1..q+r."""
-        _check_block_sizes(q, r)
-        n = q + r
+        n = _checked_int(q, "q", 1) + _checked_int(r, "r", 1)
         return cls(n, (tuple(range(1, q + 1)), tuple(range(q + 1, n + 1))))
 
     @classmethod
@@ -102,11 +103,6 @@ class RootSplit:
         if k == n:
             return cls(n, head)
         return cls(n, head + (tuple(range(k + 1, n + 1)),))
-
-
-def _check_block_sizes(q, r):
-    if _checked_int(q, "q") < 1 or _checked_int(r, "r") < 1:
-        raise ValueError("both block sizes must be positive")
 
 
 def partial_flag_pushforward(f, split):
@@ -203,8 +199,8 @@ def _grassmann_orbits(n, q, c, a, b):
     cross = prod over i <= q < j of (x_i - c x_j) and c an arity-0
     polynomial (t, -1 or 0).  A and B are symmetric and given by their
     orbits, partition keys mapped to dicts from t-exponent to integer.
-    The product is never formed, only its representatives."""
-    _check_block_sizes(q, n - q)
+    The product is never formed, only its representatives; the callers
+    pass 1 <= q < n."""
     return _merge_runs(n, (q, n - q), _grassmann_input(n, q, c, a, b))
 
 

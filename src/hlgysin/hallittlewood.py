@@ -57,6 +57,9 @@ merges within x_2..x_n act on the rest of the core alone, which is the
 core of nu_2..nu_k in x_2..x_n.  Only the input is built differently: each
 row's comes from the Pieri rule, and the core is never expanded.  Once nu
 runs out the rest is 1 in the remaining variables.
+
+Sequences are read through as_int_sequence (polyring._checked_ints), so a
+bare int, a bool or a float fails with a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from .polyring import (
     NotDivisibleError,
     Polynomial,
     _checked_int,
+    _checked_ints,
     _key_permuter,
     divide_by_vandermonde,
     linear_factor_product,
@@ -80,11 +84,7 @@ from .symgroup import block_structure, coset_reps
 
 def as_int_sequence(seq):
     """Normalize to a tuple, checking entries are nonnegative integers."""
-    seq = tuple(seq)
-    for e in seq:
-        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-            raise ValueError(f"sequence entries must be nonnegative integers: {seq!r}")
-    return seq
+    return _checked_ints(seq, "sequence entries")
 
 
 def is_partition(seq):
@@ -108,10 +108,8 @@ def is_strict_partition(seq):
 @lru_cache(maxsize=None)
 def t_factorial(m):
     """(1 + t)(1 + t + t^2) ... (1 + t + ... + t^(m-1)); equals m! at t = 1."""
-    if _checked_int(m, "m") < 0:
-        raise ValueError("m must be nonnegative")
     out = Polynomial.one(0)
-    for i in range(2, m + 1):
+    for i in range(2, _checked_int(m, "m", 0) + 1):
         out = out * Polynomial._raw(0, {(k,): 1 for k in range(i)})
     return out
 
@@ -127,8 +125,8 @@ def t_factorial_product(seq):
 
 def gaussian_binomial(a, b):
     """Gaussian polynomial [a+b choose a] as t_factorial(a+b)/(t_factorial(a)*t_factorial(b))."""
-    if _checked_int(a, "a") < 0 or _checked_int(b, "b") < 0:
-        raise ValueError("a and b must be nonnegative")
+    _checked_int(a, "a", 0)
+    _checked_int(b, "b", 0)
     return t_factorial(a + b).divide_exact(t_factorial(a) * t_factorial(b))
 
 
@@ -139,9 +137,7 @@ def gaussian_binomial_at_minus_one(a, b):
     C(floor((a+b)/2), floor(a/2)).  Computed combinatorially, not by
     substitution, so it can serve as an independent oracle.
     """
-    if _checked_int(a, "a") < 0 or _checked_int(b, "b") < 0:
-        raise ValueError("a and b must be nonnegative")
-    if (a * b) % 2:
+    if (_checked_int(a, "a", 0) * _checked_int(b, "b", 0)) % 2:
         return 0
     return math.comb((a + b) // 2, a // 2)
 
@@ -164,17 +160,8 @@ def hall_littlewood_r(n, seq):
     return _expand(n, _r_reps(seq))
 
 
-def _checked_n(n, least):
-    """n, refused with ValueError unless it is an int, not a bool, and at
-    least ``least`` (0 or 1)."""
-    if _checked_int(n, "n") < least:
-        raise ValueError("n must be positive" if least else "n must be nonnegative")
-    return n
-
-
 def _check_length(n, seq):
-    _checked_n(n, 1)
-    if len(seq) != n:
+    if len(seq) != _checked_int(n, "n", 1):
         raise ValueError(f"sequence of length {len(seq)} does not match n = {n}")
 
 
@@ -320,7 +307,7 @@ def _divided_orbits(orbits, v):
 
 
 def _as_partition_of_length(seq, n):
-    _checked_n(n, 0)
+    _checked_int(n, "n", 0)
     seq = as_int_sequence(seq)
     if not all(a >= b for a, b in zip(seq, seq[1:])):
         raise ValueError(f"not a partition: {seq!r}")
@@ -383,7 +370,7 @@ def schur_p_coset(nu, n):
     nu = as_int_sequence(nu)
     if not is_strict_partition(nu):
         raise ValueError(f"not a strict partition: {nu!r}")
-    _checked_n(n, 1)
+    _checked_int(n, "n", 1)
     if len(nu) > n:
         raise ValueError(f"strict partition {nu!r} needs more than {n} variables")
     return _expand(n, _schur_p_orbits(nu, n))
@@ -402,10 +389,7 @@ def straighten_schur_p(seq):
     ((-1)^inversions, sorted_decreasing).  Zero entries must be stripped by
     the caller.
     """
-    seq = tuple(seq)
-    for e in seq:
-        if not isinstance(e, int) or isinstance(e, bool) or e <= 0:
-            raise ValueError(f"parts must be positive integers: {seq!r}")
+    seq = _checked_ints(seq, "parts", 1)
     if len(set(seq)) < len(seq):
         return None
     inversions = 0

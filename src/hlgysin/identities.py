@@ -62,7 +62,7 @@ from .hallittlewood import (
     t_factorial,
     t_factorial_product,
 )
-from .polyring import NotDivisibleError, Polynomial, _checked_int
+from .polyring import NotDivisibleError, Polynomial, _checked_int, _checked_ints
 
 
 @dataclass
@@ -114,24 +114,20 @@ class InstanceFamily:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("entry_bound", "count", "seed"):
-            _checked_int(getattr(self, name), name)
-        for name in ("n_range", "q_range"):
-            for value in getattr(self, name) or ():
-                _checked_int(value, f"each entry of {name}")
+        _checked_int(self.entry_bound, "entry_bound", 0)
+        _checked_int(self.count, "count")
+        _checked_int(self.seed, "seed")
+        ranges = {"n_range": self.n_range}
+        if self.q_range is not None:
+            ranges["q_range"] = self.q_range
+        for name, value in ranges.items():
+            pair = _checked_ints(value, name, 1)
+            if len(pair) != 2 or pair[0] > pair[1]:
+                raise ValueError(f"bad {name} {value!r}")
         if self.mode not in ("exhaustive", "randomized"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "randomized" and self.count < 1:
             raise ValueError("randomized mode needs a positive count")
-        lo, hi = self.n_range
-        if not 1 <= lo <= hi:
-            raise ValueError(f"bad n_range {self.n_range!r}")
-        if self.q_range is not None:
-            qlo, qhi = self.q_range
-            if not 1 <= qlo <= qhi:
-                raise ValueError(f"bad q_range {self.q_range!r}")
-        if self.entry_bound < 0:
-            raise ValueError("entry_bound must be nonnegative")
 
     def ns(self):
         return range(self.n_range[0], self.n_range[1] + 1)
@@ -170,11 +166,18 @@ def _report(name, instance, witness, started, detail=None):
     )
 
 
-def _split_params(n, q, lam, mu):
-    lam, mu = as_int_sequence(lam), as_int_sequence(mu)
+def _checked_split(n, q):
+    """r = n - q, refused with a ValueError unless n and q are ints with
+    1 <= q <= n - 1, so that both blocks of the split are nonempty."""
     r = _checked_int(n, "n") - _checked_int(q, "q")
     if not 1 <= q <= n - 1:
         raise ValueError(f"q must lie in 1..{n - 1}")
+    return r
+
+
+def _split_params(n, q, lam, mu):
+    lam, mu = as_int_sequence(lam), as_int_sequence(mu)
+    r = _checked_split(n, q)
     if len(lam) != q or len(mu) != r:
         raise ValueError(
             f"sequence lengths ({len(lam)}, {len(mu)}) must equal block sizes ({q}, {r})"
@@ -267,7 +270,7 @@ def verify_t0_jlp(n, q, lam, mu):
     Grassmann split gives the straightened Schur polynomial of the
     concatenation."""
     started = time.perf_counter()
-    r = _checked_int(n, "n") - _checked_int(q, "q")
+    r = _checked_split(n, q)
     lam, mu = _as_partition_of_length(lam, q), _as_partition_of_length(mu, r)
     a, b = _schur_s_orbits(lam, q), _schur_s_orbits(mu, r)
     lhs = _grassmann_orbits(n, q, Polynomial.zero(0), a, b)
@@ -294,9 +297,7 @@ def d_coefficient(n, q, k, h):
 
 def _strict_pair_params(n, q, nu, sigma):
     nu, sigma = as_int_sequence(nu), as_int_sequence(sigma)
-    r = _checked_int(n, "n") - _checked_int(q, "q")
-    if not 1 <= q <= n - 1:
-        raise ValueError(f"q must lie in 1..{n - 1}")
+    r = _checked_split(n, q)
     if not is_strict_partition(nu) or not is_strict_partition(sigma):
         raise ValueError("nu and sigma must be strict partitions")
     if len(nu) > q or len(sigma) > r:

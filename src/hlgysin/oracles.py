@@ -43,7 +43,6 @@ from functools import lru_cache
 
 from .hallittlewood import (
     _as_partition_of_length,
-    _checked_n,
     as_int_sequence,
     hall_littlewood_p,
     is_strict_partition,
@@ -67,7 +66,7 @@ def difference_product(arity, pairs):
 def vandermonde(arity):
     """prod_{i<j} (x_i - x_j)."""
     return difference_product(
-        arity, tuple(itertools.combinations(range(1, arity + 1), 2))
+        arity, tuple(itertools.combinations(range(1, _checked_int(arity, "arity", 0) + 1), 2))
     )
 
 
@@ -84,9 +83,7 @@ def t_twisted_vandermonde(n):
 @lru_cache(maxsize=None)
 def all_permutations(n):
     """All of S_n in lexicographic one-line order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    ensure_within_bound(n)
+    ensure_within_bound(_checked_int(n, "n", 0))
     return tuple(
         Permutation(images) for images in itertools.permutations(range(1, n + 1))
     )
@@ -127,7 +124,7 @@ def stabilizer_elements(blocks):
 def divided_difference(f, i, j):
     """(f - s_ij f) / (x_i - x_j) for 1-based variable indices i != j."""
     n = f.arity
-    if i == j or not (1 <= i <= n and 1 <= j <= n):
+    if _checked_int(i, "i") == _checked_int(j, "j") or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"need two distinct indices in 1..{n}, got {i} and {j}")
     i, j = i - 1, j - 1
     out = {}
@@ -153,7 +150,7 @@ def divided_difference(f, i, j):
 def longest_word(m):
     """A reduced word of the longest element of S_m, letters 1..m-1, to be
     applied first letter first: [m-1, m-2, m-1, ..., 1, 2, ..., m-1]."""
-    return [j for k in range(m - 1, 0, -1) for j in range(k, m)]
+    return [j for k in range(_checked_int(m, "m") - 1, 0, -1) for j in range(k, m)]
 
 
 def jacobi_symmetrizer(p):
@@ -198,7 +195,7 @@ def hall_littlewood_p_specialized(n, seq, t_value):
 @lru_cache(maxsize=None, typed=True)
 def elementary_symmetric(k, n):
     """e_k(x_1..x_n): sum of all squarefree monomials of degree k."""
-    _checked_n(n, 0)
+    _checked_int(n, "n", 0)
     if _checked_int(k, "k") < 0 or k > n:
         return Polynomial.zero(n)
     terms = {}
@@ -287,7 +284,7 @@ def schur_p_recursive(nu, n):
     nu = as_int_sequence(nu)
     if not is_strict_partition(nu):
         raise ValueError(f"not a strict partition: {nu!r}")
-    _checked_n(n, 0)
+    _checked_int(n, "n", 0)
     if len(nu) > n:
         raise ValueError(f"strict partition {nu!r} needs more than {n} variables")
     _, orbits = _schur_p_rec(nu, n)

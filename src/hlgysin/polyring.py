@@ -29,6 +29,11 @@ runs the same division by each factor x_i - x_j on packed keys, so it
 pays neither divide_exact's set-up per divisor nor a new tuple per term.
 A division that leaves a remainder raises NotDivisibleError; callers treat
 that as a correctness probe and never catch it to paper over a failure.
+
+Every module checks its integer input with two helpers defined here:
+_checked_int refuses a value whose type is not int (so a bool) or, when
+asked, one below 0 or 1, and _checked_ints each entry of an iterable; both
+raise a ValueError naming the field and the value.
 """
 
 from __future__ import annotations
@@ -75,35 +80,48 @@ def _key_permuter(images):
     return operator.itemgetter(*src)
 
 
-def _checked_arity(arity):
-    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
-        raise ValueError(f"arity must be a nonnegative integer, got {arity!r}")
-    return arity
+# the word for each lower bound _checked_int and _checked_ints may impose
+_AT_LEAST = {0: "nonnegative", 1: "positive"}
 
 
-def _checked_int(value, name):
-    """value, refused with a ValueError naming it unless it is an int and
-    not a bool."""
-    if not isinstance(value, int) or isinstance(value, bool):
+def _checked_int(value, name, least=None):
+    """value, refused with a ValueError naming it unless its type is int
+    (so not a bool) and, when ``least`` is 0 or 1, it is at least
+    ``least``.  The one integer check of the package, with _checked_ints."""
+    if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be {_AT_LEAST[least]}")
     return value
 
 
-def _checked_coefficient(coeff):
-    if not isinstance(coeff, int) or isinstance(coeff, bool):
-        raise ValueError(f"coefficients must be integers, got {coeff!r}")
-    return coeff
+def _checked_ints(values, name, least=0):
+    """values as a tuple, refused with a ValueError naming them unless they
+    are iterable and each entry passes _checked_int with ``least`` (None, 0
+    or 1).  The plain loop is measured: on the package's tuples of up to 8
+    entries it is faster than a type test at C level, set(map(type, ...)),
+    which builds two objects per call."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        pass
+    else:
+        for v in values:
+            if type(v) is not int or least is not None and v < least:
+                break
+        else:
+            return values
+    kind = "integers" if least is None else f"{_AT_LEAST[least]} integers"
+    raise ValueError(f"{name} must be {kind}: {values!r}")
 
 
 def _validated_terms(arity, terms):
     clean = {}
     for key, coeff in terms.items():
-        key = tuple(key)
+        key = _checked_ints(key, "exponents")
         if len(key) != arity + 1:
             raise ValueError(f"exponent tuple {key!r} does not match arity {arity}")
-        if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in key):
-            raise ValueError(f"exponents must be nonnegative integers, got {key!r}")
-        if _checked_coefficient(coeff):
+        if _checked_int(coeff, "coefficient"):
             clean[key] = clean.get(key, 0) + coeff
             if not clean[key]:
                 del clean[key]
@@ -116,7 +134,7 @@ class Polynomial:
     __slots__ = ("arity", "terms")
 
     def __init__(self, arity, terms=None):
-        object.__setattr__(self, "arity", _checked_arity(arity))
+        object.__setattr__(self, "arity", _checked_int(arity, "arity", 0))
         object.__setattr__(self, "terms", _validated_terms(arity, terms or {}))
 
     @classmethod
@@ -135,13 +153,13 @@ class Polynomial:
 
     @classmethod
     def zero(cls, arity):
-        return cls._raw(_checked_arity(arity), {})
+        return cls._raw(_checked_int(arity, "arity", 0), {})
 
     @classmethod
     def constant(cls, arity, value):
-        if not _checked_coefficient(value):
+        if not _checked_int(value, "coefficient"):
             return cls.zero(arity)
-        return cls._raw(_checked_arity(arity), {(0,) * (arity + 1): value})
+        return cls._raw(_checked_int(arity, "arity", 0), {(0,) * (arity + 1): value})
 
     @classmethod
     def one(cls, arity):
@@ -150,9 +168,8 @@ class Polynomial:
     @classmethod
     def x(cls, arity, index):
         """The variable x_index (1-based)."""
-        _checked_arity(arity)
-        is_int = isinstance(index, int) and not isinstance(index, bool)
-        if not (is_int and 1 <= index <= arity):
+        _checked_int(arity, "arity", 0)
+        if not 1 <= _checked_int(index, "variable index") <= arity:
             raise ValueError(f"variable index {index} out of range 1..{arity}")
         key = [0] * (arity + 1)
         key[index - 1] = 1
@@ -161,12 +178,12 @@ class Polynomial:
     @classmethod
     def t(cls, arity):
         """The parameter t as an element of the arity-n ring."""
-        return cls._raw(_checked_arity(arity), {(0,) * arity + (1,): 1})
+        return cls._raw(_checked_int(arity, "arity", 0), {(0,) * arity + (1,): 1})
 
     @classmethod
     def monomial(cls, arity, x_exponents, t_exponent=0, coeff=1):
-        x_exponents = tuple(x_exponents)
-        if len(x_exponents) != _checked_arity(arity):
+        x_exponents = _checked_ints(x_exponents, "exponents")
+        if len(x_exponents) != _checked_int(arity, "arity", 0):
             raise ArityMismatchError(
                 f"{len(x_exponents)} x-exponents for arity {arity}"
             )
@@ -236,7 +253,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if not _checked_coefficient(other):
+            if not _checked_int(other, "coefficient"):
                 return Polynomial.zero(self.arity)
             return Polynomial._raw(
                 self.arity, {k: c * other for k, c in self.terms.items()}
@@ -260,11 +277,9 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
         out = Polynomial.one(self.arity)
         base = self
-        e = exponent
+        e = _checked_int(exponent, "exponent", 0)
         while e:
             if e & 1:
                 out = out * base
@@ -309,12 +324,10 @@ class Polynomial:
 
     def eval_at(self, point, t_value):
         """Evaluate at integer x-values ``point`` and integer ``t_value``."""
-        point = tuple(point)
+        point = _checked_ints(point, "point", None)
         n = self.arity
         if len(point) != n:
             raise ArityMismatchError(f"{len(point)} values for arity {n}")
-        for i, value in enumerate(point, 1):
-            _checked_int(value, f"x{i}")
         _checked_int(t_value, "t")
         total = 0
         for key, c in self.terms.items():
@@ -330,7 +343,7 @@ class Polynomial:
     def embed(self, arity, offset=0):
         """Reinterpret in a larger ring, x_i |-> x_{i+offset}; t is shared."""
         n = self.arity
-        _checked_arity(arity)
+        _checked_int(arity, "arity", 0)
         if _checked_int(offset, "offset") < 0 or offset + n > arity:
             raise ArityMismatchError(
                 f"cannot embed arity {n} at offset {offset} into arity {arity}"

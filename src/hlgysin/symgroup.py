@@ -12,12 +12,17 @@ Everything here is exact and deterministic; enumeration order is fixed so
 downstream reductions are reproducible.  A fixed bound, n <= 8
 (DEFAULT_PERMUTATION_BOUND), guards the n! blowup of coset_reps and of the
 oracles' enumerations; classes and push-forwards enumerate nothing.
+Integer input goes through polyring's checks, the images included, though
+coset_reps builds thousands of permutations: the check costs each one well
+under a microsecond.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+from .polyring import _checked_int, _checked_ints
 
 DEFAULT_PERMUTATION_BOUND = 8
 
@@ -27,7 +32,7 @@ class BoundExceededError(ValueError):
 
 
 def ensure_within_bound(n):
-    if n > DEFAULT_PERMUTATION_BOUND:
+    if _checked_int(n, "n") > DEFAULT_PERMUTATION_BOUND:
         raise BoundExceededError(
             f"n = {n} exceeds permutation bound {DEFAULT_PERMUTATION_BOUND}"
         )
@@ -39,7 +44,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(images)
+        images = _checked_ints(images, "permutation images", None)
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images!r}")
@@ -50,11 +55,12 @@ class Permutation:
 
     @classmethod
     def identity(cls, n):
-        return cls(range(1, n + 1))
+        return cls(range(1, _checked_int(n, "n", 0) + 1))
 
     @classmethod
     def transposition(cls, n, a, b):
-        if a == b:
+        _checked_int(n, "n", 0)
+        if _checked_int(a, "a") == _checked_int(b, "b"):
             raise ValueError("transposition needs two distinct points")
         if not (1 <= a <= n and 1 <= b <= n):
             raise ValueError(f"transposition points {a}, {b} must lie in 1..{n}")
@@ -127,7 +133,7 @@ class BlockStructure:
 
 def block_structure(sequence):
     """Level sets of a sequence grouped by value, ordered by first occurrence."""
-    sequence = tuple(sequence)
+    sequence = _checked_ints(sequence, "sequence entries")
     groups = {}
     for pos, value in enumerate(sequence, start=1):
         groups.setdefault(value, []).append(pos)

@@ -96,8 +96,8 @@ def test_root_split_validation():
     for n, blocks, text in [
         (True, ((1,),), "n must be an integer, got True"),
         (2.0, ((1,), (2,)), "n must be an integer, got 2.0"),
-        (2, ((1,), ("2",)), "block member must be an integer, got '2'"),
-        (2, ((1.0, 2),), "block member must be an integer, got 1.0"),
+        (2, ((1,), ("2",)), "block members must be positive integers: ('2',)"),
+        (2, ((1.0, 2),), "block members must be positive integers: (1.0, 2)"),
     ]:
         with pytest.raises(ValueError) as exc:
             RootSplit(n, blocks)

@@ -209,9 +209,15 @@ def test_grassmann_verifiers_pass_above_the_cli_bound():
 
 
 def test_t0_needs_two_nonempty_blocks():
-    for n, q, lam, mu in [(2, 2, (1, 1), ()), (2, 0, (), (1, 1))]:
-        with pytest.raises(ValueError, match="both block sizes must be positive"):
+    for n, q, lam, mu in [
+        (2, 2, (1, 1), ()),
+        (2, 0, (), (1, 1)),
+        (3, 3, (1, 0, 0), ()),
+        (3, 0, (), (1, 0, 0)),
+    ]:
+        with pytest.raises(ValueError) as exc:
             verify_t0_jlp(n, q, lam, mu)
+        assert str(exc.value) == f"q must lie in 1..{n - 1}"
 
 
 # --- individual verifiers, pinned instances ---------------------------------
@@ -345,8 +351,8 @@ def test_instance_family_validation():
 @pytest.mark.parametrize(
     "fields, text",
     [
-        ({"n_range": (1.0, 2.0)}, "each entry of n_range must be an integer, got 1.0"),
-        ({"q_range": (1, True)}, "each entry of q_range must be an integer, got True"),
+        ({"n_range": (1.0, 2.0)}, "n_range must be positive integers: (1.0, 2.0)"),
+        ({"q_range": (1, True)}, "q_range must be positive integers: (1, True)"),
         ({"entry_bound": True}, "entry_bound must be an integer, got True"),
         ({"mode": "randomized", "count": 2.0}, "count must be an integer, got 2.0"),
         ({"seed": "7"}, "seed must be an integer, got '7'"),
