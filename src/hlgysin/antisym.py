@@ -52,13 +52,19 @@ so the shorter image's dominant part is all that is needed, and only the
 keys with e >= nu_1 are kept.  At the top, keeping only the keys that
 weakly decrease over k..n loses nothing because the row's total is
 symmetric there: the same orbits' other terms are what is dropped.
+
+Every orbit coefficient is one int, its polynomial in t packed at t = c,
+c the cross factor's constant: at c = 0 and c = -1 the coefficient
+itself, and at c = t its value at the packed t 2**B
+(polyring._packed_t), so that a row's step is one integer product and
+sum.  Only the edges read a polynomial back, once per orbit.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .polyring import Polynomial
+from .polyring import Polynomial, _unpack
 
 
 def _divided_difference_tower(n, reps, start, k, stop):
@@ -67,7 +73,7 @@ def _divided_difference_tower(n, reps, start, k, stop):
     f is symmetric in the coarse block start+1..k and in k+1..n, and the
     positions 1..start are passive.  reps holds, for each orbit, the
     x-exponents that weakly decrease within each block, with the orbit's
-    coefficient as a dict from t-exponent to integer.  The caller
+    packed coefficient (see the module docstring).  The caller
     guarantees that the answer is symmetric in all of k..n; in a Grassmann
     merge of the blocks ..q | q+1..n it is, since with r = n - q and
     stop = k + r the rows d_{q+r-1} ... d_q, ..., d_{stop-1} ... d_k make up
@@ -78,14 +84,14 @@ def _divided_difference_tower(n, reps, start, k, stop):
     Each orbit and each distinct value u of its coarse block add the
     orbit's coefficient times _row_image(u, beta, stop - k), beta the keys'
     positions k+1..n, behind the passive positions and the block less u
-    (see the module docstring).  The t-coefficients are touched once per
-    key of an image; no intermediate row is built.
+    (see the module docstring).  Each key of an image costs one integer
+    multiplication and one addition; no intermediate row is built.
     """
     r = stop - k
     width = n - k + 1  # of a key of the row's images
     out = {}
     get = out.get
-    for key, tc in reps.items():
+    for key, v in reps.items():
         passive, block, beta = key[:start], key[start:k], key[k:]
         prev = None
         for i, u in enumerate(block):
@@ -96,13 +102,7 @@ def _divided_difference_tower(n, reps, start, k, stop):
             head = passive + block[:i] + block[i + 1:]
             for j in range(0, len(image), width + 1):
                 nk = head + image[j : j + width]
-                m = image[j + width]
-                g = get(nk)
-                if g is None:
-                    out[nk] = {t: m * c for t, c in tc.items()}
-                else:
-                    for t, c in tc.items():
-                        g[t] = g.get(t, 0) + m * c
+                out[nk] = get(nk, 0) + image[j + width] * v
     return _nonzero_orbits(out)
 
 
@@ -170,28 +170,22 @@ def _row_image(u, beta, r):
 
 
 def _nonzero_orbits(orbits):
-    """``orbits`` without its zero coefficients and the keys left empty."""
-    out = {}
-    for key, tc in orbits.items():
-        if not all(tc.values()):
-            tc = {t: c for t, c in tc.items() if c}
-            if not tc:
-                continue
-        out[key] = tc
-    return out
+    """``orbits`` without the keys whose packed coefficient is 0."""
+    return {key: v for key, v in orbits.items() if v}
 
 
-def _expand(n, reps):
+def _expand(n, reps, c):
     """The polynomial in x_1..x_n and t whose symmetric orbits ``reps``
     holds: each partition key, a tuple of n exponents, maps to its orbit's
-    coefficient as a dict from t-exponent to integer, which every distinct
-    rearrangement of the key carries.  The cost is proportional to the
-    answer."""
+    coefficient packed at t = c, which is read back once per orbit and
+    carried by every distinct rearrangement of the key.  The cost is
+    proportional to the answer."""
     terms = {}
-    for key, tc in reps.items():
+    for key, v in reps.items():
+        tc = _unpack(v, c).items()
         for x in _rearrangements(key):
-            for t, c in tc.items():
-                terms[x + (t,)] = c
+            for e, d in tc:
+                terms[x + e] = d
     return Polynomial._raw(n, terms)
 
 

@@ -34,6 +34,11 @@ orbits of A and B by the Pieri rule, and _grassmann_orbits pushes them
 forward.  hallittlewood._rows, the one recursion behind R_lam (q = 1,
 c = t), Schur P (q = 1, c = -1) and Schur S (q = 1, c = 0), and the five
 Grassmann verifiers all run on it; none forms the product.
+
+Every orbit's coefficient is one int, its polynomial in t packed at t = c
+(polyring._packed_t): c is 0 or -1, or at c = t the packed t 2**B, and
+the cross factor's constant is that same int, so a product of two
+polynomials in t is one integer product.
 """
 
 from __future__ import annotations
@@ -50,7 +55,13 @@ from .antisym import (
     _nonzero_orbits,
     _rearrangements,
 )
-from .polyring import ArityMismatchError, _checked_int, _checked_ints
+from .polyring import (
+    ArityMismatchError,
+    _checked_int,
+    _checked_ints,
+    _packed_t,
+    _pushforward_bound,
+)
 
 
 class NonInvariantInputError(ValueError):
@@ -115,6 +126,7 @@ def partial_flag_pushforward(f, split):
     decrease within each run, one per orbit.  The relabelling keeps the
     order inside each block, so its sign is the parity of the cross-block
     pairs i < j it reverses, and the kept coefficients carry that sign.
+    They are packed at the t that the push-forward's bound certifies,
     _merge_runs pushes them forward, and the symmetric answer is expanded
     once from its partition keys.
     """
@@ -129,7 +141,11 @@ def partial_flag_pushforward(f, split):
     sizes = [len(b) for b in split.blocks]
     ends = set(itertools.accumulate(sizes))
     pairs = [i for i in range(n - 1) if i + 1 not in ends]
-    odd = sum(a > b for a, b in itertools.combinations(order, 2)) % 2
+    sign = -1 if sum(a > b for a, b in itertools.combinations(order, 2)) % 2 else 1
+    crossings = n * (n - 1) // 2 - sum(q * (q - 1) // 2 for q in sizes)
+    norm = sum(map(abs, terms.values()))
+    degree = max((sum(key[:n]) for key in terms), default=0)
+    t = _packed_t(_pushforward_bound(norm, n, degree, crossings))
     reps = {}
     for key, c in terms.items():
         dominant = True
@@ -142,10 +158,10 @@ def partial_flag_pushforward(f, split):
                     )
                 dominant = dominant and a > b
         if dominant:
-            reps.setdefault(key[:n], {})[key[n]] = -c if odd else c
+            reps[key[:n]] = reps.get(key[:n], 0) + sign * c * t ** key[n]
     if len(split.blocks) == 1:
         return f
-    return _expand(n, _merge_runs(n, sizes, reps))
+    return _expand(n, _merge_runs(n, sizes, reps), t)
 
 
 def _merge_runs(n, sizes, reps):
@@ -196,11 +212,11 @@ def leading_flag_pushforward(f, k, n):
 def _grassmann_orbits(n, q, c, a, b):
     """The partition keys of the Grassmann push-forward along
     (1..q | q+1..n) of cross * A(x_1..x_q) * B(x_{q+1}..x_n), with
-    cross = prod over i <= q < j of (x_i - c x_j) and c an arity-0
-    polynomial (t, -1 or 0).  A and B are symmetric and given by their
-    orbits, partition keys mapped to dicts from t-exponent to integer.
-    The product is never formed, only its representatives; the callers
-    pass 1 <= q < n."""
+    cross = prod over i <= q < j of (x_i - c x_j) and c an int: 0, -1, or
+    at c = t the packed t.  A and B are symmetric and given by their
+    orbits, partition keys mapped to coefficients packed at c.  The
+    product is never formed, only its representatives; the callers pass
+    1 <= q < n."""
     return _merge_runs(n, (q, n - q), _grassmann_input(n, q, c, a, b))
 
 
@@ -218,17 +234,19 @@ def _grassmann_input(n, q, c, a, b):
     summand is the product of the dominant parts of its two factors.
     The Q-factors depend on q, r, c and A only (_cross_sides); e_K * B is
     the Pieri step applied |K| times, memoized on the suffix of K.  Each
-    pair of a Q-orbit and an S-orbit adds its product into the result, and
-    the zeros are dropped once, at the end.
+    pair of a Q-orbit and an S-orbit adds the product of its packed
+    coefficients into the result, and the zeros are dropped once, at the
+    end.
     """
-    a_key = tuple((key, tuple(tc.items())) for key, tc in a.items())
     pieri = {}  # suffix of K -> {k: orbits of e_k * e_suffix * B}
     reps = {}
-    for ks, q_side in _cross_sides(q, n - q, c, a_key):
-        s_side = _elementary_suffix(ks, b, pieri)
-        for gamma, tq in q_side.items():
-            for delta, tc in s_side.items():
-                _add_t_product(reps.setdefault(gamma + delta, {}), tq, tc)
+    get = reps.get
+    for ks, q_side in _cross_sides(q, n - q, c, tuple(a.items())):
+        s_side = _elementary_suffix(ks, b, pieri).items()
+        for gamma, u in q_side.items():
+            for delta, v in s_side:
+                key = gamma + delta
+                reps[key] = get(key, 0) + u * v
     return _nonzero_orbits(reps)
 
 
@@ -236,16 +254,14 @@ def _grassmann_input(n, q, c, a, b):
 def _cross_sides(q, r, c, a_key):
     """(K, the partition keys of (-c)^|K| * m_{r-K} * A) for each multiset K
     in [0..r]^q, increasing, whose Q-factor is not zero, A given by its
-    orbits as a tuple of (partition key, t-items) pairs; a K of weight zero
-    is skipped unbuilt.  The rows meet the same few (q, r, c, A) again and
-    again; the dicts are shared by every caller, which reads them only."""
-    step, weights = _t_dict(-c), [{0: 1}]
-    for _ in range(q * r):
-        weights.append(_add_t_product({}, weights[-1], step))
-    a_terms = [(x, dict(tc)) for key, tc in a_key for x in _rearrangements(key)]
+    orbits as a tuple of (partition key, packed coefficient) pairs; a K of
+    weight zero is skipped unbuilt.  The rows meet the same few
+    (q, r, c, A) again and again; the dicts are shared by every caller,
+    which reads them only."""
+    a_terms = [(x, v) for key, v in a_key for x in _rearrangements(key)]
     sides = []
     for ks in itertools.combinations_with_replacement(range(r + 1), q):
-        weight = weights[sum(ks)]
+        weight = (-c) ** sum(ks)
         if not weight:
             continue
         m_alpha_a = _monomial_product(tuple(r - k for k in ks), a_terms)
@@ -272,14 +288,13 @@ def _elementary_suffix(ks, b, pieri):
 
 def _elementary_products(orbits):
     """{k: the orbits of e_k * g} for the symmetric g whose partition keys
-    ``orbits`` holds, each orbit's coefficient a dict from t-exponent to
-    integer; k runs over the weights that occur."""
+    ``orbits`` holds, each with its packed coefficient; k runs over the
+    weights that occur."""
     out = {}
-    for mu, tc in orbits.items():
+    for mu, v in orbits.items():
         for k, nu, coeff in _pieri_terms(mu):
-            g = out.setdefault(k, {}).setdefault(nu, {})
-            for t, c in tc.items():
-                g[t] = g.get(t, 0) + coeff * c
+            products = out.setdefault(k, {})
+            products[nu] = products.get(nu, 0) + coeff * v
     return {k: _nonzero_orbits(products) for k, products in out.items()}
 
 
@@ -311,35 +326,17 @@ def _pieri_terms(mu):
 
 def _monomial_product(alpha, a_terms):
     """The partition keys of m_alpha * A for a partition alpha, A given by
-    all its terms as (x-exponents, {t-exponent: coefficient}) pairs."""
+    all its terms as (x-exponents, packed coefficient) pairs."""
     out = {}
     for x in _rearrangements(alpha):
-        for y, tc in a_terms:
+        for y, v in a_terms:
             key = tuple(map(operator.add, x, y))
             if all(map(operator.ge, key, key[1:])):
-                g = out.setdefault(key, {})
-                for t, c in tc.items():
-                    g[t] = g.get(t, 0) + c
+                out[key] = out.get(key, 0) + v
     return _nonzero_orbits(out)
 
 
 def _scaled_orbits(orbits, u):
-    """Each orbit's coefficient times u, a polynomial in t given as a dict
-    from t-exponent to integer."""
-    return _nonzero_orbits({key: _add_t_product({}, u, tc) for key, tc in orbits.items()})
-
-
-def _t_dict(p):
-    """An arity-0 polynomial as a dict from t-exponent to integer."""
-    return {t: c for (t,), c in p.terms.items()}
-
-
-def _add_t_product(out, u, v):
-    """Add u * v into out and return out, each a polynomial in t as a dict
-    from t-exponent to integer; a coefficient that cancels stays in out
-    as 0."""
-    for t1, c1 in u.items():
-        for t2, c2 in v.items():
-            t = t1 + t2
-            out[t] = out.get(t, 0) + c1 * c2
-    return out
+    """Each orbit's packed coefficient times the packed u; the integers have
+    no zero divisors, so only u = 0 empties the orbits."""
+    return {key: v * u for key, v in orbits.items()} if u else {}

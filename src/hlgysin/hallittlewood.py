@@ -22,11 +22,14 @@ d_{n-1} ... d_1 (antisym._divided_difference_tower).  Every level stays
 in that form: R_{lam_2..lam_n} is held by its partition keys, and the row
 x_1^lam_1 prod_{j>1} (x_1 - t x_j) = sum_k (-t)^k x_1^(lam_1+n-1-k)
 e_k(x_2..x_n) acts on them by the Pieri rule for monomials, in the input
-builder every Grassmann row shares, so no level builds the full product.  The tower is one cached recursion on orbits,
-_rows; each call expands its answer and caches nothing expanded.  P_lam
-divides each orbit's polynomial in t by v_lam(t): R's x-coefficients are
-exactly those polynomials, so P is defined exactly when each division is
-exact, and P reads the orbits R cached.
+builder every Grassmann row shares, so no level builds the full product.
+The tower is one cached recursion on orbits, _rows; each call expands its
+answer and caches nothing expanded.  Each orbit's polynomial in t is one
+int, its value at the packed t 2**B (polyring._packed_t), B chosen per
+call from the bound _r_bound or _p_bound gives.  P_lam divides each orbit's
+polynomial in t by v_lam(t): R's x-coefficients are exactly those
+polynomials, so P is defined exactly when each division is exact, and P
+reads the orbits R cached, at R's B, and packs its own at its own.
 
 The one explicit sum over coset representatives left is the coset form
 of R, whose dependence on the chosen representatives is itself under
@@ -66,6 +69,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 
 from .antisym import _expand
@@ -76,6 +80,10 @@ from .polyring import (
     _checked_int,
     _checked_ints,
     _key_permuter,
+    _pack,
+    _packed_t,
+    _pushforward_bound,
+    _unpack,
     divide_by_vandermonde,
     linear_factor_product,
 )
@@ -157,7 +165,8 @@ def hall_littlewood_r(n, seq):
     """
     seq = as_int_sequence(seq)
     _check_length(n, seq)
-    return _expand(n, _r_reps(seq))
+    t = _packed_t(_r_bound(seq))
+    return _expand(n, _r_reps(seq, t), t)
 
 
 def _check_length(n, seq):
@@ -169,21 +178,46 @@ def _check_length(n, seq):
 def _rows(seq, n, c):
     """The orbits of d_{n-1} ... d_1 ( x_1^seq_1 prod_{j>1} (x_1 - c x_j)
     * _rows(seq_2.., n - 1, c)(x_2..x_n) ), each partition x-key mapped to
-    the orbit's coefficient, a dict from t-exponent to integer: R_seq for
-    c = t and n = len(seq), Schur P_seq for c = -1 and Schur S_seq for
-    c = 0 and a partition seq.  Each level is the Grassmann row (1 | n-1)
-    of gysin._grassmann_orbits; an empty seq gives 1, and a single variable
+    the orbit's coefficient packed at c, an int: R_seq for c the packed t
+    and n = len(seq), Schur P_seq for c = -1 and Schur S_seq for c = 0 and
+    a partition seq.  Each level is the Grassmann row (1 | n-1) of
+    gysin._grassmann_orbits; an empty seq gives 1, and a single variable
     x_1^seq_1."""
     if not seq:
-        return {(0,) * n: {0: 1}}
+        return {(0,) * n: 1}
     if n == 1:
-        return {seq: {0: 1}}
-    return _grassmann_orbits(n, 1, c, {seq[:1]: {0: 1}}, _rows(seq[1:], n - 1, c))
+        return {seq: 1}
+    return _grassmann_orbits(n, 1, c, {seq[:1]: 1}, _rows(seq[1:], n - 1, c))
 
 
-def _r_reps(seq):
-    """R_seq as its orbits: the rows with c = t."""
-    return _rows(seq, len(seq), Polynomial.t(0))
+def _r_reps(seq, t):
+    """R_seq as its orbits: the rows with c = t, the packed t."""
+    return _rows(seq, len(seq), t)
+
+
+def _r_bound(seq):
+    """||R_seq|| <= 2^(n(n-1)/2) n^|seq|, n = len(seq): the sum of the
+    absolute values of its coefficients (proved in polyring._packed_t)."""
+    n = len(seq)
+    pairs = n * (n - 1) // 2
+    return _pushforward_bound(1 << pairs, n, sum(seq) + pairs, pairs)
+
+
+def _quotient_bound(bound, degree, seq):
+    """A bound on ||f / v_seq(t)|| for an f with ||f|| <= bound and t-degree
+    at most ``degree`` that v_seq divides: one factor
+    2 floor((degree + 1) / m) for each factor [m]_t of v_seq, the division
+    bound proved in polyring._packed_t."""
+    for count in Counter(seq).values():
+        for m in range(2, count + 1):
+            bound *= 2 * ((degree + 1) // m)
+    return bound
+
+
+def _p_bound(seq):
+    """A bound on ||P_seq||: R_seq has t-degree at most n(n-1)/2."""
+    n = len(seq)
+    return _quotient_bound(_r_bound(seq), n * (n - 1) // 2, seq)
 
 
 # The x-values of the hyperplane points (x_j set to x_1) and the value of
@@ -277,13 +311,17 @@ def hall_littlewood_p(n, seq):
     """P_seq(x_1..x_n; t) = R_seq / v_seq(t), an exact division."""
     seq = as_int_sequence(seq)
     _check_length(n, seq)
-    return _expand(n, _p_reps(seq))
+    t = _packed_t(_p_bound(seq))
+    return _expand(n, _p_reps(seq, t), t)
 
 
-def _p_reps(seq):
-    """P_seq as its symmetric orbits, as _r_reps holds R_seq."""
+def _p_reps(seq, t):
+    """P_seq as its symmetric orbits packed at t: R_seq's orbits at the
+    packed t its own bound certifies, the ones hall_littlewood_r caches,
+    each divided by v_seq(t)."""
+    source = _packed_t(_r_bound(seq))
     try:
-        return _divided_orbits(_r_reps(seq), t_factorial_product(seq))
+        return _divided_orbits(_r_reps(seq, source), t_factorial_product(seq), source, t)
     except NotDivisibleError:
         raise NotDivisibleError(
             f"normalizer does not divide the symmetrized class for {seq}; "
@@ -291,14 +329,16 @@ def _p_reps(seq):
         ) from None
 
 
-def _divided_orbits(orbits, v):
-    """Orbits over the arity-0 polynomial v: v divides the class exactly
-    when it divides each orbit's coefficient, and NotDivisibleError is
-    raised when one does not."""
+def _divided_orbits(orbits, v, source, t):
+    """Orbits packed at source over the arity-0 polynomial v, packed at t:
+    each orbit's polynomial in t is read back, divided by v and packed
+    again, so v divides the class exactly when it divides each orbit's
+    polynomial, and NotDivisibleError is raised when one does not.  An
+    integer dividing the packed value would not show that.  source must be
+    certified for the orbits (polyring._packed_t)."""
     out = {}
-    for key, tc in orbits.items():
-        q = Polynomial._raw(0, {(t,): c for t, c in tc.items()}).divide_exact(v)
-        out[key] = {t: c for (t,), c in q.terms.items()}
+    for key, value in orbits.items():
+        out[key] = _pack(Polynomial._raw(0, _unpack(value, source)).divide_exact(v).terms, t)
     return out
 
 
@@ -323,13 +363,13 @@ def _as_partition_of_length(seq, n):
 def schur_s(partition, n):
     """Schur polynomial s_lam(x_1..x_n): the rows with c = 0, each the
     Jozefiak-Lascoux-Pragacz formula at q = 1 (see the module docstring)."""
-    return _expand(n, _schur_s_orbits(_as_partition_of_length(partition, n), n))
+    return _expand(n, _schur_s_orbits(_as_partition_of_length(partition, n), n), 0)
 
 
 def _schur_s_orbits(lam, n):
     """s_lam(x_1..x_n), lam a partition of length n, as its partition keys,
-    each mapped to {0: coefficient}: the rows with c = 0."""
-    return _rows(lam, n, Polynomial.zero(0))
+    each mapped to its integer coefficient: the rows with c = 0."""
+    return _rows(lam, n, 0)
 
 
 def straighten_schur_s(seq):
@@ -373,13 +413,13 @@ def schur_p_coset(nu, n):
     _checked_int(n, "n", 1)
     if len(nu) > n:
         raise ValueError(f"strict partition {nu!r} needs more than {n} variables")
-    return _expand(n, _schur_p_orbits(nu, n))
+    return _expand(n, _schur_p_orbits(nu, n), -1)
 
 
 def _schur_p_orbits(nu, n):
-    """P_nu(x_1..x_n) as its partition keys, each mapped to {0: coefficient}:
-    the rows with c = -1."""
-    return _rows(nu, n, Polynomial.constant(0, -1))
+    """P_nu(x_1..x_n) as its partition keys, each mapped to its integer
+    coefficient: the rows with c = -1."""
+    return _rows(nu, n, -1)
 
 
 def straighten_schur_p(seq):

@@ -19,9 +19,12 @@ hallittlewood._rows, the recursion behind R (c = t), Schur P (c = -1) and
 Schur S (c = 0), or from P's division of R's orbits; no class is expanded
 to be cut back to its orbits.  At q = 1, prop-juxtaposition and t0-jlp
 restate how _rows builds R and Schur S.  Both sides are compared as orbit
-dicts, and the witness LHS - RHS is expanded only when they differ, so it
-is the same polynomial as the one the full sides give.  This module holds
-verifier code only.
+dicts, each orbit's coefficient one int: at t = -1 and t = 0 the
+coefficient itself, and at generic t its polynomial's value at the packed
+t 2**B, B chosen per check from a bound on both sides that makes packed
+equality exact (polyring._packed_t).  The witness LHS - RHS is read back
+and expanded only when the sides differ, so it is the same polynomial as
+the one the full sides give.  This module holds verifier code only.
 
 Two findings about sequences with interleaved equal values are handled
 explicitly rather than masked:
@@ -43,11 +46,14 @@ import time
 from dataclasses import dataclass
 
 from .antisym import _expand
-from .gysin import _grassmann_orbits, _scaled_orbits, _t_dict
+from .gysin import _grassmann_orbits, _scaled_orbits
 from .hallittlewood import (
     _as_partition_of_length,
     _divided_orbits,
+    _p_bound,
     _p_reps,
+    _quotient_bound,
+    _r_bound,
     _r_reps,
     _schur_p_orbits,
     _schur_s_orbits,
@@ -62,7 +68,15 @@ from .hallittlewood import (
     t_factorial,
     t_factorial_product,
 )
-from .polyring import NotDivisibleError, Polynomial, _checked_int, _checked_ints
+from .polyring import (
+    NotDivisibleError,
+    Polynomial,
+    _checked_int,
+    _checked_ints,
+    _pack,
+    _packed_t,
+    _pushforward_bound,
+)
 
 
 @dataclass
@@ -141,16 +155,32 @@ class InstanceFamily:
 # shared helpers
 
 
-def _scaled(orbits, c):
-    """Orbits times the arity-0 polynomial c."""
-    return _scaled_orbits(orbits, _t_dict(c))
+def _scaled(orbits, p, t):
+    """Orbits packed at t times the arity-0 polynomial p."""
+    return _scaled_orbits(orbits, _pack(p.terms, t))
 
 
-def _compared(name, instance, started, n, lhs, rhs, detail=None):
+def _norm(p):
+    """The sum of the absolute values of the coefficients of p."""
+    return sum(map(abs, p.terms.values()))
+
+
+def _compared(name, instance, started, n, lhs, rhs, t, detail=None):
     """The report of lhs = rhs for two symmetric classes given by their
-    orbits: equal dicts pass, and only a failing witness is expanded."""
-    witness = Polynomial.zero(n) if lhs == rhs else _expand(n, lhs) - _expand(n, rhs)
+    orbits packed at t: equal dicts pass, and only a failing witness is
+    read back and expanded.  Both are exact when t is certified for both
+    sides (polyring._packed_t)."""
+    witness = Polynomial.zero(n) if lhs == rhs else _expand(n, lhs, t) - _expand(n, rhs, t)
     return _report(name, instance, witness, started, detail)
+
+
+def _row_bound(n, q, a_bound, b_bound, degree):
+    """A bound on ||push(prod_{i<=q<j} (x_i - c x_j) A(Q) B(S))|| for A and B
+    bounded by a_bound and b_bound, of total x-degree ``degree``
+    (polyring._packed_t)."""
+    crossings = q * (n - q)
+    norm = (1 << crossings) * a_bound * b_bound
+    return _pushforward_bound(norm, n, degree + crossings, crossings)
 
 
 def _report(name, instance, witness, started, detail=None):
@@ -204,9 +234,25 @@ def verify_prop_juxtaposition(n, q, lam, mu):
     factor equals R of the concatenated sequence."""
     started = time.perf_counter()
     lam, mu, r = _split_params(n, q, lam, mu)
-    lhs = _grassmann_orbits(n, q, Polynomial.t(0), _r_reps(lam), _r_reps(mu))
+    lhs_bound = _row_bound(n, q, _r_bound(lam), _r_bound(mu), sum(lam) + sum(mu))
+    t = _packed_t(max(lhs_bound, _r_bound(lam + mu)))
+    lhs = _grassmann_orbits(n, q, t, _r_reps(lam, t), _r_reps(mu, t))
     instance = {"n": n, "q": q, "lambda": lam, "mu": mu}
-    return _compared("prop-juxtaposition", instance, started, n, lhs, _r_reps(lam + mu))
+    return _compared("prop-juxtaposition", instance, started, n, lhs, _r_reps(lam + mu, t), t)
+
+
+def _theorem_bound(n, q, lam, mu, coefficient):
+    """A bound on everything _checked_theorem reads back or compares, in
+    each of its forms (polyring._packed_t).  The left side's inputs
+    are P or R, both within _p_bound, and it may be scaled by v_(lam mu);
+    the right side is coefficient * scale times P_(lam mu), or that
+    product's R divided by v_(lam mu), scale 1 or v_lam v_mu."""
+    v_split = t_factorial_product(lam) * t_factorial_product(mu)
+    v_joined = t_factorial_product(lam + mu)
+    lhs = _row_bound(n, q, _p_bound(lam), _p_bound(mu), sum(lam) + sum(mu))
+    joined_r = _norm(coefficient) * _norm(v_split) * _r_bound(lam + mu)
+    degree = n * (n - 1) // 2 + max((e for (e,) in (coefficient * v_split).terms), default=0)
+    return max(lhs * _norm(v_joined), _quotient_bound(joined_r, degree, lam + mu))
 
 
 def _checked_theorem(name, instance, started, n, q, lam, mu, coefficient):
@@ -218,31 +264,32 @@ def _checked_theorem(name, instance, started, n, q, lam, mu, coefficient):
     offending t-factorials — an exactly equivalent statement — and the
     detail field records the fallback.
     """
+    t = _packed_t(_theorem_bound(n, q, lam, mu, coefficient))
     notes = []
     try:
-        a, b = _p_reps(lam), _p_reps(mu)
+        a, b = _p_reps(lam, t), _p_reps(mu, t)
         scale = Polynomial.one(0)
     except NotDivisibleError:
         # clear the left side: multiply both sides by v_lam * v_mu
         notes.append("input-class-undefined(v-does-not-divide-R); cleared-form")
-        a, b = _r_reps(lam), _r_reps(mu)
+        a, b = _r_reps(lam, t), _r_reps(mu, t)
         scale = t_factorial_product(lam) * t_factorial_product(mu)
-    lhs = _grassmann_orbits(n, q, Polynomial.t(0), a, b)
+    lhs = _grassmann_orbits(n, q, t, a, b)
 
     multiplier = coefficient * scale
     v_joined = t_factorial_product(lam + mu)
     try:
-        rhs = _scaled(_p_reps(lam + mu), multiplier)
+        rhs = _scaled(_p_reps(lam + mu, t), multiplier, t)
     except NotDivisibleError:
         # clear the right side: multiplier * P = (multiplier * R) / v_joined
         notes.append("juxtaposed-class-undefined(v-does-not-divide-R); reduced-form")
-        joined_r = _scaled(_r_reps(lam + mu), multiplier)
+        joined_r = _scaled(_r_reps(lam + mu, t), multiplier, t)
         try:
-            rhs = _divided_orbits(joined_r, v_joined)
+            rhs = _divided_orbits(joined_r, v_joined, t, t)
         except NotDivisibleError:
             notes.append("reduced-form-not-divisible")
-            lhs, rhs = _scaled(lhs, v_joined), joined_r
-    return _compared(name, instance, started, n, lhs, rhs, "; ".join(notes) or None)
+            lhs, rhs = _scaled(lhs, v_joined, t), joined_r
+    return _compared(name, instance, started, n, lhs, rhs, t, "; ".join(notes) or None)
 
 
 def verify_theorem_main(n, q, lam, mu):
@@ -273,15 +320,15 @@ def verify_t0_jlp(n, q, lam, mu):
     r = _checked_split(n, q)
     lam, mu = _as_partition_of_length(lam, q), _as_partition_of_length(mu, r)
     a, b = _schur_s_orbits(lam, q), _schur_s_orbits(mu, r)
-    lhs = _grassmann_orbits(n, q, Polynomial.zero(0), a, b)
+    lhs = _grassmann_orbits(n, q, 0, a, b)
     straightened = straighten_schur_s(lam + mu)
     if straightened is None:
         rhs = {}
     else:
         sign, shape = straightened
-        rhs = _scaled(_schur_s_orbits(shape, n), Polynomial.constant(0, sign))
+        rhs = _scaled_orbits(_schur_s_orbits(shape, n), sign)
     instance = {"n": n, "q": q, "lambda": lam, "mu": mu}
-    return _compared("t0-jlp", instance, started, n, lhs, rhs)
+    return _compared("t0-jlp", instance, started, n, lhs, rhs, 0)
 
 
 def d_coefficient(n, q, k, h):
@@ -314,15 +361,15 @@ def verify_t_minus1(n, q, nu, sigma):
     nu, sigma, r = _strict_pair_params(n, q, nu, sigma)
     k, h = len(nu), len(sigma)
     a, b = _schur_p_orbits(nu, q), _schur_p_orbits(sigma, r)
-    lhs = _grassmann_orbits(n, q, Polynomial.constant(0, -1), a, b)
+    lhs = _grassmann_orbits(n, q, -1, a, b)
     d = d_coefficient(n, q, k, h)
     if d == 0:
         rhs = {}
     else:
         sign, shape = straighten_schur_p(nu + sigma)
-        rhs = _scaled(_schur_p_orbits(shape, n), Polynomial.constant(0, d * sign))
+        rhs = _scaled_orbits(_schur_p_orbits(shape, n), d * sign)
     instance = {"n": n, "q": q, "nu": nu, "sigma": sigma}
-    return _compared("t-minus1", instance, started, n, lhs, rhs, f"d={d}")
+    return _compared("t-minus1", instance, started, n, lhs, rhs, -1, f"d={d}")
 
 
 def verify_cor_gaussian(n, q, nu, sigma):

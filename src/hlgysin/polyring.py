@@ -30,6 +30,11 @@ pays neither divide_exact's set-up per divisor nor a new tuple per term.
 A division that leaves a remainder raises NotDivisibleError; callers treat
 that as a correctness probe and never catch it to paper over a failure.
 
+The engine holds each orbit's coefficient, a polynomial in t, as one int:
+its value at t = 2**B (Kronecker substitution).  _packed_t chooses B from
+a bound, proved in its docstring, on what a computation reads back or
+compares, and _pack and _unpack convert.
+
 Every module checks its integer input with two helpers defined here:
 _checked_int refuses a value whose type is not int (so a bool) or, when
 asked, one below 0 or 1, and _checked_ints each entry of an iterable; both
@@ -590,4 +595,98 @@ def linear_factor_product(arity, pairs, c):
     out = Polynomial.one(arity)
     for i, j in pairs:
         out = out * (Polynomial.x(arity, i) - c * Polynomial.x(arity, j))
+    return out
+
+
+# ---------------------------------------------------------------------- #
+# Polynomials in t packed into one int (Kronecker substitution)
+
+
+def _packed_t(bound):
+    """The packed t that certifies ``bound``: 2**B for the least multiple B
+    of 64 with bound < 2**(B - 1).
+
+    The engine holds each orbit's polynomial f(t) as the int f(c), c the
+    packed t (Kronecker substitution; Harvey, J. Symbolic Comput. 44,
+    2009).  Evaluation is a ring map, so sums and products of packed values
+    are exact for any B, and a packed 0 may be dropped.  Reading f back
+    (_unpack, balanced digits in [-2**(B-1), 2**(B-1))) is exact when every
+    coefficient of f has absolute value below 2**(B-1).  Two such f and g
+    have f(c) = g(c) only if f = g: the lowest nonzero coefficient d of
+    f - g, at t^e, has 0 < |d| < 2**B, so (f - g)(c) = c^e (d + c * ...)
+    is not 0.  A computation is therefore exact once ``bound`` bounds every
+    coefficient it reads back or compares.  A bound that reaches 2**(B-1)
+    takes the next B; nothing is truncated.  Calls of similar size share a
+    B, and with it the rows' cache.
+
+    The bounds.  ||f|| is the sum of the absolute values of the
+    coefficients of f in Z[t][x_1..x_n], over every x-monomial and
+    t-exponent; ||f g|| <= ||f|| ||g||, and each orbit's polynomial in t,
+    and each of its coefficients, is at most ||f||.
+
+    * Push-forward (_pushforward_bound).  Along a split into blocks b of
+      sizes s_b, with delta_b = (s_b - 1, ..., 0) on b, A = sum_w sign(w) w
+      and Delta the Vandermonde, push(f) = A(f prod_b x_b^delta_b) / Delta
+      for f symmetric in each block.  The coset sum is
+      A(f prod_b Delta_b) / (Delta prod_b s_b!), and Delta_b =
+      sum_u sign(u) u(x_b^delta_b), u over the permutations of b, which fix
+      f, so A(f prod_b Delta_b) = prod_b s_b! A(f prod_b x_b^delta_b).
+      A(x^beta) / Delta is 0 or +-s_mu with |mu| = |beta| - n(n-1)/2, and
+      s_mu has positive coefficients summing to s_mu(1, ..., 1) <= n^|mu|,
+      the fillings of mu with 1..n.  So for f of x-degree at most d, with k
+      cross-block pairs, ||push(f)|| <= ||f|| n^(d - k).
+    * R_seq is the full flag's push-forward of x^seq prod_{i<j}
+      (x_i - t x_j), 2^(n(n-1)/2) products of one term per factor, each
+      +-1: ||R_seq|| <= 2^(n(n-1)/2) n^|seq|.  A Grassmann row pushes
+      forward prod_{i<=q<j} (x_i - c x_j) A(Q) B(S), c in {t, -1, 0}:
+      ||row|| <= 2^(qr) ||A|| ||B|| n^(deg A + deg B).
+    * Division by a t-factorial.  If f = [m]_t h in Z[t], m >= 2 and
+      deg f <= D, then (1 - t) f = (1 - t^m) h, so h_k is the sum of the
+      coefficients g_(k - jm), j >= 0, of g = (1 - t) f, and
+      deg h <= D - m + 1: each coefficient of g is counted at most
+      floor((D + 1) / m) times, and ||h|| <= 2 floor((D + 1) / m) ||f||.
+      P_seq = R_seq / v_seq(t) divides each orbit's polynomial by each
+      factor [m]_t of v_seq in turn, each step within degree D
+      (hallittlewood._quotient_bound).
+    """
+    bits = 64
+    while 1 << (bits - 1) <= bound:
+        bits += 64
+    return 1 << bits
+
+
+def _pushforward_bound(norm, n, degree, crossings):
+    """||push(f)|| <= norm * n^(degree - crossings) for f symmetric in each
+    block of a split of x_1..x_n with ``crossings`` cross-block pairs,
+    ||f|| <= norm and x-degree at most ``degree`` (proved in _packed_t)."""
+    return norm * n ** max(degree - crossings, 0)
+
+
+def _pack(terms, c):
+    """The value at t = c of the arity-0 polynomial with these terms, a dict
+    from (t-exponent,) to integer, by Horner's rule."""
+    v = 0
+    for e in range(max(terms, default=(0,))[0], -1, -1):
+        v = v * c + terms.get((e,), 0)
+    return v
+
+
+def _unpack(v, c):
+    """The terms of the arity-0 polynomial whose value at t = c is v.  At
+    the packed t c = 2**B the digits are balanced, in [-2**(B-1),
+    2**(B-1)), exact when every coefficient lies in that range
+    (_packed_t).  At c = 0 and c = -1 a coefficient carries no t."""
+    if c < 2:
+        return {(0,): v} if v else {}
+    bits, mask, half = c.bit_length() - 1, c - 1, c >> 1
+    out = {}
+    e = 0
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= c
+        if d:
+            out[(e,)] = d
+        v = (v - d) >> bits
+        e += 1
     return out

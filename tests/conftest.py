@@ -5,6 +5,7 @@ from functools import lru_cache
 import pytest
 
 from hlgysin import BlockStructure, NotDivisibleError, Permutation, Polynomial
+from hlgysin.polyring import _pack, _unpack
 
 try:
     import hypothesis
@@ -68,12 +69,18 @@ def complete_homogeneous(degree, n):
     return Polynomial._raw(n, terms)
 
 
+# the packed t of the engine's small classes, 2**64 (polyring._packed_t)
+T = 2**64
+
+
 def dominant_orbits(f, start=1):
     """The terms of f whose x-exponents weakly decrease from position
-    start + 1 on, grouped the way the engine carries orbit representatives:
-    x-exponents -> {t-exponent: coefficient}.  For f symmetric in
-    x_2..x_n, start = 1 gives the (1 | n-1) representatives the R tower
-    takes; for f symmetric, start = 0 gives its partition keys."""
+    start + 1 on, grouped by orbit representative, each with its exact
+    polynomial in t: x-exponents -> {t-exponent: coefficient}.  For f
+    symmetric in x_2..x_n, start = 1 gives the (1 | n-1) representatives
+    the R tower takes; for f symmetric, start = 0 gives its partition keys.
+    The engine's packed orbits are compared with it after unpacked_orbits,
+    and fed from it by packed_orbits."""
     n = f.arity
     reps = {}
     for key, c in f.terms.items():
@@ -85,8 +92,9 @@ def dominant_orbits(f, start=1):
 def block_orbits(f, sizes):
     """The terms of f whose x-exponents weakly decrease within each run of
     consecutive positions of the given sizes (a size may be 0), grouped as
-    dominant_orbits groups them.  For f symmetric in those runs they are
-    one term per orbit; passive positions are runs of size 1."""
+    dominant_orbits groups them, with exact polynomials in t.  For f
+    symmetric in those runs they are one term per orbit; passive positions
+    are runs of size 1."""
     n = f.arity
     ends = set(itertools.accumulate(sizes))
     pairs = [i for i in range(1, n) if i not in ends]
@@ -95,6 +103,29 @@ def block_orbits(f, sizes):
         if all(key[i - 1] >= key[i] for i in pairs):
             reps.setdefault(key[:n], {})[key[n]] = c
     return reps
+
+
+def packed_orbits(orbits, c=T):
+    """Exact orbits, each {t-exponent: coefficient}, as the engine carries
+    them: packed at c, which is T or a constant 0 or -1 at which every
+    polynomial is evaluated.  At T every coefficient must fit the field."""
+    if c == T:
+        assert all(abs(d) < T // 2 for tc in orbits.values() for d in tc.values())
+    return {key: _pack({(e,): d for e, d in tc.items()}, c) for key, tc in orbits.items()}
+
+
+def unpacked_orbits(orbits, c=T):
+    """The engine's packed orbits read back as exact polynomials in t.
+    unpacked_orbits(e) == r for exact orbits r whose coefficients fit the
+    field holds exactly when e == packed_orbits(r), so a comparison
+    through it is exact."""
+    return {key: {e: d for (e,), d in _unpack(v, c).items()} for key, v in orbits.items()}
+
+
+def at_c(f, c):
+    """f as the engine computes it with the cross factor's constant c: f
+    itself at c = T, and f at t = c for c = 0 or -1."""
+    return f if c == T else f.substitute_t(c)
 
 
 def young_symmetrized(f, sizes):

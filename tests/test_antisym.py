@@ -22,10 +22,14 @@ st = hypothesis.strategies
 given = hypothesis.given
 
 from conftest import (  # noqa: E402
+    T,
+    at_c,
     block_orbits,
     dominant_orbits,
+    packed_orbits,
     polynomials,
     settings,
+    unpacked_orbits,
     young_symmetrized,
 )
 
@@ -112,9 +116,10 @@ def chain(f):
 
 
 def tower(f):
-    """d_{n-1} ... d_1 f on the orbit representatives of f, expanded."""
+    """d_{n-1} ... d_1 f on the orbit representatives of f packed at T,
+    expanded."""
     n = f.arity
-    return _expand(n, _divided_difference_tower(n, dominant_orbits(f), 0, 1, n))
+    return _expand(n, _divided_difference_tower(n, packed_orbits(dominant_orbits(f)), 0, 1, n), T)
 
 
 @st.composite
@@ -176,16 +181,23 @@ def merge_rows(draw):
     return n, p, p + k, r, f
 
 
+# the packed t, and the constants at which a Schur P or S row evaluates
+PACKINGS = st.sampled_from([T, -1, 0])
+
+
 @settings(120)
-@given(merge_rows())
-def test_one_merge_row_on_orbit_representatives_is_the_plain_row(case):
+@given(merge_rows(), PACKINGS)
+def test_one_merge_row_on_orbit_representatives_is_the_plain_row(case, c):
+    """The row on orbits packed at c, read back, against the plain row of
+    the expanded class with exact polynomials in t, evaluated at t = c for
+    c = 0 and c = -1."""
     n, p, k, r, f = case
     row = plain_row(f, k, r)
     for a in range(k, n):
         assert swap(row, a, a + 1) == row  # what the end-of-row filter relies on
-    reps = block_orbits(f, (1,) * p + (k - p, n - k))
+    reps = packed_orbits(block_orbits(f, (1,) * p + (k - p, n - k)), c)
     got = _divided_difference_tower(n, reps, p, k, k + r)
-    assert got == block_orbits(row, (1,) * p + (k - 1 - p, n - k + 1))
+    assert unpacked_orbits(got, c) == block_orbits(at_c(row, c), (1,) * p + (k - 1 - p, n - k + 1))
 
 
 def image_terms(image, width):
@@ -223,7 +235,7 @@ def t_minus1_merge_input(n, q):
     """The reps of prod_{i<=q<j} (x_i + x_j) P_(3,1)(Q) P_(2)(S), the
     verify-tminus1 benchmark family's push-forward input."""
     a, b = _schur_p_orbits((3, 1), q), _schur_p_orbits((2,), n - q)
-    return _grassmann_input(n, q, Polynomial.constant(0, -1), a, b)
+    return _grassmann_input(n, q, -1, a, b)
 
 
 def merged(n, q, reps, before_each_row):

@@ -4,10 +4,13 @@ import itertools
 import pytest
 
 from conftest import (
+    T,
     complete_homogeneous,
     dominant_orbits,
     is_homogeneous_in_x,
+    packed_orbits,
     quotient_or_error,
+    unpacked_orbits,
     vandermonde_quotient_by_factors,
     x_degree,
 )
@@ -311,9 +314,9 @@ def test_row_product_is_the_dominant_part_of_row_times_tail():
         for seq in itertools.product(range(3), repeat=n):
             tail = hall_littlewood_r(n - 1, seq[1:])
             full = x(n, 1) ** seq[0] * factors * tail.embed(n, offset=1)
-            head = {seq[:1]: {0: 1}}
-            built = _grassmann_input(n, 1, t(0), head, dominant_orbits(tail, 0))
-            assert built == dominant_orbits(full), seq
+            tail_orbits = packed_orbits(dominant_orbits(tail, 0))
+            built = _grassmann_input(n, 1, T, {seq[:1]: 1}, tail_orbits)
+            assert unpacked_orbits(built) == dominant_orbits(full), seq
 
 
 def test_p_from_orbits_is_r_divided_by_v():

@@ -8,7 +8,14 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given = hypothesis.given
 
-from conftest import block_orbits, settings  # noqa: E402
+from conftest import (  # noqa: E402
+    T,
+    at_c,
+    block_orbits,
+    packed_orbits,
+    settings,
+    unpacked_orbits,
+)
 
 from hlgysin import Polynomial, hall_littlewood_p  # noqa: E402
 from hlgysin.gysin import _grassmann_input  # noqa: E402
@@ -62,22 +69,26 @@ def expanded_with_t(m, orbits):
     })
 
 
-# c = t is R's row, c = -1 Schur P's and c = 0 the t = 0 shadow's
-ROW_CONSTANTS = st.sampled_from([Polynomial.t(0), Polynomial.constant(0, -1), Polynomial.zero(0)])
+# c = t is R's row, packed at T; c = -1 Schur P's and c = 0 the t = 0 shadow's
+ROW_CONSTANTS = st.sampled_from([T, -1, 0])
 
 
 @settings(100)
 @given(grassmann_factors(), ROW_CONSTANTS)
 def test_row_product_on_random_symmetric_tails(case, c):
-    """The Grassmann input (q | n-q) built from orbits against the product
-    prod_{i<=q<j} (x_i - c x_j) * A(x_1..x_q) * B(x_{q+1}..x_n), filtered to
-    its block-dominant terms."""
+    """The Grassmann input (q | n-q) built from orbits packed at c, read
+    back, against the exact product prod_{i<=q<j} (x_i - c x_j) *
+    A(x_1..x_q) * B(x_{q+1}..x_n), filtered to its block-dominant terms and
+    evaluated at t = c for c = 0 and c = -1.  A and B have random
+    polynomials in t of several terms as coefficients."""
     n, q, a, b = case
+    c_poly = Polynomial.t(n) if c == T else Polynomial.constant(n, c)
     cross = linear_factor_product(
-        n, [(i, j) for i in range(1, q + 1) for j in range(q + 1, n + 1)], c.embed(n)
+        n, [(i, j) for i in range(1, q + 1) for j in range(q + 1, n + 1)], c_poly
     )
     full = cross * expanded_with_t(q, a).embed(n) * expanded_with_t(n - q, b).embed(n, offset=q)
-    assert _grassmann_input(n, q, c, a, b) == block_orbits(full, (q, n - q))
+    built = _grassmann_input(n, q, c, packed_orbits(a, c), packed_orbits(b, c))
+    assert unpacked_orbits(built, c) == block_orbits(at_c(full, c), (q, n - q))
 
 
 @st.composite

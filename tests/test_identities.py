@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import block_orbits
+from conftest import T, at_c, block_orbits, unpacked_orbits
 from hlgysin import (
     NotDivisibleError,
     Polynomial,
@@ -81,11 +81,14 @@ def cross_factor(n, q, c):
 
 
 def assert_input_is_the_product_filtered(n, q, c, a, b, a_poly, b_poly):
-    """The Pieri-built (q | r)-dominant orbits of cross * A * B against the
-    dominant terms of the product itself; c is an arity-0 polynomial."""
-    full = cross_factor(n, q, c.embed(n)) * a_poly.embed(n) * b_poly.embed(n, offset=q)
+    """The Pieri-built (q | r)-dominant orbits of cross * A * B, A and B
+    packed at c, read back and compared with the exact dominant terms of
+    the product itself, evaluated at t = c for c = 0 and c = -1."""
+    c_poly = Polynomial.t(n) if c == T else Polynomial.constant(n, c)
+    full = cross_factor(n, q, c_poly) * a_poly.embed(n) * b_poly.embed(n, offset=q)
     built = _grassmann_input(n, q, c, a, b)
-    assert built == block_orbits(full, (q, n - q)), (n, q, a_poly, b_poly)
+    expected = block_orbits(at_c(full, c), (q, n - q))
+    assert unpacked_orbits(built, c) == expected, (n, q, a_poly, b_poly)
 
 
 def strict_within(length, bound):
@@ -108,7 +111,7 @@ def test_grassmann_input_on_the_t_minus1_benchmark_family():
                     if set(nu) & set(sigma) or (n == 6 and sum(nu + sigma) > 2):
                         continue
                     assert_input_is_the_product_filtered(
-                        n, q, Polynomial.constant(0, -1),
+                        n, q, -1,
                         _schur_p_orbits(nu, q), _schur_p_orbits(sigma, n - q),
                         schur_p_coset(nu, q), schur_p_coset(sigma, n - q),
                     )
@@ -133,38 +136,35 @@ def test_grassmann_input_on_theorem_main_with_entries_at_most_one():
     for n, q, lam, mu in instances + CLEARED_INSTANCES:
         r = n - q
         try:
-            a, b = _p_reps(lam), _p_reps(mu)
+            a, b = _p_reps(lam, T), _p_reps(mu, T)
             a_poly, b_poly = hall_littlewood_p(q, lam), hall_littlewood_p(r, mu)
         except NotDivisibleError:
-            a, b = _r_reps(lam), _r_reps(mu)
+            a, b = _r_reps(lam, T), _r_reps(mu, T)
             a_poly, b_poly = hall_littlewood_r(q, lam), hall_littlewood_r(r, mu)
-        t = Polynomial.t(0)
-        assert_input_is_the_product_filtered(n, q, t, a, b, a_poly, b_poly)
+        assert_input_is_the_product_filtered(n, q, T, a, b, a_poly, b_poly)
 
 
 def test_grassmann_input_where_summands_cancel():
     """R_lam(Q) and R_mu(S) at c = t, the prop-juxtaposition input.  With
     lam = (0, 2) or (2, 0) at n = 5, q = 2, summands of different K meet on
     keys whose coefficients cancel to zero, and the builder must drop them."""
-    t = Polynomial.t(0)
     for lam in [(0, 2), (2, 0)]:
         for mu in itertools.product(range(3), repeat=3):
             assert_input_is_the_product_filtered(
-                5, 2, t, _r_reps(lam), _r_reps(mu),
+                5, 2, T, _r_reps(lam, T), _r_reps(mu, T),
                 hall_littlewood_r(2, lam), hall_littlewood_r(3, mu),
             )
 
 
 def test_grassmann_input_at_c_zero_is_the_t0_product():
     """c = 0 leaves (x_1 ... x_q)^r of the cross factor: the t0-jlp input."""
-    zero = Polynomial.zero(0)
     for n in range(2, 5):
         for q in range(1, n):
             for lam in partitions_within(q, 2):
                 for mu in partitions_within(n - q, 2):
                     a, b = _schur_s_orbits(lam, q), _schur_s_orbits(mu, n - q)
                     assert_input_is_the_product_filtered(
-                        n, q, zero, a, b, schur_s(lam, q), schur_s(mu, n - q)
+                        n, q, 0, a, b, schur_s(lam, q), schur_s(mu, n - q)
                     )
 
 
@@ -174,7 +174,7 @@ def test_schur_s_is_the_c_zero_row_that_t0_jlp_reads(monkeypatch):
     lam, n = (2, 1, 1, 0), 4
     s = schur_s(lam, n)
     hits = _rows.cache_info().hits
-    assert _expand(n, _rows(lam, n, Polynomial.zero(0))) == s
+    assert _expand(n, _rows(lam, n, 0), 0) == s
     assert _rows.cache_info().hits == hits + 1
 
     def refuse(*args):
@@ -188,9 +188,9 @@ def test_schur_s_is_the_c_zero_row_that_t0_jlp_reads(monkeypatch):
 
 def test_orbit_comparison_expands_only_a_failing_witness():
     lam, mu = (2, 1, 0), (1, 1, 1)
-    passing = _compared("x", {}, 0.0, 3, _r_reps(lam), dict(_r_reps(lam)))
+    passing = _compared("x", {}, 0.0, 3, _r_reps(lam, T), dict(_r_reps(lam, T)), T)
     assert passing.passed and passing.witness is None
-    failing = _compared("x", {}, 0.0, 3, _r_reps(lam), _r_reps(mu))
+    failing = _compared("x", {}, 0.0, 3, _r_reps(lam, T), _r_reps(mu, T), T)
     assert not failing.passed
     assert failing.witness == hall_littlewood_r(3, lam) - hall_littlewood_r(3, mu)
 

@@ -39,6 +39,7 @@ MEMORY_LIMIT = 2 << 30
 # named tier-1 subsets, fastest first so that -x stops a killed mutant early
 SUBSETS = {
     "engine": [
+        "tests/test_packed.py",
         "tests/test_gysin.py",
         "tests/test_antisym.py",
         "tests/test_identities.py",
@@ -97,11 +98,12 @@ MUTANTS = [
         "coeff *= math.comb(r + left, r)",
         "coeff *= math.comb(r + left + 1, r)",
     ),
+    # gysin._grassmann_input: the product of two packed polynomials in t
     (
         "add-t-product-exponent",
         "engine",
-        "            t = t1 + t2\n",
-        "            t = max(t1, t2)\n",
+        "reps[key] = get(key, 0) + u * v",
+        "reps[key] = get(key, 0) + u + v",
     ),
     (
         "elementary-suffix-memo-key",
@@ -141,12 +143,38 @@ MUTANTS = [
         "v *= y[i - 1] - t * y[j - 1]",
         "v *= y[i - 1] + t * y[j - 1]",
     ),
-    # hallittlewood._divided_orbits
+    # hallittlewood._divided_orbits: an integer dividing the packed value
+    # does not show that v divides the polynomial
     (
         "divided-orbits",
         "engine",
-        "out[key] = {t: c for (t,), c in q.terms.items()}",
-        "out[key] = {t: c for (t,), c in q.terms.items() if t}",
+        "out[key] = _pack(Polynomial._raw(0, _unpack(value, source)).divide_exact(v).terms, t)",
+        "out[key] = value // _pack(v.terms, source)",
+    ),
+    # polyring: the packed t and its balanced digits
+    (
+        "packed-digit-borrow",
+        "engine",
+        "if d >= half:",
+        "if d > half:",
+    ),
+    (
+        "packed-digit-shift",
+        "engine",
+        "v = (v - d) >> bits",
+        "v = (v - d) >> (bits - 1)",
+    ),
+    (
+        "packed-field-edge",
+        "engine",
+        "while 1 << (bits - 1) <= bound:",
+        "while 1 << (bits - 1) < bound:",
+    ),
+    (
+        "packed-t-value",
+        "engine",
+        "return 1 << bits",
+        "return (1 << bits) + 1",
     ),
     # polyring._checked_int and _checked_ints
     (
