@@ -161,12 +161,12 @@ def hall_littlewood_r(n, seq):
     (x_i - t x_j)) by the Vandermonde determinant; computed as the tower
     d_{n-1} ... d_1 (row * R_{seq_2..seq_n}(x_2..x_n)) with
     row = x_1^seq_1 prod_{j>1} (x_1 - t x_j), on orbit representatives
-    (_r_reps) expanded once at the end.
+    (_rows) expanded once at the end.
     """
     seq = as_int_sequence(seq)
     _check_length(n, seq)
     t = _packed_t(_r_bound(seq))
-    return _expand(n, _r_reps(seq, t), t)
+    return _expand(n, _rows(seq, n, t), t)
 
 
 def _check_length(n, seq):
@@ -178,21 +178,18 @@ def _check_length(n, seq):
 def _rows(seq, n, c):
     """The orbits of d_{n-1} ... d_1 ( x_1^seq_1 prod_{j>1} (x_1 - c x_j)
     * _rows(seq_2.., n - 1, c)(x_2..x_n) ), each partition x-key mapped to
-    the orbit's coefficient packed at c, an int: R_seq for c the packed t
-    and n = len(seq), Schur P_seq for c = -1 and Schur S_seq for c = 0 and
-    a partition seq.  Each level is the Grassmann row (1 | n-1) of
+    the orbit's coefficient packed at c, an int.  The class is set by c:
+    the packed t gives R_seq (n = len(seq)), -1 gives Schur P_seq for a
+    strict partition seq, and 0 gives Schur S_seq for a partition seq of
+    length n.  Each level is the Grassmann row (1 | n-1) of
     gysin._grassmann_orbits; an empty seq gives 1, and a single variable
-    x_1^seq_1."""
+    x_1^seq_1.  Callers pass seq, n and c positionally, so that R and P
+    share the cache's entries."""
     if not seq:
         return {(0,) * n: 1}
     if n == 1:
         return {seq: 1}
     return _grassmann_orbits(n, 1, c, {seq[:1]: 1}, _rows(seq[1:], n - 1, c))
-
-
-def _r_reps(seq, t):
-    """R_seq as its orbits: the rows with c = t, the packed t."""
-    return _rows(seq, len(seq), t)
 
 
 def _r_bound(seq):
@@ -321,7 +318,7 @@ def _p_reps(seq, t):
     each divided by v_seq(t)."""
     source = _packed_t(_r_bound(seq))
     try:
-        return _divided_orbits(_r_reps(seq, source), t_factorial_product(seq), source, t)
+        return _divided_orbits(_rows(seq, len(seq), source), t_factorial_product(seq), source, t)
     except NotDivisibleError:
         raise NotDivisibleError(
             f"normalizer does not divide the symmetrized class for {seq}; "
@@ -363,13 +360,7 @@ def _as_partition_of_length(seq, n):
 def schur_s(partition, n):
     """Schur polynomial s_lam(x_1..x_n): the rows with c = 0, each the
     Jozefiak-Lascoux-Pragacz formula at q = 1 (see the module docstring)."""
-    return _expand(n, _schur_s_orbits(_as_partition_of_length(partition, n), n), 0)
-
-
-def _schur_s_orbits(lam, n):
-    """s_lam(x_1..x_n), lam a partition of length n, as its partition keys,
-    each mapped to its integer coefficient: the rows with c = 0."""
-    return _rows(lam, n, 0)
+    return _expand(n, _rows(_as_partition_of_length(partition, n), n, 0), 0)
 
 
 def straighten_schur_s(seq):
@@ -405,7 +396,7 @@ def schur_p_coset(nu, n):
     P_nu(x_1..x_n) = sum over cosets of S_1^k x S_{n-k} of
     w( x^nu * prod_{i<=k, i<j<=n} (x_i + x_j) / (x_i - x_j) ), which is the
     leading-flag push-forward of x^nu * prod_{i<=k, i<j<=n} (x_i + x_j),
-    computed as R's rows with c = -1 (_schur_p_orbits).
+    computed as R's rows with c = -1 (_rows).
     """
     nu = as_int_sequence(nu)
     if not is_strict_partition(nu):
@@ -413,13 +404,7 @@ def schur_p_coset(nu, n):
     _checked_int(n, "n", 1)
     if len(nu) > n:
         raise ValueError(f"strict partition {nu!r} needs more than {n} variables")
-    return _expand(n, _schur_p_orbits(nu, n), -1)
-
-
-def _schur_p_orbits(nu, n):
-    """P_nu(x_1..x_n) as its partition keys, each mapped to its integer
-    coefficient: the rows with c = -1."""
-    return _rows(nu, n, -1)
+    return _expand(n, _rows(nu, n, -1), -1)
 
 
 def straighten_schur_p(seq):

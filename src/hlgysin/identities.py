@@ -15,8 +15,8 @@ The push-forward's input cross * A(Q) * B(S) is never formed: its
 (q | r)-dominant orbits are built from the orbits of A and B by the Pieri
 rule, and the merge carries orbit representatives to the answer's
 partition keys.  A and B, and the right side, are read as orbits from
-hallittlewood._rows, the recursion behind R (c = t), Schur P (c = -1) and
-Schur S (c = 0), or from P's division of R's orbits; no class is expanded
+hallittlewood._rows, the recursion behind R, Schur P and Schur S, whose c
+picks the class, or from P's division of R's orbits; no class is expanded
 to be cut back to its orbits.  At q = 1, prop-juxtaposition and t0-jlp
 restate how _rows builds R and Schur S.  Both sides are compared as orbit
 dicts, each orbit's coefficient one int: at t = -1 and t = 0 the
@@ -54,9 +54,7 @@ from .hallittlewood import (
     _p_reps,
     _quotient_bound,
     _r_bound,
-    _r_reps,
-    _schur_p_orbits,
-    _schur_s_orbits,
+    _rows,
     as_int_sequence,
     gaussian_binomial,
     gaussian_binomial_at_minus_one,
@@ -165,13 +163,12 @@ def _norm(p):
     return sum(map(abs, p.terms.values()))
 
 
-def _compared(name, instance, started, n, lhs, rhs, t, detail=None):
-    """The report of lhs = rhs for two symmetric classes given by their
-    orbits packed at t: equal dicts pass, and only a failing witness is
-    read back and expanded.  Both are exact when t is certified for both
-    sides (polyring._packed_t)."""
-    witness = Polynomial.zero(n) if lhs == rhs else _expand(n, lhs, t) - _expand(n, rhs, t)
-    return _report(name, instance, witness, started, detail)
+def _witness(n, lhs, rhs, t):
+    """LHS - RHS for two symmetric classes given by their orbits packed at
+    t: zero when the dicts are equal, and otherwise both sides read back
+    and expanded.  Both are exact when t is certified for both sides
+    (polyring._packed_t)."""
+    return Polynomial.zero(n) if lhs == rhs else _expand(n, lhs, t) - _expand(n, rhs, t)
 
 
 def _row_bound(n, q, a_bound, b_bound, degree):
@@ -236,9 +233,10 @@ def verify_prop_juxtaposition(n, q, lam, mu):
     lam, mu, r = _split_params(n, q, lam, mu)
     lhs_bound = _row_bound(n, q, _r_bound(lam), _r_bound(mu), sum(lam) + sum(mu))
     t = _packed_t(max(lhs_bound, _r_bound(lam + mu)))
-    lhs = _grassmann_orbits(n, q, t, _r_reps(lam, t), _r_reps(mu, t))
+    lhs = _grassmann_orbits(n, q, t, _rows(lam, q, t), _rows(mu, r, t))
+    witness = _witness(n, lhs, _rows(lam + mu, n, t), t)
     instance = {"n": n, "q": q, "lambda": lam, "mu": mu}
-    return _compared("prop-juxtaposition", instance, started, n, lhs, _r_reps(lam + mu, t), t)
+    return _report("prop-juxtaposition", instance, witness, started)
 
 
 def _theorem_bound(n, q, lam, mu, coefficient):
@@ -255,14 +253,15 @@ def _theorem_bound(n, q, lam, mu, coefficient):
     return max(lhs * _norm(v_joined), _quotient_bound(joined_r, degree, lam + mu))
 
 
-def _checked_theorem(name, instance, started, n, q, lam, mu, coefficient):
-    """Shared body for the P-class push-forward identity.
+def _checked_theorem(n, q, lam, mu, coefficient):
+    """Shared body for the P-class push-forward identity: the witness
+    LHS - RHS and the detail for the report, None when no fallback ran.
 
     coefficient is the arity-0 polynomial scaling the right side.  When a
     normalized class does not exist (the interleaved-sequence divisibility
     finding) the same identity is checked multiplied through by the
     offending t-factorials — an exactly equivalent statement — and the
-    detail field records the fallback.
+    detail records the fallback.
     """
     t = _packed_t(_theorem_bound(n, q, lam, mu, coefficient))
     notes = []
@@ -272,7 +271,7 @@ def _checked_theorem(name, instance, started, n, q, lam, mu, coefficient):
     except NotDivisibleError:
         # clear the left side: multiply both sides by v_lam * v_mu
         notes.append("input-class-undefined(v-does-not-divide-R); cleared-form")
-        a, b = _r_reps(lam, t), _r_reps(mu, t)
+        a, b = _rows(lam, q, t), _rows(mu, n - q, t)
         scale = t_factorial_product(lam) * t_factorial_product(mu)
     lhs = _grassmann_orbits(n, q, t, a, b)
 
@@ -283,13 +282,13 @@ def _checked_theorem(name, instance, started, n, q, lam, mu, coefficient):
     except NotDivisibleError:
         # clear the right side: multiplier * P = (multiplier * R) / v_joined
         notes.append("juxtaposed-class-undefined(v-does-not-divide-R); reduced-form")
-        joined_r = _scaled(_r_reps(lam + mu, t), multiplier, t)
+        joined_r = _scaled(_rows(lam + mu, n, t), multiplier, t)
         try:
             rhs = _divided_orbits(joined_r, v_joined, t, t)
         except NotDivisibleError:
             notes.append("reduced-form-not-divisible")
             lhs, rhs = _scaled(lhs, v_joined, t), joined_r
-    return _compared(name, instance, started, n, lhs, rhs, t, "; ".join(notes) or None)
+    return _witness(n, lhs, rhs, t), "; ".join(notes) or None
 
 
 def verify_theorem_main(n, q, lam, mu):
@@ -303,13 +302,10 @@ def verify_theorem_main(n, q, lam, mu):
     try:
         coefficient = t_factorial_product(lam + mu).divide_exact(v_lam_mu)
     except NotDivisibleError:
-        witness = t_factorial_product(lam + mu)
-        return _report(
-            "theorem-main", instance, witness, started, "coefficient-not-divisible"
-        )
-    return _checked_theorem(
-        "theorem-main", instance, started, n, q, lam, mu, coefficient
-    )
+        witness, detail = t_factorial_product(lam + mu), "coefficient-not-divisible"
+    else:
+        witness, detail = _checked_theorem(n, q, lam, mu, coefficient)
+    return _report("theorem-main", instance, witness, started, detail)
 
 
 def verify_t0_jlp(n, q, lam, mu):
@@ -319,25 +315,28 @@ def verify_t0_jlp(n, q, lam, mu):
     started = time.perf_counter()
     r = _checked_split(n, q)
     lam, mu = _as_partition_of_length(lam, q), _as_partition_of_length(mu, r)
-    a, b = _schur_s_orbits(lam, q), _schur_s_orbits(mu, r)
-    lhs = _grassmann_orbits(n, q, 0, a, b)
+    lhs = _grassmann_orbits(n, q, 0, _rows(lam, q, 0), _rows(mu, r, 0))
     straightened = straighten_schur_s(lam + mu)
     if straightened is None:
         rhs = {}
     else:
         sign, shape = straightened
-        rhs = _scaled_orbits(_schur_s_orbits(shape, n), sign)
+        rhs = _scaled_orbits(_rows(shape, n, 0), sign)
     instance = {"n": n, "q": q, "lambda": lam, "mu": mu}
-    return _compared("t0-jlp", instance, started, n, lhs, rhs, 0)
+    return _report("t0-jlp", instance, _witness(n, lhs, rhs, 0), started)
 
 
 def d_coefficient(n, q, k, h):
     """Integer coefficient of the t = -1 push-forward identity.
 
     Zero when (q-k)(n-q-h) is odd, otherwise (-1)^((q-k)h) times the
-    binomial C(floor((n-k-h)/2), floor((q-k)/2))."""
+    binomial C(floor((n-k-h)/2), floor((q-k)/2)).  Refused with a
+    ValueError unless 0 <= k <= q <= n and 0 <= h <= n - q."""
     for value, name in ((n, "n"), (q, "q"), (k, "k"), (h, "h")):
         _checked_int(value, name)
+    for value, name, top in ((q, "q", n), (k, "k", q), (h, "h", n - q)):
+        if not 0 <= value <= top:
+            raise ValueError(f"{name} must lie in 0..{top}, got {value}")
     sign = -1 if ((q - k) * h) % 2 else 1
     return sign * gaussian_binomial_at_minus_one(q - k, n - q - h)
 
@@ -360,16 +359,15 @@ def verify_t_minus1(n, q, nu, sigma):
     started = time.perf_counter()
     nu, sigma, r = _strict_pair_params(n, q, nu, sigma)
     k, h = len(nu), len(sigma)
-    a, b = _schur_p_orbits(nu, q), _schur_p_orbits(sigma, r)
-    lhs = _grassmann_orbits(n, q, -1, a, b)
+    lhs = _grassmann_orbits(n, q, -1, _rows(nu, q, -1), _rows(sigma, r, -1))
     d = d_coefficient(n, q, k, h)
     if d == 0:
         rhs = {}
     else:
         sign, shape = straighten_schur_p(nu + sigma)
-        rhs = _scaled_orbits(_schur_p_orbits(shape, n), d * sign)
+        rhs = _scaled_orbits(_rows(shape, n, -1), d * sign)
     instance = {"n": n, "q": q, "nu": nu, "sigma": sigma}
-    return _compared("t-minus1", instance, started, n, lhs, rhs, -1, f"d={d}")
+    return _report("t-minus1", instance, _witness(n, lhs, rhs, -1), started, f"d={d}")
 
 
 def verify_cor_gaussian(n, q, nu, sigma):
@@ -386,14 +384,12 @@ def verify_cor_gaussian(n, q, nu, sigma):
         t_factorial_product(lam) * t_factorial_product(mu)
     )
     instance = {"n": n, "q": q, "nu": nu, "sigma": sigma}
-    mismatch = claimed - v_ratio
-    if mismatch:
-        return _report(
-            "cor-gaussian", instance, mismatch, started, "gaussian-coefficient-mismatch"
-        )
-    return _checked_theorem(
-        "cor-gaussian", instance, started, n, q, lam, mu, claimed
-    )
+    witness = claimed - v_ratio
+    if witness:
+        detail = "gaussian-coefficient-mismatch"
+    else:
+        witness, detail = _checked_theorem(n, q, lam, mu, claimed)
+    return _report("cor-gaussian", instance, witness, started, detail)
 
 
 # ---------------------------------------------------------------------- #

@@ -44,7 +44,6 @@ from functools import lru_cache
 from .hallittlewood import (
     _as_partition_of_length,
     as_int_sequence,
-    hall_littlewood_p,
     is_strict_partition,
 )
 from .polyring import ArityMismatchError, Polynomial, _checked_int
@@ -181,11 +180,6 @@ def blockwise_full_flag(f, split):
         for a in longest_word(len(b)):
             f = divided_difference(f, b[a - 1], b[a])
     return f
-
-
-def hall_littlewood_p_specialized(n, seq, t_value):
-    """P_seq with an integer substituted for t (0 gives Schur S, -1 Schur P)."""
-    return hall_littlewood_p(n, seq).substitute_t(t_value)
 
 
 # ---------------------------------------------------------------------- #

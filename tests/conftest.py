@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from hlgysin import BlockStructure, NotDivisibleError, Permutation, Polynomial
+from hlgysin import BlockStructure, NotDivisibleError, Permutation, Polynomial, hall_littlewood_p
 from hlgysin.polyring import _pack, _unpack
 
 try:
@@ -51,6 +51,12 @@ def quotient_or_error(divide, *args):
         return divide(*args)
     except NotDivisibleError as exc:
         return f"NotDivisibleError: {exc}"
+
+
+def hall_littlewood_p_specialized(n, seq, t_value):
+    """The engine's P_seq with an integer substituted for t (0 gives
+    Schur S, -1 Schur P)."""
+    return hall_littlewood_p(n, seq).substitute_t(t_value)
 
 
 @lru_cache(maxsize=None)

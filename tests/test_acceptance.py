@@ -22,6 +22,7 @@ import re
 import time
 from contextlib import contextmanager
 
+from conftest import hall_littlewood_p_specialized
 from hlgysin import (
     NotDivisibleError,
     Polynomial,
@@ -39,11 +40,7 @@ from hlgysin import (
     t_factorial,
 )
 from hlgysin.identities import InstanceFamily, run_suite
-from hlgysin.oracles import (
-    hall_littlewood_p_specialized,
-    schur_p_recursive,
-    schur_s_jacobi_trudi,
-)
+from hlgysin.oracles import schur_p_recursive, schur_s_jacobi_trudi
 
 RANDOM_SEED = 20260814
 

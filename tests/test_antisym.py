@@ -13,7 +13,7 @@ from hlgysin import (
 )
 from hlgysin.antisym import _divided_difference_tower, _expand, _row_image
 from hlgysin.gysin import _grassmann_input
-from hlgysin.hallittlewood import _schur_p_orbits
+from hlgysin.hallittlewood import _rows
 from hlgysin.identities import verify_t_minus1
 from hlgysin.oracles import all_permutations, vandermonde
 
@@ -234,7 +234,7 @@ def test_row_image_is_the_dominant_part_of_the_plain_row(args):
 def t_minus1_merge_input(n, q):
     """The reps of prod_{i<=q<j} (x_i + x_j) P_(3,1)(Q) P_(2)(S), the
     verify-tminus1 benchmark family's push-forward input."""
-    a, b = _schur_p_orbits((3, 1), q), _schur_p_orbits((2,), n - q)
+    a, b = _rows((3, 1), q, -1), _rows((2,), n - q, -1)
     return _grassmann_input(n, q, -1, a, b)
 
 

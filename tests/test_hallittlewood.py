@@ -7,6 +7,7 @@ from conftest import (
     T,
     complete_homogeneous,
     dominant_orbits,
+    hall_littlewood_p_specialized,
     is_homogeneous_in_x,
     packed_orbits,
     quotient_or_error,
@@ -42,7 +43,6 @@ from hlgysin.symgroup import block_structure, coset_reps
 from hlgysin.oracles import (
     all_permutations,
     elementary_symmetric,
-    hall_littlewood_p_specialized,
     schur_p_recursive,
     schur_s_demazure,
     schur_s_jacobi_trudi,

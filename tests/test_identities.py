@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -16,13 +17,13 @@ from hlgysin import (
 from hlgysin import hallittlewood, identities
 from hlgysin.antisym import _expand
 from hlgysin.gysin import _grassmann_input
-from hlgysin.hallittlewood import _p_reps, _r_reps, _rows, _schur_p_orbits, _schur_s_orbits
+from hlgysin.hallittlewood import _p_reps, _rows
 from hlgysin.oracles import elementary_symmetric, schur_s_demazure, schur_s_jacobi_trudi
 from hlgysin.identities import (
     IDENTITY_SUITES,
     InstanceFamily,
     VerificationReport,
-    _compared,
+    _witness,
     d_coefficient,
     run_suite,
     verify_cor_gaussian,
@@ -112,7 +113,7 @@ def test_grassmann_input_on_the_t_minus1_benchmark_family():
                         continue
                     assert_input_is_the_product_filtered(
                         n, q, -1,
-                        _schur_p_orbits(nu, q), _schur_p_orbits(sigma, n - q),
+                        _rows(nu, q, -1), _rows(sigma, n - q, -1),
                         schur_p_coset(nu, q), schur_p_coset(sigma, n - q),
                     )
                     count += 1
@@ -139,7 +140,7 @@ def test_grassmann_input_on_theorem_main_with_entries_at_most_one():
             a, b = _p_reps(lam, T), _p_reps(mu, T)
             a_poly, b_poly = hall_littlewood_p(q, lam), hall_littlewood_p(r, mu)
         except NotDivisibleError:
-            a, b = _r_reps(lam, T), _r_reps(mu, T)
+            a, b = _rows(lam, q, T), _rows(mu, r, T)
             a_poly, b_poly = hall_littlewood_r(q, lam), hall_littlewood_r(r, mu)
         assert_input_is_the_product_filtered(n, q, T, a, b, a_poly, b_poly)
 
@@ -151,7 +152,7 @@ def test_grassmann_input_where_summands_cancel():
     for lam in [(0, 2), (2, 0)]:
         for mu in itertools.product(range(3), repeat=3):
             assert_input_is_the_product_filtered(
-                5, 2, T, _r_reps(lam, T), _r_reps(mu, T),
+                5, 2, T, _rows(lam, 2, T), _rows(mu, 3, T),
                 hall_littlewood_r(2, lam), hall_littlewood_r(3, mu),
             )
 
@@ -162,7 +163,7 @@ def test_grassmann_input_at_c_zero_is_the_t0_product():
         for q in range(1, n):
             for lam in partitions_within(q, 2):
                 for mu in partitions_within(n - q, 2):
-                    a, b = _schur_s_orbits(lam, q), _schur_s_orbits(mu, n - q)
+                    a, b = _rows(lam, q, 0), _rows(mu, n - q, 0)
                     assert_input_is_the_product_filtered(
                         n, q, 0, a, b, schur_s(lam, q), schur_s(mu, n - q)
                     )
@@ -186,13 +187,20 @@ def test_schur_s_is_the_c_zero_row_that_t0_jlp_reads(monkeypatch):
         assert_pass(verify_t0_jlp(4, 2, lam, mu))
 
 
-def test_orbit_comparison_expands_only_a_failing_witness():
+def test_orbit_comparison_expands_only_a_failing_witness(monkeypatch):
     lam, mu = (2, 1, 0), (1, 1, 1)
-    passing = _compared("x", {}, 0.0, 3, _r_reps(lam, T), dict(_r_reps(lam, T)), T)
-    assert passing.passed and passing.witness is None
-    failing = _compared("x", {}, 0.0, 3, _r_reps(lam, T), _r_reps(mu, T), T)
-    assert not failing.passed
-    assert failing.witness == hall_littlewood_r(3, lam) - hall_littlewood_r(3, mu)
+    a, b = _rows(lam, 3, T), _rows(mu, 3, T)
+
+    def refuse(*args):
+        raise AssertionError("an equal pair of sides was expanded")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, "_expand", refuse)
+        passing = _witness(3, a, dict(a), T)
+    assert passing.is_zero and passing.arity == 3
+    failing = _witness(3, a, b, T)
+    assert not failing.is_zero
+    assert failing == hall_littlewood_r(3, lam) - hall_littlewood_r(3, mu)
 
 
 def test_grassmann_verifiers_pass_above_the_cli_bound():
@@ -306,6 +314,28 @@ def test_d_coefficient_values():
     assert d_coefficient(6, 4, 2, 0) == 2
     assert d_coefficient(6, 2, 1, 1) == 0  # (q-k)(r-h) = 3, odd
     assert d_coefficient(5, 2, 1, 1) == -1
+    # the edges of the range: k = q = n, h = n - q, and n = 0
+    assert d_coefficient(3, 3, 3, 0) == 1
+    assert d_coefficient(3, 0, 0, 3) == 1
+    assert d_coefficient(0, 0, 0, 0) == 1
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        ((3, 1, -1, 0), "k must lie in 0..1, got -1"),
+        ((3, 1, 2, 0), "k must lie in 0..1, got 2"),
+        ((3, 1, 0, 3), "h must lie in 0..2, got 3"),
+        ((3, 1, 0, -1), "h must lie in 0..2, got -1"),
+        ((3, 4, 0, 0), "q must lie in 0..3, got 4"),
+        ((3, -1, 0, 0), "q must lie in 0..3, got -1"),
+    ],
+)
+def test_d_coefficient_refuses_arguments_out_of_range(args, text):
+    """Outside 0 <= k <= q <= n and 0 <= h <= n - q the coefficient means
+    nothing; the error names the caller's parameter and its range."""
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        d_coefficient(*args)
 
 
 # --- report and family plumbing ---------------------------------------------
@@ -457,6 +487,26 @@ def test_cor_gaussian_suite_skips_and_probes_shared_parts():
     assert probes, "expected shared-part instances to be probed via the main theorem"
     assert checks, "expected plain disjoint instances"
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("identity", sorted(IDENTITY_SUITES))
+def test_every_report_carries_its_suites_name(identity):
+    """Each identity's name is written in its verifier alone.  The one
+    other name a suite reports is theorem-main's, on the probe cor-gaussian
+    runs right after a pair that shares a part."""
+    reports = run_suite(identity, InstanceFamily(n_range=(1, 4), entry_bound=2))
+    assert reports
+    probes = 0
+    for previous, report in zip([None] + reports, reports):
+        probe = (
+            identity == "cor-gaussian"
+            and previous is not None
+            and previous.detail == "skipped-shared-part"
+        )
+        probes += probe
+        assert report.identity_name == ("theorem-main" if probe else identity), report.line()
+        assert report.elapsed >= 0, report.line()
+    assert (probes > 0) == (identity == "cor-gaussian")
 
 
 def test_suites_registry():

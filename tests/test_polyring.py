@@ -12,8 +12,8 @@ from hlgysin.oracles import all_permutations, difference_product, vandermonde
 from hlgysin.symgroup import Permutation
 
 # Exponents within 2 of 2**7, 2**8, 2**15, ...: alone or summed in a
-# product they straddle 2**8, 2**16 and 2**32, where the packed keys of
-# divide_by_vandermonde change their field width.
+# product they straddle 2**8, 2**16 and 2**32, the old 8-, 16- and 32-bit
+# field edges; products keep exponents of any size, these included.
 FIELD_EDGE_BASES = (0,) + tuple(2**k - 2 for k in (7, 8, 15, 16, 31, 32))
 
 
@@ -167,7 +167,7 @@ def test_ring_axioms_on_random_inputs(rng):
     triples = [field_edge_example(2**k) for k in (8, 16, 32)]
     for _ in range(150):
         n = rng.randrange(4)
-        # the largest base bounds the triple's products' field width
+        # the largest base bounds the triple's products' exponents
         bases = FIELD_EDGE_BASES[: rng.randrange(1, len(FIELD_EDGE_BASES) + 1)]
         triples.append(
             tuple(field_edge_polynomial(rng, n, bases, rng.randrange(6)) for _ in "abc")

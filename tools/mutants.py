@@ -176,6 +176,13 @@ MUTANTS = [
         "return 1 << bits",
         "return (1 << bits) + 1",
     ),
+    # identities._witness: equal orbit keys do not make equal sides
+    (
+        "witness-compares-keys",
+        "engine",
+        "lhs == rhs",
+        "lhs.keys() == rhs.keys()",
+    ),
     # polyring._checked_int and _checked_ints
     (
         "checked-int-takes-bool",
