@@ -59,6 +59,8 @@ from .polyring import (
     ArityMismatchError,
     _checked_int,
     _checked_ints,
+    _inversions,
+    _norm,
     _packed_t,
     _pushforward_bound,
 )
@@ -141,11 +143,10 @@ def partial_flag_pushforward(f, split):
     sizes = [len(b) for b in split.blocks]
     ends = set(itertools.accumulate(sizes))
     pairs = [i for i in range(n - 1) if i + 1 not in ends]
-    sign = -1 if sum(a > b for a, b in itertools.combinations(order, 2)) % 2 else 1
+    sign = -1 if _inversions(order) & 1 else 1
     crossings = n * (n - 1) // 2 - sum(q * (q - 1) // 2 for q in sizes)
-    norm = sum(map(abs, terms.values()))
     degree = max((sum(key[:n]) for key in terms), default=0)
-    t = _packed_t(_pushforward_bound(norm, n, degree, crossings))
+    t = _packed_t(_pushforward_bound(_norm(f), n, degree, crossings))
     reps = {}
     for key, c in terms.items():
         dominant = True

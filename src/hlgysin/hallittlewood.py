@@ -79,6 +79,7 @@ from .polyring import (
     Polynomial,
     _checked_int,
     _checked_ints,
+    _inversions,
     _key_permuter,
     _pack,
     _packed_t,
@@ -124,9 +125,8 @@ def t_factorial(m):
 
 def t_factorial_product(seq):
     """Product of t-factorials of the value multiplicities of a sequence."""
-    seq = as_int_sequence(seq)
     out = Polynomial.one(0)
-    for m in block_structure(seq).multiplicities if seq else ():
+    for m in Counter(as_int_sequence(seq)).values():
         out = out * t_factorial(m)
     return out
 
@@ -346,7 +346,7 @@ def _divided_orbits(orbits, v, source, t):
 def _as_partition_of_length(seq, n):
     _checked_int(n, "n", 0)
     seq = as_int_sequence(seq)
-    if not all(a >= b for a, b in zip(seq, seq[1:])):
+    if not is_partition(seq):
         raise ValueError(f"not a partition: {seq!r}")
     if len(seq) > n:
         if any(seq[n:]):
@@ -417,9 +417,5 @@ def straighten_schur_p(seq):
     seq = _checked_ints(seq, "parts", 1)
     if len(set(seq)) < len(seq):
         return None
-    inversions = 0
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] < seq[b]:
-                inversions += 1
-    return (-1 if inversions & 1 else 1), tuple(sorted(seq, reverse=True))
+    # the sort undoes the increasing pairs, the reversed sequence's inversions
+    return (-1 if _inversions(seq[::-1]) & 1 else 1), tuple(sorted(seq, reverse=True))

@@ -71,6 +71,7 @@ from .polyring import (
     Polynomial,
     _checked_int,
     _checked_ints,
+    _norm,
     _pack,
     _packed_t,
     _pushforward_bound,
@@ -158,11 +159,6 @@ def _scaled(orbits, p, t):
     return _scaled_orbits(orbits, _pack(p.terms, t))
 
 
-def _norm(p):
-    """The sum of the absolute values of the coefficients of p."""
-    return sum(map(abs, p.terms.values()))
-
-
 def _witness(n, lhs, rhs, t):
     """LHS - RHS for two symmetric classes given by their orbits packed at
     t: zero when the dicts are equal, and otherwise both sides read back
@@ -239,17 +235,18 @@ def verify_prop_juxtaposition(n, q, lam, mu):
     return _report("prop-juxtaposition", instance, witness, started)
 
 
-def _theorem_bound(n, q, lam, mu, coefficient):
+def _theorem_bound(n, q, lam, mu):
     """A bound on everything _checked_theorem reads back or compares, in
     each of its forms (polyring._packed_t).  The left side's inputs
     are P or R, both within _p_bound, and it may be scaled by v_(lam mu);
     the right side is coefficient * scale times P_(lam mu), or that
-    product's R divided by v_(lam mu), scale 1 or v_lam v_mu."""
-    v_split = t_factorial_product(lam) * t_factorial_product(mu)
+    product's R divided by v_(lam mu), scale 1 or v_lam v_mu.  All have
+    nonnegative coefficients and coefficient * scale divides v_(lam mu) =
+    coefficient * v_lam v_mu, so v_(lam mu) bounds its norm and t-degree."""
     v_joined = t_factorial_product(lam + mu)
     lhs = _row_bound(n, q, _p_bound(lam), _p_bound(mu), sum(lam) + sum(mu))
-    joined_r = _norm(coefficient) * _norm(v_split) * _r_bound(lam + mu)
-    degree = n * (n - 1) // 2 + max((e for (e,) in (coefficient * v_split).terms), default=0)
+    joined_r = _norm(v_joined) * _r_bound(lam + mu)
+    degree = n * (n - 1) // 2 + max(e for (e,) in v_joined.terms)
     return max(lhs * _norm(v_joined), _quotient_bound(joined_r, degree, lam + mu))
 
 
@@ -263,7 +260,7 @@ def _checked_theorem(n, q, lam, mu, coefficient):
     offending t-factorials — an exactly equivalent statement — and the
     detail records the fallback.
     """
-    t = _packed_t(_theorem_bound(n, q, lam, mu, coefficient))
+    t = _packed_t(_theorem_bound(n, q, lam, mu))
     notes = []
     try:
         a, b = _p_reps(lam, t), _p_reps(mu, t)
@@ -293,18 +290,15 @@ def _checked_theorem(n, q, lam, mu, coefficient):
 
 def verify_theorem_main(n, q, lam, mu):
     """Grassmann push-forward of P_lam(Q) P_mu(S) times the twisted cross
-    factor equals (v_{lam mu} / (v_lam v_mu)) * P_{lam mu}; the coefficient
-    division must itself be exact."""
+    factor equals (v_{lam mu} / (v_lam v_mu)) * P_{lam mu}.  The coefficient
+    division is always exact: the coefficient is the product over values x
+    of the Gaussian polynomials [m_lam(x) + m_mu(x) choose m_lam(x)]_t."""
     started = time.perf_counter()
     lam, mu, r = _split_params(n, q, lam, mu)
     instance = {"n": n, "q": q, "lambda": lam, "mu": mu}
     v_lam_mu = t_factorial_product(lam) * t_factorial_product(mu)
-    try:
-        coefficient = t_factorial_product(lam + mu).divide_exact(v_lam_mu)
-    except NotDivisibleError:
-        witness, detail = t_factorial_product(lam + mu), "coefficient-not-divisible"
-    else:
-        witness, detail = _checked_theorem(n, q, lam, mu, coefficient)
+    coefficient = t_factorial_product(lam + mu).divide_exact(v_lam_mu)
+    witness, detail = _checked_theorem(n, q, lam, mu, coefficient)
     return _report("theorem-main", instance, witness, started, detail)
 
 

@@ -31,7 +31,8 @@ Alongside them: the explicit group enumerations and products (all of S_n,
 the stabilizer, the Vandermonde and the t-twisted Vandermonde) that the
 naive S_n sums of the tests are built from, and the blockwise full-flag
 symmetrizer whose composite with the partial-flag push-forward must
-reproduce the full one.
+reproduce the full one.  Both Vandermonde products are
+polyring.linear_factor_product, at c = 1 and at c = t.
 """
 
 from __future__ import annotations
@@ -46,37 +47,25 @@ from .hallittlewood import (
     as_int_sequence,
     is_strict_partition,
 )
-from .polyring import ArityMismatchError, Polynomial, _checked_int
+from .polyring import ArityMismatchError, Polynomial, _checked_int, linear_factor_product
 from .symgroup import Permutation, ensure_within_bound
 
 # ---------------------------------------------------------------------- #
 # polynomials and group elements
 
 
-def difference_product(arity, pairs):
-    """prod (x_i - x_j) over the given 1-based index pairs."""
-    out = Polynomial.one(arity)
-    for i, j in pairs:
-        out = out * (Polynomial.x(arity, i) - Polynomial.x(arity, j))
-    return out
-
-
 @lru_cache(maxsize=None)
 def vandermonde(arity):
     """prod_{i<j} (x_i - x_j)."""
-    return difference_product(
-        arity, tuple(itertools.combinations(range(1, _checked_int(arity, "arity", 0) + 1), 2))
-    )
+    pairs = itertools.combinations(range(1, _checked_int(arity, "arity", 0) + 1), 2)
+    return linear_factor_product(arity, pairs, 1)
 
 
 @lru_cache(maxsize=None)
 def t_twisted_vandermonde(n):
     """prod_{i<j} (x_i - t x_j)."""
-    out = Polynomial.one(n)
     t = Polynomial.t(n)
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        out = out * (Polynomial.x(n, i) - t * Polynomial.x(n, j))
-    return out
+    return linear_factor_product(n, itertools.combinations(range(1, n + 1), 2), t)
 
 
 @lru_cache(maxsize=None)

@@ -38,12 +38,15 @@ compares, and _pack and _unpack convert.
 Every module checks its integer input with two helpers defined here:
 _checked_int refuses a value whose type is not int (so a bool) or, when
 asked, one below 0 or 1, and _checked_ints each entry of an iterable; both
-raise a ValueError naming the field and the value.
+raise a ValueError naming the field and the value.  Two more helpers are
+shared the same way: _inversions, the inversion count behind every sign,
+and _norm, the norm ||f|| in which _packed_t states its bounds.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import operator
 import struct
 
@@ -118,6 +121,11 @@ def _checked_ints(values, name, least=0):
             return values
     kind = "integers" if least is None else f"{_AT_LEAST[least]} integers"
     raise ValueError(f"{name} must be {kind}: {values!r}")
+
+
+def _inversions(seq):
+    """The number of pairs i < j with seq[i] > seq[j]."""
+    return sum(itertools.starmap(operator.gt, itertools.combinations(seq, 2)))
 
 
 def _validated_terms(arity, terms):
@@ -660,6 +668,11 @@ def _pushforward_bound(norm, n, degree, crossings):
     block of a split of x_1..x_n with ``crossings`` cross-block pairs,
     ||f|| <= norm and x-degree at most ``degree`` (proved in _packed_t)."""
     return norm * n ** max(degree - crossings, 0)
+
+
+def _norm(p):
+    """||p||, the sum of the absolute values of the coefficients of p."""
+    return sum(map(abs, p.terms.values()))
 
 
 def _pack(terms, c):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .polyring import _checked_int, _checked_ints
+from .polyring import _checked_int, _checked_ints, _inversions
 
 DEFAULT_PERMUTATION_BOUND = 8
 
@@ -90,14 +90,7 @@ class Permutation:
         return Permutation(inv)
 
     def sign(self):
-        imgs = self.images
-        n = len(imgs)
-        inv = 0
-        for a in range(n):
-            for b in range(a + 1, n):
-                if imgs[a] > imgs[b]:
-                    inv += 1
-        return -1 if inv & 1 else 1
+        return -1 if _inversions(self.images) & 1 else 1
 
     def __eq__(self, other):
         if not isinstance(other, Permutation):

@@ -126,19 +126,21 @@ def test_compute_negative_n_exit_2(capsys):
     assert captured.err.rstrip().endswith("error: --n must be nonnegative")
 
 
-BAD_COMPUTE_N = [
+BAD_COMPUTE_FLAGS = [
     (["--kind", "schur-s", "--n", "-2", "--lambda", ""], "--n must be nonnegative"),
     (["--kind", "p", "--n", "0", "--lambda", ""], "--n must be positive"),
     (["--kind", "schur-p", "--n", "-1", "--nu", "1"], "--n must be positive"),
     (["--kind", "r", "--n", "0", "--lambda", ""], "--n must be positive"),
     (["--kind", "schur-p", "--n", "0", "--nu", ""], "--n must be positive"),
+    (["--kind", "r", "--n", "2", "--lambda=-1,2"],
+     "argument --lambda: sequence entries must be nonnegative"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, message", BAD_COMPUTE_N, ids=[" ".join(argv) for argv, _ in BAD_COMPUTE_N]
+    "argv, message", BAD_COMPUTE_FLAGS, ids=[" ".join(argv) for argv, _ in BAD_COMPUTE_FLAGS]
 )
-def test_compute_rejects_a_bad_n_exit_2(capsys, argv, message):
+def test_compute_rejects_a_bad_flag_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(["compute", *argv])
     captured = capsys.readouterr()

@@ -31,7 +31,6 @@ from hlgysin.polyring import linear_factor_product
 from hlgysin.oracles import (
     all_permutations,
     blockwise_full_flag,
-    difference_product,
     stabilizer_elements,
     stabilizer_order,
     t_twisted_vandermonde,
@@ -71,8 +70,8 @@ def naive_pushforward(f, split):
     """Push-forward of a block-symmetric f as the signed sum over all of S_n
     of f times the same-block differences, over the Vandermonde and the
     order of the block stabilizer."""
-    within = difference_product(
-        split.n, [p for b in split.blocks for p in itertools.combinations(b, 2)]
+    within = linear_factor_product(
+        split.n, [p for b in split.blocks for p in itertools.combinations(b, 2)], 1
     )
     stabilizer = blocks_from_classes(split.blocks)
     return naive_alternant_quotient(f * within).divide_exact(

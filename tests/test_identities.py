@@ -538,3 +538,18 @@ def t_factorial_product_ratio(lam, mu):
     return t_factorial_product(joined).divide_exact(
         t_factorial_product(lam) * t_factorial_product(mu)
     )
+
+
+def test_theorem_coefficient_is_a_product_of_gaussian_polynomials():
+    """v_(lam mu) / (v_lam v_mu) is the product over values x of
+    [m_lam(x) + m_mu(x) choose m_lam(x)]_t, a polynomial, so theorem-main's
+    coefficient division cannot fail; every split with n <= 6 and entries
+    <= 2."""
+    for n in range(2, 7):
+        for q in range(1, n):
+            for lam in itertools.product(range(3), repeat=q):
+                for mu in itertools.product(range(3), repeat=n - q):
+                    product = Polynomial.one(0)
+                    for x in set(lam + mu):
+                        product = product * gaussian_binomial(lam.count(x), mu.count(x))
+                    assert t_factorial_product_ratio(lam, mu) == product, (lam, mu)

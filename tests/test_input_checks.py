@@ -11,6 +11,7 @@ inside the engine, and never accepts the value.
 import pytest
 
 from hlgysin import (
+    ArityMismatchError,
     InstanceFamily,
     Permutation,
     Polynomial,
@@ -27,11 +28,13 @@ from hlgysin import (
     straighten_schur_s,
     t_factorial_product,
     verify_prop_juxtaposition,
+    verify_t_minus1,
 )
 from hlgysin import oracles
 from hlgysin.polyring import _checked_int, _checked_ints
 
 X1 = Polynomial.x(2, 1)
+X3 = Polynomial.x(3, 1)
 SEQUENCE_5 = "sequence entries must be nonnegative integers: 5"
 
 # (callable, arguments, the exact text of the ValueError)
@@ -72,6 +75,16 @@ PROBES = [
     (InstanceFamily, (5,), "n_range must be positive integers: 5"),
     # a pair of the wrong length, which failed to unpack
     (InstanceFamily, ((1, 2, 3),), "bad n_range (1, 2, 3)"),
+    # values of the right type that the call still refuses
+    (InstanceFamily, ((1, 3), None, 2, "randomized", 0), "randomized mode needs a positive count"),
+    (verify_t_minus1, (4, 2, (3, 2, 1), ()), "strict partitions do not fit the block sizes"),
+    (Polynomial, (2, {(1, 0): 1}), "exponent tuple (1, 0) does not match arity 2"),
+]
+
+# (callable, arguments, the exact text of the ArityMismatchError)
+ARITY_PROBES = [
+    (X3.permute_vars, (Permutation((2, 1)),), "permutation degree 2 vs arity 3"),
+    (X3.eval_at, ((1, 2), 0), "2 values for arity 3"),
 ]
 
 
@@ -83,6 +96,13 @@ def probe_id(probe):
 @pytest.mark.parametrize("call, args, text", PROBES, ids=map(probe_id, PROBES))
 def test_bad_integer_input_raises_a_value_error_naming_it(call, args, text):
     with pytest.raises(ValueError) as exc:
+        call(*args)
+    assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("call, args, text", ARITY_PROBES, ids=map(probe_id, ARITY_PROBES))
+def test_a_size_that_does_not_match_the_arity_raises_an_arity_mismatch(call, args, text):
+    with pytest.raises(ArityMismatchError) as exc:
         call(*args)
     assert str(exc.value) == text
 

@@ -116,7 +116,7 @@ def test_the_theorem_bound_covers_both_sides():
                 for mu in itertools.product(range(2), repeat=r):
                     v_split = t_factorial_product(lam) * t_factorial_product(mu)
                     coefficient = t_factorial_product(lam + mu).divide_exact(v_split)
-                    bound = _theorem_bound(n, q, lam, mu, coefficient)
+                    bound = _theorem_bound(n, q, lam, mu)
                     joined_r = hall_littlewood_r(n, lam + mu)
                     sides = [(coefficient * v_split).embed(n) * joined_r]
                     try:

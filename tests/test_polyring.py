@@ -8,7 +8,8 @@ from hlgysin import (
     Polynomial,
     divide_by_vandermonde,
 )
-from hlgysin.oracles import all_permutations, difference_product, vandermonde
+from hlgysin.oracles import all_permutations, vandermonde
+from hlgysin.polyring import linear_factor_product
 from hlgysin.symgroup import Permutation
 
 # Exponents within 2 of 2**7, 2**8, 2**15, ...: alone or summed in a
@@ -374,6 +375,9 @@ def test_division_failure_texts_are_pinned():
         with pytest.raises(NotDivisibleError) as exc:
             f.divide_exact(q)
         assert str(exc.value) == text
+    with pytest.raises(TypeError) as exc:
+        x1.divide_exact("x")
+    assert str(exc.value) == "divisor must be a Polynomial or int"
 
 
 def test_a_leading_monomial_that_does_not_divide_names_the_variable():
@@ -404,9 +408,14 @@ def test_division_cost_follows_the_terms_not_the_exponents():
     assert divide_by_vandermonde(x1_big * vandermonde(3)) == x1_big
 
 
-def test_vandermonde_and_difference_product(random_poly):
+def test_vandermonde_is_the_alternant_of_x_delta_and_divides_out(random_poly):
+    for n in range(2, 5):
+        x_delta = Polynomial.monomial(n, range(n - 1, -1, -1))
+        alternant = Polynomial.zero(n)
+        for w in all_permutations(n):
+            alternant = alternant + w.sign() * x_delta.permute_vars(w)
+        assert vandermonde(n) == alternant
     v3 = vandermonde(3)
-    assert v3 == difference_product(3, [(1, 2), (1, 3), (2, 3)])
     p = random_poly(3)
     assert divide_by_vandermonde(p * v3) == p
     with pytest.raises(NotDivisibleError):
@@ -416,9 +425,9 @@ def test_vandermonde_and_difference_product(random_poly):
 def test_vandermonde_quotient_names_the_first_pair_whose_hyperplane_fails():
     cases = [
         (Polynomial.x(3, 1), "x1"),
-        (difference_product(3, [(1, 2), (1, 3)]) * Polynomial.x(3, 2), "x2"),
+        (linear_factor_product(3, [(1, 2), (1, 3)], 1) * Polynomial.x(3, 2), "x2"),
         # missing (2, 4) and (3, 4): the pairs go in lexicographic order
-        (difference_product(4, [(1, 2), (1, 3), (1, 4), (2, 3)]), "x2"),
+        (linear_factor_product(4, [(1, 2), (1, 3), (1, 4), (2, 3)], 1), "x2"),
     ]
     for f, name in cases:
         for divide in (divide_by_vandermonde, vandermonde_quotient_by_factors):

@@ -15,7 +15,8 @@ from conftest import (  # noqa: E402
     vandermonde_quotient_by_factors,
 )
 from hlgysin import NotDivisibleError, Polynomial, divide_by_vandermonde  # noqa: E402
-from hlgysin.oracles import difference_product, vandermonde  # noqa: E402
+from hlgysin.oracles import vandermonde  # noqa: E402
+from hlgysin.polyring import linear_factor_product  # noqa: E402
 
 
 # small exponents, and exponents near 2**32 and 2**40: division must cost
@@ -112,7 +113,7 @@ def field_edge_dividends(draw):
     h = Polynomial.monomial(n, (a,) + (0,) * (n - 2) + (top - a,)) - Polynomial.monomial(
         n, (0,) * (n - 2) + (1, c)
     )
-    return m * h * difference_product(n, pairs)
+    return m * h * linear_factor_product(n, pairs, 1)
 
 
 @settings(40)

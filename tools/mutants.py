@@ -176,6 +176,14 @@ MUTANTS = [
         "return 1 << bits",
         "return (1 << bits) + 1",
     ),
+    # polyring._inversions, behind every sign; operator.ge would be an
+    # equivalent mutant, as every caller passes distinct entries
+    (
+        "inversions-flipped",
+        "engine",
+        "starmap(operator.gt,",
+        "starmap(operator.lt,",
+    ),
     # identities._witness: equal orbit keys do not make equal sides
     (
         "witness-compares-keys",
