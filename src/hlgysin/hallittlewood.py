@@ -26,10 +26,11 @@ builder every Grassmann row shares, so no level builds the full product.
 The tower is one cached recursion on orbits, _rows; each call expands its
 answer and caches nothing expanded.  Each orbit's polynomial in t is one
 int, its value at the packed t 2**B (polyring._packed_t), B chosen per
-call from the bound _r_bound or _p_bound gives.  P_lam divides each orbit's
-polynomial in t by v_lam(t): R's x-coefficients are exactly those
-polynomials, so P is defined exactly when each division is exact, and P
-reads the orbits R cached, at R's B, and packs its own at its own.
+call from the bound _r_bound gives.  P_lam reads the orbits R cached back
+at R's B as exact polynomials in t (_r_orbits) and divides each by
+v_lam(t) (_p_orbits): R's x-coefficients are exactly those polynomials, so
+P is defined exactly when each division is exact.  The quotients' norms
+are measured, not bounded, and P packs them at the B the largest needs.
 
 The one explicit sum over coset representatives left is the coset form
 of R, whose dependence on the chosen representatives is itself under
@@ -81,6 +82,7 @@ from .polyring import (
     _checked_ints,
     _inversions,
     _key_permuter,
+    _norm,
     _pack,
     _packed_t,
     _pushforward_bound,
@@ -200,23 +202,6 @@ def _r_bound(seq):
     return _pushforward_bound(1 << pairs, n, sum(seq) + pairs, pairs)
 
 
-def _quotient_bound(bound, degree, seq):
-    """A bound on ||f / v_seq(t)|| for an f with ||f|| <= bound and t-degree
-    at most ``degree`` that v_seq divides: one factor
-    2 floor((degree + 1) / m) for each factor [m]_t of v_seq, the division
-    bound proved in polyring._packed_t."""
-    for count in Counter(seq).values():
-        for m in range(2, count + 1):
-            bound *= 2 * ((degree + 1) // m)
-    return bound
-
-
-def _p_bound(seq):
-    """A bound on ||P_seq||: R_seq has t-degree at most n(n-1)/2."""
-    n = len(seq)
-    return _quotient_bound(_r_bound(seq), n * (n - 1) // 2, seq)
-
-
 # The x-values of the hyperplane points (x_j set to x_1) and the value of
 # t at which the coset form's numerator is evaluated before it is built.
 _POINT = (2, 3, 5, 7, 11, 13, 17, 19)
@@ -308,17 +293,25 @@ def hall_littlewood_p(n, seq):
     """P_seq(x_1..x_n; t) = R_seq / v_seq(t), an exact division."""
     seq = as_int_sequence(seq)
     _check_length(n, seq)
-    t = _packed_t(_p_bound(seq))
-    return _expand(n, _p_reps(seq, t), t)
+    orbits = _p_orbits(seq, t_factorial_product(seq))
+    t = _packed_t(max(map(_norm, orbits.values()), default=0))
+    return _expand(n, _packed(orbits, t), t)
 
 
-def _p_reps(seq, t):
-    """P_seq as its symmetric orbits packed at t: R_seq's orbits at the
-    packed t its own bound certifies, the ones hall_littlewood_r caches,
-    each divided by v_seq(t)."""
-    source = _packed_t(_r_bound(seq))
+def _r_orbits(seq):
+    """R_seq as its symmetric orbits, each partition key mapped to its
+    exact polynomial in t (arity 0): _rows read back at R's own packed t,
+    the entry hall_littlewood_r caches."""
+    t = _packed_t(_r_bound(seq))
+    return {key: Polynomial._raw(0, _unpack(v, t)) for key, v in _rows(seq, len(seq), t).items()}
+
+
+def _p_orbits(seq, v):
+    """P_seq as exact orbits: each of R_seq's divided by v = v_seq(t), which
+    the caller builds.  v divides R exactly when it divides each orbit's
+    polynomial; an integer dividing a packed value would not show that."""
     try:
-        return _divided_orbits(_rows(seq, len(seq), source), t_factorial_product(seq), source, t)
+        return {key: f.divide_exact(v) for key, f in _r_orbits(seq).items()}
     except NotDivisibleError:
         raise NotDivisibleError(
             f"normalizer does not divide the symmetrized class for {seq}; "
@@ -326,17 +319,20 @@ def _p_reps(seq, t):
         ) from None
 
 
-def _divided_orbits(orbits, v, source, t):
-    """Orbits packed at source over the arity-0 polynomial v, packed at t:
-    each orbit's polynomial in t is read back, divided by v and packed
-    again, so v divides the class exactly when it divides each orbit's
-    polynomial, and NotDivisibleError is raised when one does not.  An
-    integer dividing the packed value would not show that.  source must be
-    certified for the orbits (polyring._packed_t)."""
-    out = {}
-    for key, value in orbits.items():
-        out[key] = _pack(Polynomial._raw(0, _unpack(value, source)).divide_exact(v).terms, t)
-    return out
+def _class_norm(orbits):
+    """||f|| for the symmetric class f given by exact orbits: each orbit's
+    ||f_key|| times its n!/prod_v m_v! terms, m_v the multiplicity of the
+    value v in the key."""
+    total = 0
+    for key, f in orbits.items():
+        size = math.factorial(len(key)) // math.prod(map(math.factorial, Counter(key).values()))
+        total += size * _norm(f)
+    return total
+
+
+def _packed(orbits, t):
+    """Exact orbits with each polynomial in t packed at t, one int."""
+    return {key: _pack(f.terms, t) for key, f in orbits.items()}
 
 
 # ---------------------------------------------------------------------- #

@@ -21,10 +21,13 @@ to be cut back to its orbits.  At q = 1, prop-juxtaposition and t0-jlp
 restate how _rows builds R and Schur S.  Both sides are compared as orbit
 dicts, each orbit's coefficient one int: at t = -1 and t = 0 the
 coefficient itself, and at generic t its polynomial's value at the packed
-t 2**B, B chosen per check from a bound on both sides that makes packed
-equality exact (polyring._packed_t).  The witness LHS - RHS is read back
-and expanded only when the sides differ, so it is the same polynomial as
-the one the full sides give.  This module holds verifier code only.
+t 2**B, B chosen per check so that packed equality is exact
+(polyring._packed_t).  theorem-main and cor-gaussian divide R's orbits by
+the t-factorials exactly, and pack P_lam, P_mu and the right side only
+after, at the B their measured norms need.  The witness LHS - RHS is read
+back and expanded only when the sides differ, so it is the same
+polynomial as the one the full sides give.  This module holds verifier
+code only.
 
 Two findings about sequences with interleaved equal values are handled
 explicitly rather than masked:
@@ -49,11 +52,11 @@ from .antisym import _expand
 from .gysin import _grassmann_orbits, _scaled_orbits
 from .hallittlewood import (
     _as_partition_of_length,
-    _divided_orbits,
-    _p_bound,
-    _p_reps,
-    _quotient_bound,
+    _class_norm,
+    _p_orbits,
+    _packed,
     _r_bound,
+    _r_orbits,
     _rows,
     as_int_sequence,
     gaussian_binomial,
@@ -71,8 +74,6 @@ from .polyring import (
     Polynomial,
     _checked_int,
     _checked_ints,
-    _norm,
-    _pack,
     _packed_t,
     _pushforward_bound,
 )
@@ -154,11 +155,6 @@ class InstanceFamily:
 # shared helpers
 
 
-def _scaled(orbits, p, t):
-    """Orbits packed at t times the arity-0 polynomial p."""
-    return _scaled_orbits(orbits, _pack(p.terms, t))
-
-
 def _witness(n, lhs, rhs, t):
     """LHS - RHS for two symmetric classes given by their orbits packed at
     t: zero when the dicts are equal, and otherwise both sides read back
@@ -224,68 +220,57 @@ def verify_lemma_sum(n):
 
 def verify_prop_juxtaposition(n, q, lam, mu):
     """Grassmann push-forward of R_lam(Q) R_mu(S) times the twisted cross
-    factor equals R of the concatenated sequence."""
+    factor equals R of the concatenated sequence.  One bound certifies both
+    sides: the left side's, 2^(n(n-1)/2) q^|lam| r^|mu| n^|lam mu|, is at
+    least 2^(n(n-1)/2) n^|lam mu|, the bound _r_bound(lam + mu) of the
+    right side, since q, r >= 1."""
     started = time.perf_counter()
     lam, mu, r = _split_params(n, q, lam, mu)
-    lhs_bound = _row_bound(n, q, _r_bound(lam), _r_bound(mu), sum(lam) + sum(mu))
-    t = _packed_t(max(lhs_bound, _r_bound(lam + mu)))
+    t = _packed_t(_row_bound(n, q, _r_bound(lam), _r_bound(mu), sum(lam) + sum(mu)))
     lhs = _grassmann_orbits(n, q, t, _rows(lam, q, t), _rows(mu, r, t))
     witness = _witness(n, lhs, _rows(lam + mu, n, t), t)
     instance = {"n": n, "q": q, "lambda": lam, "mu": mu}
     return _report("prop-juxtaposition", instance, witness, started)
 
 
-def _theorem_bound(n, q, lam, mu):
-    """A bound on everything _checked_theorem reads back or compares, in
-    each of its forms (polyring._packed_t).  The left side's inputs
-    are P or R, both within _p_bound, and it may be scaled by v_(lam mu);
-    the right side is coefficient * scale times P_(lam mu), or that
-    product's R divided by v_(lam mu), scale 1 or v_lam v_mu.  All have
-    nonnegative coefficients and coefficient * scale divides v_(lam mu) =
-    coefficient * v_lam v_mu, so v_(lam mu) bounds its norm and t-degree."""
-    v_joined = t_factorial_product(lam + mu)
-    lhs = _row_bound(n, q, _p_bound(lam), _p_bound(mu), sum(lam) + sum(mu))
-    joined_r = _norm(v_joined) * _r_bound(lam + mu)
-    degree = n * (n - 1) // 2 + max(e for (e,) in v_joined.terms)
-    return max(lhs * _norm(v_joined), _quotient_bound(joined_r, degree, lam + mu))
-
-
-def _checked_theorem(n, q, lam, mu, coefficient):
+def _checked_theorem(n, q, lam, mu, coefficient, v_lam, v_mu, v_joined):
     """Shared body for the P-class push-forward identity: the witness
     LHS - RHS and the detail for the report, None when no fallback ran.
 
-    coefficient is the arity-0 polynomial scaling the right side.  When a
-    normalized class does not exist (the interleaved-sequence divisibility
-    finding) the same identity is checked multiplied through by the
-    offending t-factorials — an exactly equivalent statement — and the
-    detail records the fallback.
+    coefficient is the arity-0 polynomial scaling the right side, and
+    coefficient * v_lam * v_mu = v_joined; the caller builds each t-factor
+    once.  When a normalized class does not exist (the interleaved-sequence
+    divisibility finding) the same identity is checked multiplied through
+    by the offending t-factorials — an exactly equivalent statement — and
+    the detail records the fallback.  Every class is built exact and then
+    packed, at the t that certifies _row_bound on the inputs' measured
+    norms and the right side's measured norm (polyring._packed_t).
     """
-    t = _packed_t(_theorem_bound(n, q, lam, mu))
     notes = []
     try:
-        a, b = _p_reps(lam, t), _p_reps(mu, t)
-        scale = Polynomial.one(0)
+        a, b = _p_orbits(lam, v_lam), _p_orbits(mu, v_mu)
+        multiplier = coefficient
     except NotDivisibleError:
         # clear the left side: multiply both sides by v_lam * v_mu
         notes.append("input-class-undefined(v-does-not-divide-R); cleared-form")
-        a, b = _rows(lam, q, t), _rows(mu, n - q, t)
-        scale = t_factorial_product(lam) * t_factorial_product(mu)
-    lhs = _grassmann_orbits(n, q, t, a, b)
-
-    multiplier = coefficient * scale
-    v_joined = t_factorial_product(lam + mu)
+        a, b = _r_orbits(lam), _r_orbits(mu)
+        multiplier = v_joined
     try:
-        rhs = _scaled(_p_reps(lam + mu, t), multiplier, t)
+        rhs = {key: multiplier * f for key, f in _p_orbits(lam + mu, v_joined).items()}
     except NotDivisibleError:
         # clear the right side: multiplier * P = (multiplier * R) / v_joined
         notes.append("juxtaposed-class-undefined(v-does-not-divide-R); reduced-form")
-        joined_r = _scaled(_rows(lam + mu, n, t), multiplier, t)
+        joined_r = {key: multiplier * f for key, f in _r_orbits(lam + mu).items()}
         try:
-            rhs = _divided_orbits(joined_r, v_joined, t, t)
+            rhs = {key: f.divide_exact(v_joined) for key, f in joined_r.items()}
         except NotDivisibleError:
+            # multiply both sides by v_joined, the left through its input A
             notes.append("reduced-form-not-divisible")
-            lhs, rhs = _scaled(lhs, v_joined, t), joined_r
-    return _witness(n, lhs, rhs, t), "; ".join(notes) or None
+            rhs, a = joined_r, {key: v_joined * f for key, f in a.items()}
+    lhs_bound = _row_bound(n, q, _class_norm(a), _class_norm(b), sum(lam) + sum(mu))
+    t = _packed_t(max(lhs_bound, _class_norm(rhs)))
+    lhs = _grassmann_orbits(n, q, t, _packed(a, t), _packed(b, t))
+    return _witness(n, lhs, _packed(rhs, t), t), "; ".join(notes) or None
 
 
 def verify_theorem_main(n, q, lam, mu):
@@ -296,9 +281,9 @@ def verify_theorem_main(n, q, lam, mu):
     started = time.perf_counter()
     lam, mu, r = _split_params(n, q, lam, mu)
     instance = {"n": n, "q": q, "lambda": lam, "mu": mu}
-    v_lam_mu = t_factorial_product(lam) * t_factorial_product(mu)
-    coefficient = t_factorial_product(lam + mu).divide_exact(v_lam_mu)
-    witness, detail = _checked_theorem(n, q, lam, mu, coefficient)
+    v_lam, v_mu, v_joined = map(t_factorial_product, (lam, mu, lam + mu))
+    coefficient = v_joined.divide_exact(v_lam * v_mu)
+    witness, detail = _checked_theorem(n, q, lam, mu, coefficient, v_lam, v_mu, v_joined)
     return _report("theorem-main", instance, witness, started, detail)
 
 
@@ -374,15 +359,13 @@ def verify_cor_gaussian(n, q, nu, sigma):
     lam = nu + (0,) * (q - k)
     mu = sigma + (0,) * (r - h)
     claimed = gaussian_binomial(q - k, r - h)
-    v_ratio = t_factorial_product(lam + mu).divide_exact(
-        t_factorial_product(lam) * t_factorial_product(mu)
-    )
+    v_lam, v_mu, v_joined = map(t_factorial_product, (lam, mu, lam + mu))
     instance = {"n": n, "q": q, "nu": nu, "sigma": sigma}
-    witness = claimed - v_ratio
+    witness = claimed - v_joined.divide_exact(v_lam * v_mu)
     if witness:
         detail = "gaussian-coefficient-mismatch"
     else:
-        witness, detail = _checked_theorem(n, q, lam, mu, claimed)
+        witness, detail = _checked_theorem(n, q, lam, mu, claimed, v_lam, v_mu, v_joined)
     return _report("cor-gaussian", instance, witness, started, detail)
 
 

@@ -32,8 +32,9 @@ that as a correctness probe and never catch it to paper over a failure.
 
 The engine holds each orbit's coefficient, a polynomial in t, as one int:
 its value at t = 2**B (Kronecker substitution).  _packed_t chooses B from
-a bound, proved in its docstring, on what a computation reads back or
-compares, and _pack and _unpack convert.
+a bound on what a computation reads back or compares: proved in its
+docstring for push-forwards, and measured on exact quotients before they
+are packed.  _pack and _unpack convert.
 
 Every module checks its integer input with two helpers defined here:
 _checked_int refuses a value whose type is not int (so a bool) or, when
@@ -648,14 +649,10 @@ def _packed_t(bound):
       +-1: ||R_seq|| <= 2^(n(n-1)/2) n^|seq|.  A Grassmann row pushes
       forward prod_{i<=q<j} (x_i - c x_j) A(Q) B(S), c in {t, -1, 0}:
       ||row|| <= 2^(qr) ||A|| ||B|| n^(deg A + deg B).
-    * Division by a t-factorial.  If f = [m]_t h in Z[t], m >= 2 and
-      deg f <= D, then (1 - t) f = (1 - t^m) h, so h_k is the sum of the
-      coefficients g_(k - jm), j >= 0, of g = (1 - t) f, and
-      deg h <= D - m + 1: each coefficient of g is counted at most
-      floor((D + 1) / m) times, and ||h|| <= 2 floor((D + 1) / m) ||f||.
-      P_seq = R_seq / v_seq(t) divides each orbit's polynomial by each
-      factor [m]_t of v_seq in turn, each step within degree D
-      (hallittlewood._quotient_bound).
+    * Quotients are not bounded: P_seq = R_seq / v_seq(t) and the right
+      side of the Gysin formula are divided exactly, orbit by orbit, before
+      anything is packed, so their norms are measured, and a push-forward
+      of them is bounded from the measured norms of its inputs.
     """
     bits = 64
     while 1 << (bits - 1) <= bound:

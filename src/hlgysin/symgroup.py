@@ -73,6 +73,9 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, i):
+        n = len(self.images)
+        if not 1 <= _checked_int(i, "point") <= n:
+            raise ValueError(f"point {i} must lie in 1..{n}")
         return self.images[i - 1]
 
     def __mul__(self, other):

@@ -8,16 +8,18 @@ from hlgysin import (
     NotDivisibleError,
     Polynomial,
     gaussian_binomial,
+    grassmann_pushforward,
     hall_littlewood_p,
     hall_littlewood_r,
     schur_p_coset,
     schur_s,
     t_factorial,
+    t_factorial_product,
 )
 from hlgysin import hallittlewood, identities
 from hlgysin.antisym import _expand
 from hlgysin.gysin import _grassmann_input
-from hlgysin.hallittlewood import _p_reps, _rows
+from hlgysin.hallittlewood import _p_orbits, _packed, _rows
 from hlgysin.oracles import elementary_symmetric, schur_s_demazure, schur_s_jacobi_trudi
 from hlgysin.identities import (
     IDENTITY_SUITES,
@@ -33,6 +35,7 @@ from hlgysin.identities import (
     verify_t_minus1,
     verify_theorem_main,
 )
+from hlgysin.polyring import linear_factor_product
 
 
 @pytest.mark.parametrize(
@@ -137,7 +140,8 @@ def test_grassmann_input_on_theorem_main_with_entries_at_most_one():
     for n, q, lam, mu in instances + CLEARED_INSTANCES:
         r = n - q
         try:
-            a, b = _p_reps(lam, T), _p_reps(mu, T)
+            a = _packed(_p_orbits(lam, t_factorial_product(lam)), T)
+            b = _packed(_p_orbits(mu, t_factorial_product(mu)), T)
             a_poly, b_poly = hall_littlewood_p(q, lam), hall_littlewood_p(r, mu)
         except NotDivisibleError:
             a, b = _rows(lam, q, T), _rows(mu, r, T)
@@ -264,6 +268,34 @@ def test_theorem_main_cleared_input_side():
     report = verify_theorem_main(5, 4, (0, 2, 0, 2), (1,))
     assert_pass(report)
     assert "cleared-form" in report.detail
+
+
+def test_theorem_main_reduced_form_that_does_not_divide():
+    """The right side's last fallback, reached by handing _checked_theorem a
+    v_(lam mu) that does not divide coefficient * R_(lam mu): both sides are
+    then multiplied through by it, and the witness is the expanded
+    LHS * v_(lam mu) - coefficient * R_(lam mu)."""
+    n, q, lam, mu = 4, 2, (1, 0), (1, 0)
+    v_lam, v_mu, v_joined = map(t_factorial_product, (lam, mu, lam + mu))
+    coefficient = v_joined.divide_exact(v_lam * v_mu)
+    wrong = v_joined * t_factorial(3).divide_exact(t_factorial(2))
+    witness, detail = identities._checked_theorem(
+        n, q, lam, mu, coefficient, v_lam, v_mu, wrong
+    )
+    assert detail == (
+        "juxtaposed-class-undefined(v-does-not-divide-R); reduced-form; "
+        "reduced-form-not-divisible"
+    )
+    pairs = [(i, j) for i in range(1, q + 1) for j in range(q + 1, n + 1)]
+    product = (
+        linear_factor_product(n, pairs, Polynomial.t(n))
+        * hall_littlewood_p(q, lam).embed(n)
+        * hall_littlewood_p(n - q, mu).embed(n, offset=q)
+    )
+    lhs = grassmann_pushforward(product, q, n - q)
+    joined_r = hall_littlewood_r(n, lam + mu)
+    assert witness == lhs * wrong.embed(n) - coefficient.embed(n) * joined_r
+    assert not witness.is_zero
 
 
 def test_t_minus1_at_the_frontier():

@@ -35,6 +35,7 @@ from hlgysin.polyring import _checked_int, _checked_ints
 
 X1 = Polynomial.x(2, 1)
 X3 = Polynomial.x(3, 1)
+W21 = Permutation((2, 1))
 SEQUENCE_5 = "sequence entries must be nonnegative integers: 5"
 
 # (callable, arguments, the exact text of the ValueError)
@@ -79,6 +80,12 @@ PROBES = [
     (InstanceFamily, ((1, 3), None, 2, "randomized", 0), "randomized mode needs a positive count"),
     (verify_t_minus1, (4, 2, (3, 2, 1), ()), "strict partitions do not fit the block sizes"),
     (Polynomial, (2, {(1, 0): 1}), "exponent tuple (1, 0) does not match arity 2"),
+    # a point of a permutation, which indexed its images unchecked
+    (W21.__call__, (0,), "point 0 must lie in 1..2"),
+    (W21.__call__, (-1,), "point -1 must lie in 1..2"),
+    (W21.__call__, (3,), "point 3 must lie in 1..2"),
+    (W21.__call__, (True,), "point must be an integer, got True"),
+    (W21.__call__, (1.0,), "point must be an integer, got 1.0"),
 ]
 
 # (callable, arguments, the exact text of the ArityMismatchError)

@@ -13,8 +13,9 @@ from hlgysin import (
     hall_littlewood_r,
     t_factorial_product,
 )
-from hlgysin.hallittlewood import _p_bound, _r_bound
-from hlgysin.identities import _theorem_bound, _witness
+from hlgysin import identities
+from hlgysin.hallittlewood import _class_norm, _p_orbits, _r_bound, _r_orbits
+from hlgysin.identities import _row_bound, _witness, verify_theorem_main
 from hlgysin.polyring import _pack, _packed_t, _unpack, linear_factor_product
 
 
@@ -91,22 +92,30 @@ def test_polynomials_that_agree_at_the_packed_t_are_not_confused():
 
 
 def test_the_class_bounds_hold():
-    """||R_seq|| and ||P_seq|| against _r_bound and _p_bound, for every
-    sequence with entries <= 2 at n <= 4."""
+    """||R_seq|| against _r_bound, and the norms of R_seq and P_seq read off
+    their exact orbits (_class_norm, each orbit's norm times its size)
+    against the expanded classes, for every sequence with entries <= 2 at
+    n <= 4."""
     for n in range(1, 5):
         for seq in itertools.product(range(3), repeat=n):
-            assert norm(hall_littlewood_r(n, seq)) <= _r_bound(seq)
+            r = hall_littlewood_r(n, seq)
+            assert norm(r) <= _r_bound(seq)
+            assert _class_norm(_r_orbits(seq)) == norm(r)
             try:
-                assert norm(hall_littlewood_p(n, seq)) <= _p_bound(seq)
+                orbits = _p_orbits(seq, t_factorial_product(seq))
             except NotDivisibleError:
-                pass
+                with pytest.raises(NotDivisibleError):
+                    hall_littlewood_p(n, seq)
+                continue
+            assert _class_norm(orbits) == norm(hall_littlewood_p(n, seq))
 
 
 def test_the_theorem_bound_covers_both_sides():
-    """The theorem's bound against both sides built by expanding: the
-    push-forward of the product with P or R inputs, and the right side's
-    coefficient times P, or times v_lam v_mu R, for every split of a 0/1
-    sequence at n <= 4."""
+    """theorem-main's packed t against both sides built by expanding: the
+    push-forward of the product with P or R inputs within _row_bound on the
+    inputs' measured norms, and the right side's coefficient times P, or
+    v_(lam mu) R, of the norm measured on its orbits, for every split of a
+    0/1 sequence at n <= 4."""
     for n in range(2, 5):
         for q in range(1, n):
             r = n - q
@@ -114,20 +123,63 @@ def test_the_theorem_bound_covers_both_sides():
             cross = linear_factor_product(n, pairs, Polynomial.t(n))
             for lam in itertools.product(range(2), repeat=q):
                 for mu in itertools.product(range(2), repeat=r):
-                    v_split = t_factorial_product(lam) * t_factorial_product(mu)
-                    coefficient = t_factorial_product(lam + mu).divide_exact(v_split)
-                    bound = _theorem_bound(n, q, lam, mu)
-                    joined_r = hall_littlewood_r(n, lam + mu)
-                    sides = [(coefficient * v_split).embed(n) * joined_r]
+                    v_lam, v_mu, v_joined = map(t_factorial_product, (lam, mu, lam + mu))
+                    coefficient = v_joined.divide_exact(v_lam * v_mu)
+                    joined = lam + mu
+                    sides = [(v_joined, _r_orbits(joined), hall_littlewood_r)]
                     try:
-                        sides.append(coefficient.embed(n) * hall_littlewood_p(n, lam + mu))
+                        sides.append((coefficient, _p_orbits(joined, v_joined), hall_littlewood_p))
                     except NotDivisibleError:
                         pass
-                    for make in (hall_littlewood_p, hall_littlewood_r):
-                        try:
-                            a, b = make(q, lam), make(r, mu)
-                        except NotDivisibleError:
-                            continue
-                        product = cross * a.embed(n) * b.embed(n, offset=q)
-                        sides.append(grassmann_pushforward(product, q, r))
-                    assert max(map(norm, sides)) <= bound, (lam, mu)
+                    for scale, orbits, make in sides:
+                        scaled = {key: scale * f for key, f in orbits.items()}
+                        expanded = scale.embed(n) * make(n, joined)
+                        assert _class_norm(scaled) == norm(expanded), (lam, mu)
+                    inputs = [(_r_orbits(lam), _r_orbits(mu), hall_littlewood_r)]
+                    try:
+                        p_inputs = _p_orbits(lam, v_lam), _p_orbits(mu, v_mu)
+                        inputs.append((*p_inputs, hall_littlewood_p))
+                    except NotDivisibleError:
+                        pass
+                    for a, b, make in inputs:
+                        bound = _row_bound(n, q, _class_norm(a), _class_norm(b), sum(joined))
+                        product = cross * make(q, lam).embed(n) * make(r, mu).embed(n, offset=q)
+                        assert norm(grassmann_pushforward(product, q, r)) <= bound, (lam, mu)
+
+
+def test_theorem_main_packs_at_the_width_its_sides_need(monkeypatch):
+    """At n = 8, q = 4, lam = mu = (1, 0, 0, 0) both sides' norms stay below
+    2**63, so the check packs at t = 2**64; a bound on the quotient P taken
+    before dividing chose 2**128."""
+    chosen = []
+
+    def recorded(bound):
+        chosen.append(_packed_t(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(identities, "_packed_t", recorded)
+    report = verify_theorem_main(8, 4, (1, 0, 0, 0), (1, 0, 0, 0))
+    assert report.passed
+    assert chosen == [1 << 64]
+
+
+def test_the_juxtaposition_bound_covers_its_right_side():
+    """prop-juxtaposition packs at its left side's bound alone:
+    2^(n(n-1)/2) q^|lam| r^|mu| n^|lam mu| >= _r_bound(lam + mu).  Both
+    depend on lam and mu only through their lengths and weights, so every
+    split with n <= 8 and entries <= 3 is covered by one lam and one mu of
+    each length and weight."""
+
+    def of_weight(length, weight):
+        return tuple(min(3, max(0, weight - 3 * i)) for i in range(length))
+
+    for n in range(2, 9):
+        for q in range(1, n):
+            r = n - q
+            for a in range(3 * q + 1):
+                for b in range(3 * r + 1):
+                    lam, mu = of_weight(q, a), of_weight(r, b)
+                    assert sum(lam) == a and sum(mu) == b
+                    lhs = _row_bound(n, q, _r_bound(lam), _r_bound(mu), a + b)
+                    assert lhs == (1 << n * (n - 1) // 2) * q**a * r**b * n ** (a + b)
+                    assert lhs >= _r_bound(lam + mu)

@@ -143,13 +143,19 @@ MUTANTS = [
         "v *= y[i - 1] - t * y[j - 1]",
         "v *= y[i - 1] + t * y[j - 1]",
     ),
-    # hallittlewood._divided_orbits: an integer dividing the packed value
-    # does not show that v divides the polynomial
+    # hallittlewood._p_orbits: P is R's exact orbits each divided by v
     (
         "divided-orbits",
         "engine",
-        "out[key] = _pack(Polynomial._raw(0, _unpack(value, source)).divide_exact(v).terms, t)",
-        "out[key] = value // _pack(v.terms, source)",
+        "return {key: f.divide_exact(v) for key, f in _r_orbits(seq).items()}",
+        "return _r_orbits(seq)",
+    ),
+    # hallittlewood._class_norm: an orbit's norm counts each of its terms
+    (
+        "class-norm-orbit-size",
+        "engine",
+        "total += size * _norm(f)",
+        "total += _norm(f)",
     ),
     # polyring: the packed t and its balanced digits
     (
