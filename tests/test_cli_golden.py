@@ -15,7 +15,10 @@ while P_nu was still the leading-flag push-forward of its whole coset
 core x^nu prod (x_i + x_j).  Those of lemma-sum, of the randomized
 suites, of t-minus1's randomized refusal and of the v, gaussian and
 formatted p tables were recorded while each verify suite was still its own
-generator and compute and table each wrote their own output.  Running this
+generator and compute and table each wrote their own output.  Those of the
+fallback forms, theorem-main and cor-gaussian at n <= 5 with entries <= 2,
+were recorded while P still packed its quotients for the expander to read
+back and prop-juxtaposition still chose its own packed t.  Running this
 file as a script prints the table for the current checkout:
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -77,6 +80,12 @@ COMMANDS = [
     *(
         ["verify", "--identity", identity, "--n-min", "5", "--n-max", "5", "--entry-max", "1"]
         for identity in ("theorem-main", "cor-gaussian", "prop-juxtaposition", "t0-jlp")
+    ),
+    # the fallback forms: theorem-main's cleared, reduced and cleared plus
+    # reduced forms, and cor-gaussian's reduced form and shared-part probes
+    *(
+        ["verify", "--identity", identity, "--n-max", "5", "--entry-max", "2"]
+        for identity in ("theorem-main", "cor-gaussian")
     ),
     # exit 1: the normalizer does not divide R
     ["compute", "--kind", "p", "--n", "4", "--lambda", "0,2,0,2"],
@@ -157,6 +166,8 @@ DIGESTS = {
     "verify --identity cor-gaussian --n-min 5 --n-max 5 --entry-max 1": "d877cd514c678b72f55883d40c47ac68834ed5ef3ca7f5ec44d046c46ba4f6c2",
     "verify --identity prop-juxtaposition --n-min 5 --n-max 5 --entry-max 1": "d918c76e5c43ebb590e7d2d8c1b8b76323dababad8bd8db97af21b7176d5242b",
     "verify --identity t0-jlp --n-min 5 --n-max 5 --entry-max 1": "631e1d3beb7130dcd2b876c07117e1aa86a85b5f58b50e523b1057370f37c465",
+    "verify --identity theorem-main --n-max 5 --entry-max 2": "9e385dfe07bd8087066c744ba2610aceda38e47b2440bda8a6a32e3b2025cb8c",
+    "verify --identity cor-gaussian --n-max 5 --entry-max 2": "6c6262ca5cdc58c91a89f8394e88bf9139f62d6216ae5344ead8b284762ff66f",
     "compute --kind p --n 4 --lambda 0,2,0,2": "e79e418e48623569d75e2a7b09ae88ed9b77b126a445b9ff9dc6989a08efa079",
     "compute --kind schur-s --n 3 --lambda 1,2": "913da1f8df6f8fd47593840d533ba0458cc9873996bf310460abb495b34c232a",
     "verify --identity bogus": "913da1f8df6f8fd47593840d533ba0458cc9873996bf310460abb495b34c232a",
