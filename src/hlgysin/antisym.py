@@ -57,14 +57,15 @@ Every orbit coefficient is one int, its polynomial in t packed at t = c,
 c the cross factor's constant: at c = 0 and c = -1 the coefficient
 itself, and at c = t its value at the packed t 2**B
 (polyring._packed_t), so that a row's step is one integer product and
-sum.  Only the edges read a polynomial back, once per orbit.
+sum.  The edges read each orbit back once (polyring._unpacked), and
+_expand takes the exact orbits that returns.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .polyring import Polynomial, _unpack
+from .polyring import Polynomial
 
 
 def _divided_difference_tower(n, reps, start, k, stop):
@@ -174,15 +175,14 @@ def _nonzero_orbits(orbits):
     return {key: v for key, v in orbits.items() if v}
 
 
-def _expand(n, reps, c):
-    """The polynomial in x_1..x_n and t whose symmetric orbits ``reps``
+def _expand(n, orbits):
+    """The polynomial in x_1..x_n and t whose symmetric orbits ``orbits``
     holds: each partition key, a tuple of n exponents, maps to its orbit's
-    coefficient packed at t = c, which is read back once per orbit and
-    carried by every distinct rearrangement of the key.  The cost is
-    proportional to the answer."""
+    exact polynomial in t (arity 0), carried by every distinct
+    rearrangement of the key.  The cost is proportional to the answer."""
     terms = {}
-    for key, v in reps.items():
-        tc = _unpack(v, c).items()
+    for key, f in orbits.items():
+        tc = f.terms.items()
         for x in _rearrangements(key):
             for e, d in tc:
                 terms[x + e] = d

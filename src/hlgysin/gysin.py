@@ -63,6 +63,7 @@ from .polyring import (
     _norm,
     _packed_t,
     _pushforward_bound,
+    _unpacked,
 )
 
 
@@ -129,8 +130,8 @@ def partial_flag_pushforward(f, split):
     order inside each block, so its sign is the parity of the cross-block
     pairs i < j it reverses, and the kept coefficients carry that sign.
     They are packed at the t that the push-forward's bound certifies,
-    _merge_runs pushes them forward, and the symmetric answer is expanded
-    once from its partition keys.
+    _merge_runs pushes them forward, and the answer is read back and
+    expanded once from its partition keys.
     """
     n = split.n
     if f.arity != n:
@@ -162,7 +163,7 @@ def partial_flag_pushforward(f, split):
             reps[key[:n]] = reps.get(key[:n], 0) + sign * c * t ** key[n]
     if len(split.blocks) == 1:
         return f
-    return _expand(n, _merge_runs(n, sizes, reps), t)
+    return _expand(n, _unpacked(_merge_runs(n, sizes, reps), t))
 
 
 def _merge_runs(n, sizes, reps):

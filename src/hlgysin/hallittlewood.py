@@ -25,12 +25,11 @@ e_k(x_2..x_n) acts on them by the Pieri rule for monomials, in the input
 builder every Grassmann row shares, so no level builds the full product.
 The tower is one cached recursion on orbits, _rows; each call expands its
 answer and caches nothing expanded.  Each orbit's polynomial in t is one
-int, its value at the packed t 2**B (polyring._packed_t), B chosen per
-call from the bound _r_bound gives.  P_lam reads the orbits R cached back
-at R's B as exact polynomials in t (_r_orbits) and divides each by
-v_lam(t) (_p_orbits): R's x-coefficients are exactly those polynomials, so
-P is defined exactly when each division is exact.  The quotients' norms
-are measured, not bounded, and P packs them at the B the largest needs.
+int, its value at the packed t 2**B (polyring._packed_t), B from the bound
+_r_bound gives.  _r_orbits reads R's orbits back once as exact polynomials
+in t, and P_lam divides each by v_lam(t) (_p_orbits): R's x-coefficients
+are exactly those polynomials, so P is defined exactly when each division
+is exact.  R and P expand exact orbits, and P is never packed.
 
 The one explicit sum over coset representatives left is the coset form
 of R, whose dependence on the chosen representatives is itself under
@@ -83,10 +82,9 @@ from .polyring import (
     _inversions,
     _key_permuter,
     _norm,
-    _pack,
     _packed_t,
     _pushforward_bound,
-    _unpack,
+    _unpacked,
     divide_by_vandermonde,
     linear_factor_product,
 )
@@ -167,8 +165,7 @@ def hall_littlewood_r(n, seq):
     """
     seq = as_int_sequence(seq)
     _check_length(n, seq)
-    t = _packed_t(_r_bound(seq))
-    return _expand(n, _rows(seq, n, t), t)
+    return _expand(n, _r_orbits(seq))
 
 
 def _check_length(n, seq):
@@ -293,25 +290,22 @@ def hall_littlewood_p(n, seq):
     """P_seq(x_1..x_n; t) = R_seq / v_seq(t), an exact division."""
     seq = as_int_sequence(seq)
     _check_length(n, seq)
-    orbits = _p_orbits(seq, t_factorial_product(seq))
-    t = _packed_t(max(map(_norm, orbits.values()), default=0))
-    return _expand(n, _packed(orbits, t), t)
+    return _expand(n, _p_orbits(seq, t_factorial_product(seq), _r_orbits(seq)))
 
 
 def _r_orbits(seq):
-    """R_seq as its symmetric orbits, each partition key mapped to its
-    exact polynomial in t (arity 0): _rows read back at R's own packed t,
-    the entry hall_littlewood_r caches."""
+    """R_seq's partition keys mapped to exact polynomials in t (arity 0):
+    _rows read back at R's own packed t, the entry every reader shares."""
     t = _packed_t(_r_bound(seq))
-    return {key: Polynomial._raw(0, _unpack(v, t)) for key, v in _rows(seq, len(seq), t).items()}
+    return _unpacked(_rows(seq, len(seq), t), t)
 
 
-def _p_orbits(seq, v):
-    """P_seq as exact orbits: each of R_seq's divided by v = v_seq(t), which
-    the caller builds.  v divides R exactly when it divides each orbit's
-    polynomial; an integer dividing a packed value would not show that."""
+def _p_orbits(seq, v, orbits):
+    """Exact orbits, R_seq's or a multiple, each divided by v = v_seq(t).
+    v divides R exactly when it divides each orbit's polynomial; an integer
+    dividing a packed value would not show that."""
     try:
-        return {key: f.divide_exact(v) for key, f in _r_orbits(seq).items()}
+        return {key: f.divide_exact(v) for key, f in orbits.items()}
     except NotDivisibleError:
         raise NotDivisibleError(
             f"normalizer does not divide the symmetrized class for {seq}; "
@@ -328,11 +322,6 @@ def _class_norm(orbits):
         size = math.factorial(len(key)) // math.prod(map(math.factorial, Counter(key).values()))
         total += size * _norm(f)
     return total
-
-
-def _packed(orbits, t):
-    """Exact orbits with each polynomial in t packed at t, one int."""
-    return {key: _pack(f.terms, t) for key, f in orbits.items()}
 
 
 # ---------------------------------------------------------------------- #
@@ -356,7 +345,7 @@ def _as_partition_of_length(seq, n):
 def schur_s(partition, n):
     """Schur polynomial s_lam(x_1..x_n): the rows with c = 0, each the
     Jozefiak-Lascoux-Pragacz formula at q = 1 (see the module docstring)."""
-    return _expand(n, _rows(_as_partition_of_length(partition, n), n, 0), 0)
+    return _expand(n, _unpacked(_rows(_as_partition_of_length(partition, n), n, 0), 0))
 
 
 def straighten_schur_s(seq):
@@ -400,7 +389,7 @@ def schur_p_coset(nu, n):
     _checked_int(n, "n", 1)
     if len(nu) > n:
         raise ValueError(f"strict partition {nu!r} needs more than {n} variables")
-    return _expand(n, _rows(nu, n, -1), -1)
+    return _expand(n, _unpacked(_rows(nu, n, -1), -1))
 
 
 def straighten_schur_p(seq):

@@ -10,24 +10,19 @@ of the split identities and of the strict-pair ones.
 
 The Grassmann verifiers (prop-juxtaposition, theorem-main, cor-gaussian,
 t-minus1 and t0-jlp) push forward with the engine's own Grassmann row,
-gysin._grassmann_orbits, and work on symmetric orbits from end to end.
-The push-forward's input cross * A(Q) * B(S) is never formed: its
-(q | r)-dominant orbits are built from the orbits of A and B by the Pieri
-rule, and the merge carries orbit representatives to the answer's
-partition keys.  A and B, and the right side, are read as orbits from
-hallittlewood._rows, the recursion behind R, Schur P and Schur S, whose c
-picks the class, or from P's division of R's orbits; no class is expanded
-to be cut back to its orbits.  At q = 1, prop-juxtaposition and t0-jlp
-restate how _rows builds R and Schur S.  Both sides are compared as orbit
-dicts, each orbit's coefficient one int: at t = -1 and t = 0 the
-coefficient itself, and at generic t its polynomial's value at the packed
-t 2**B, B chosen per check so that packed equality is exact
-(polyring._packed_t).  theorem-main and cor-gaussian divide R's orbits by
-the t-factorials exactly, and pack P_lam, P_mu and the right side only
-after, at the B their measured norms need.  The witness LHS - RHS is read
-back and expanded only when the sides differ, so it is the same
-polynomial as the one the full sides give.  This module holds verifier
-code only.
+gysin._grassmann_orbits, on symmetric orbits from end to end; the product
+cross * A(Q) * B(S) is never formed.  A, B and the right side are read as
+orbits from hallittlewood._rows, whose c picks the class (R, Schur P or
+Schur S), and no class is expanded to be cut back to its orbits.  At
+q = 1, prop-juxtaposition and t0-jlp restate how _rows builds R and
+Schur S.  Both sides are compared as orbit dicts, each orbit's
+coefficient one int: at t = -1 and t = 0 the coefficient itself, and at
+generic t its polynomial's value at the packed t 2**B.  There one step,
+_certified_witness, takes A, B and the right side as exact orbits, R's
+read back once (hallittlewood._r_orbits) or P's divided from them, and
+packs all three at the B their measured norms need (polyring._packed_t),
+so that packed equality is exact.  The witness is read back and expanded
+only when the sides differ.  This module holds verifier code only.
 
 Two findings about sequences with interleaved equal values are handled
 explicitly rather than masked:
@@ -54,8 +49,6 @@ from .hallittlewood import (
     _as_partition_of_length,
     _class_norm,
     _p_orbits,
-    _packed,
-    _r_bound,
     _r_orbits,
     _rows,
     as_int_sequence,
@@ -74,8 +67,10 @@ from .polyring import (
     Polynomial,
     _checked_int,
     _checked_ints,
+    _packed,
     _packed_t,
     _pushforward_bound,
+    _unpacked,
 )
 
 
@@ -129,7 +124,7 @@ class InstanceFamily:
 
     def __post_init__(self):
         _checked_int(self.entry_bound, "entry_bound", 0)
-        _checked_int(self.count, "count")
+        _checked_int(self.count, "count", 0)
         _checked_int(self.seed, "seed")
         ranges = {"n_range": self.n_range}
         if self.q_range is not None:
@@ -155,18 +150,29 @@ class InstanceFamily:
 # shared helpers
 
 
-def _witness(n, lhs, rhs, t):
-    """LHS - RHS for two symmetric classes given by their orbits packed at
-    t: zero when the dicts are equal, and otherwise both sides read back
-    and expanded.  Both are exact when t is certified for both sides
-    (polyring._packed_t)."""
-    return Polynomial.zero(n) if lhs == rhs else _expand(n, lhs, t) - _expand(n, rhs, t)
+def _witness(n, lhs, rhs, c):
+    """LHS - RHS for two classes given by their orbits packed at c: zero when
+    the dicts are equal, else both sides read back and expanded, exact when
+    c is 0, -1 or certified for both sides (polyring._packed_t)."""
+    if lhs == rhs:
+        return Polynomial.zero(n)
+    return _expand(n, _unpacked(lhs, c)) - _expand(n, _unpacked(rhs, c))
+
+
+def _certified_witness(n, q, a, b, rhs):
+    """LHS - RHS of push(prod_{i<=q<j} (x_i - t x_j) A(Q) B(S)) = RHS along
+    (1..q | q+1..n) for exact orbits A, B and RHS, all three packed and
+    compared at the t that certifies _row_bound on the measured norms of A
+    and B, and the measured norm of RHS (polyring._packed_t)."""
+    degree = max(map(sum, a), default=0) + max(map(sum, b), default=0)
+    t = _packed_t(max(_row_bound(n, q, _class_norm(a), _class_norm(b), degree), _class_norm(rhs)))
+    lhs = _grassmann_orbits(n, q, t, _packed(a, t), _packed(b, t))
+    return _witness(n, lhs, _packed(rhs, t), t)
 
 
 def _row_bound(n, q, a_bound, b_bound, degree):
     """A bound on ||push(prod_{i<=q<j} (x_i - c x_j) A(Q) B(S))|| for A and B
-    bounded by a_bound and b_bound, of total x-degree ``degree``
-    (polyring._packed_t)."""
+    bounded by a_bound and b_bound, of total x-degree ``degree``."""
     crossings = q * (n - q)
     norm = (1 << crossings) * a_bound * b_bound
     return _pushforward_bound(norm, n, degree + crossings, crossings)
@@ -201,7 +207,7 @@ def _split_params(n, q, lam, mu):
         raise ValueError(
             f"sequence lengths ({len(lam)}, {len(mu)}) must equal block sizes ({q}, {r})"
         )
-    return lam, mu, r
+    return lam, mu
 
 
 # ---------------------------------------------------------------------- #
@@ -220,15 +226,12 @@ def verify_lemma_sum(n):
 
 def verify_prop_juxtaposition(n, q, lam, mu):
     """Grassmann push-forward of R_lam(Q) R_mu(S) times the twisted cross
-    factor equals R of the concatenated sequence.  One bound certifies both
-    sides: the left side's, 2^(n(n-1)/2) q^|lam| r^|mu| n^|lam mu|, is at
-    least 2^(n(n-1)/2) n^|lam mu|, the bound _r_bound(lam + mu) of the
-    right side, since q, r >= 1."""
+    factor equals R of the concatenated sequence: theorem-main multiplied
+    through by v_lam v_mu, checked by the same step (_certified_witness)
+    on R's orbits, which hall_littlewood_r reads from the same cache."""
     started = time.perf_counter()
-    lam, mu, r = _split_params(n, q, lam, mu)
-    t = _packed_t(_row_bound(n, q, _r_bound(lam), _r_bound(mu), sum(lam) + sum(mu)))
-    lhs = _grassmann_orbits(n, q, t, _rows(lam, q, t), _rows(mu, r, t))
-    witness = _witness(n, lhs, _rows(lam + mu, n, t), t)
+    lam, mu = _split_params(n, q, lam, mu)
+    witness = _certified_witness(n, q, _r_orbits(lam), _r_orbits(mu), _r_orbits(lam + mu))
     instance = {"n": n, "q": q, "lambda": lam, "mu": mu}
     return _report("prop-juxtaposition", instance, witness, started)
 
@@ -242,35 +245,32 @@ def _checked_theorem(n, q, lam, mu, coefficient, v_lam, v_mu, v_joined):
     once.  When a normalized class does not exist (the interleaved-sequence
     divisibility finding) the same identity is checked multiplied through
     by the offending t-factorials — an exactly equivalent statement — and
-    the detail records the fallback.  Every class is built exact and then
-    packed, at the t that certifies _row_bound on the inputs' measured
-    norms and the right side's measured norm (polyring._packed_t).
+    the detail records the fallback.  R_lam, R_mu and R_(lam mu) are read
+    back once each; _certified_witness packs and compares the sides.
     """
     notes = []
+    r_lam, r_mu, r_joined = _r_orbits(lam), _r_orbits(mu), _r_orbits(lam + mu)
     try:
-        a, b = _p_orbits(lam, v_lam), _p_orbits(mu, v_mu)
+        a, b = _p_orbits(lam, v_lam, r_lam), _p_orbits(mu, v_mu, r_mu)
         multiplier = coefficient
     except NotDivisibleError:
         # clear the left side: multiply both sides by v_lam * v_mu
         notes.append("input-class-undefined(v-does-not-divide-R); cleared-form")
-        a, b = _r_orbits(lam), _r_orbits(mu)
+        a, b = r_lam, r_mu
         multiplier = v_joined
     try:
-        rhs = {key: multiplier * f for key, f in _p_orbits(lam + mu, v_joined).items()}
+        rhs = {key: multiplier * f for key, f in _p_orbits(lam + mu, v_joined, r_joined).items()}
     except NotDivisibleError:
         # clear the right side: multiplier * P = (multiplier * R) / v_joined
         notes.append("juxtaposed-class-undefined(v-does-not-divide-R); reduced-form")
-        joined_r = {key: multiplier * f for key, f in _r_orbits(lam + mu).items()}
+        scaled = {key: multiplier * f for key, f in r_joined.items()}
         try:
-            rhs = {key: f.divide_exact(v_joined) for key, f in joined_r.items()}
+            rhs = _p_orbits(lam + mu, v_joined, scaled)
         except NotDivisibleError:
             # multiply both sides by v_joined, the left through its input A
             notes.append("reduced-form-not-divisible")
-            rhs, a = joined_r, {key: v_joined * f for key, f in a.items()}
-    lhs_bound = _row_bound(n, q, _class_norm(a), _class_norm(b), sum(lam) + sum(mu))
-    t = _packed_t(max(lhs_bound, _class_norm(rhs)))
-    lhs = _grassmann_orbits(n, q, t, _packed(a, t), _packed(b, t))
-    return _witness(n, lhs, _packed(rhs, t), t), "; ".join(notes) or None
+            rhs, a = scaled, {key: v_joined * f for key, f in a.items()}
+    return _certified_witness(n, q, a, b, rhs), "; ".join(notes) or None
 
 
 def verify_theorem_main(n, q, lam, mu):
@@ -279,7 +279,7 @@ def verify_theorem_main(n, q, lam, mu):
     division is always exact: the coefficient is the product over values x
     of the Gaussian polynomials [m_lam(x) + m_mu(x) choose m_lam(x)]_t."""
     started = time.perf_counter()
-    lam, mu, r = _split_params(n, q, lam, mu)
+    lam, mu = _split_params(n, q, lam, mu)
     instance = {"n": n, "q": q, "lambda": lam, "mu": mu}
     v_lam, v_mu, v_joined = map(t_factorial_product, (lam, mu, lam + mu))
     coefficient = v_joined.divide_exact(v_lam * v_mu)

@@ -31,10 +31,11 @@ A division that leaves a remainder raises NotDivisibleError; callers treat
 that as a correctness probe and never catch it to paper over a failure.
 
 The engine holds each orbit's coefficient, a polynomial in t, as one int:
-its value at t = 2**B (Kronecker substitution).  _packed_t chooses B from
-a bound on what a computation reads back or compares: proved in its
-docstring for push-forwards, and measured on exact quotients before they
-are packed.  _pack and _unpack convert.
+its value at t = 2**B (Kronecker substitution).  _packed_t chooses B for
+R's orbits, the Grassmann verifiers at generic t and partial-flag
+push-forwards, from a bound on what is read back or compared.  _packed
+packs exact orbits (arity-0 polynomials), and _unpacked, the one reader,
+reads packed ones back, once per orbit.
 
 Every module checks its integer input with two helpers defined here:
 _checked_int refuses a value whose type is not int (so a bool) or, when
@@ -650,9 +651,8 @@ def _packed_t(bound):
       forward prod_{i<=q<j} (x_i - c x_j) A(Q) B(S), c in {t, -1, 0}:
       ||row|| <= 2^(qr) ||A|| ||B|| n^(deg A + deg B).
     * Quotients are not bounded: P_seq = R_seq / v_seq(t) and the right
-      side of the Gysin formula are divided exactly, orbit by orbit, before
-      anything is packed, so their norms are measured, and a push-forward
-      of them is bounded from the measured norms of its inputs.
+      side of the Gysin formula are divided exactly from R's orbits read
+      back, so a push-forward of them is bounded from measured norms.
     """
     bits = 64
     while 1 << (bits - 1) <= bound:
@@ -679,6 +679,16 @@ def _pack(terms, c):
     for e in range(max(terms, default=(0,))[0], -1, -1):
         v = v * c + terms.get((e,), 0)
     return v
+
+
+def _packed(orbits, c):
+    """Exact orbits with each arity-0 polynomial packed at t = c, one int."""
+    return {key: _pack(f.terms, c) for key, f in orbits.items()}
+
+
+def _unpacked(orbits, c):
+    """Orbits packed at t = c read back as exact arity-0 polynomials."""
+    return {key: Polynomial._raw(0, _unpack(v, c)) for key, v in orbits.items()}
 
 
 def _unpack(v, c):

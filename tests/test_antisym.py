@@ -16,6 +16,7 @@ from hlgysin.gysin import _grassmann_input
 from hlgysin.hallittlewood import _rows
 from hlgysin.identities import verify_t_minus1
 from hlgysin.oracles import all_permutations, vandermonde
+from hlgysin.polyring import _unpacked
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -119,7 +120,8 @@ def tower(f):
     """d_{n-1} ... d_1 f on the orbit representatives of f packed at T,
     expanded."""
     n = f.arity
-    return _expand(n, _divided_difference_tower(n, packed_orbits(dominant_orbits(f)), 0, 1, n), T)
+    reps = _divided_difference_tower(n, packed_orbits(dominant_orbits(f)), 0, 1, n)
+    return _expand(n, _unpacked(reps, T))
 
 
 @st.composite

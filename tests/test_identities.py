@@ -19,7 +19,7 @@ from hlgysin import (
 from hlgysin import hallittlewood, identities
 from hlgysin.antisym import _expand
 from hlgysin.gysin import _grassmann_input
-from hlgysin.hallittlewood import _p_orbits, _packed, _rows
+from hlgysin.hallittlewood import _p_orbits, _r_orbits, _rows
 from hlgysin.oracles import elementary_symmetric, schur_s_demazure, schur_s_jacobi_trudi
 from hlgysin.identities import (
     IDENTITY_SUITES,
@@ -35,7 +35,7 @@ from hlgysin.identities import (
     verify_t_minus1,
     verify_theorem_main,
 )
-from hlgysin.polyring import linear_factor_product
+from hlgysin.polyring import _packed, _unpacked, linear_factor_product
 
 
 @pytest.mark.parametrize(
@@ -127,6 +127,28 @@ def test_grassmann_input_on_the_t_minus1_benchmark_family():
 CLEARED_INSTANCES = [(5, 4, (0, 2, 0, 2), (1,)), (5, 1, (2,), (0, 2, 0, 2))]
 
 
+def test_theorem_main_reads_each_class_back_once(monkeypatch):
+    """The cleared and reduced forms divide the R-orbits already read: R_lam,
+    R_mu and R_(lam mu) are each read back once, where reading them again
+    for each fallback made 5 reads."""
+    calls = []
+    read = hallittlewood._r_orbits
+
+    def counted(seq):
+        calls.append(seq)
+        return read(seq)
+
+    monkeypatch.setattr(hallittlewood, "_r_orbits", counted)
+    monkeypatch.setattr(identities, "_r_orbits", counted)
+    report = verify_theorem_main(5, 4, (0, 2, 0, 2), (1,))
+    assert report.passed
+    assert report.detail == (
+        "input-class-undefined(v-does-not-divide-R); cleared-form; "
+        "juxtaposed-class-undefined(v-does-not-divide-R); reduced-form"
+    )
+    assert sorted(calls) == sorted([(0, 2, 0, 2), (1,), (0, 2, 0, 2, 1)])
+
+
 def test_grassmann_input_on_theorem_main_with_entries_at_most_one():
     """P_lam(Q) and P_mu(S), or R_lam and R_mu when a P is undefined (the
     cleared form), at c = t."""
@@ -140,8 +162,8 @@ def test_grassmann_input_on_theorem_main_with_entries_at_most_one():
     for n, q, lam, mu in instances + CLEARED_INSTANCES:
         r = n - q
         try:
-            a = _packed(_p_orbits(lam, t_factorial_product(lam)), T)
-            b = _packed(_p_orbits(mu, t_factorial_product(mu)), T)
+            a = _packed(_p_orbits(lam, t_factorial_product(lam), _r_orbits(lam)), T)
+            b = _packed(_p_orbits(mu, t_factorial_product(mu), _r_orbits(mu)), T)
             a_poly, b_poly = hall_littlewood_p(q, lam), hall_littlewood_p(r, mu)
         except NotDivisibleError:
             a, b = _rows(lam, q, T), _rows(mu, r, T)
@@ -179,7 +201,7 @@ def test_schur_s_is_the_c_zero_row_that_t0_jlp_reads(monkeypatch):
     lam, n = (2, 1, 1, 0), 4
     s = schur_s(lam, n)
     hits = _rows.cache_info().hits
-    assert _expand(n, _rows(lam, n, 0), 0) == s
+    assert _expand(n, _unpacked(_rows(lam, n, 0), 0)) == s
     assert _rows.cache_info().hits == hits + 1
 
     def refuse(*args):

@@ -78,6 +78,7 @@ PROBES = [
     (InstanceFamily, ((1, 2, 3),), "bad n_range (1, 2, 3)"),
     # values of the right type that the call still refuses
     (InstanceFamily, ((1, 3), None, 2, "randomized", 0), "randomized mode needs a positive count"),
+    (InstanceFamily, ((1, 3), None, 2, "exhaustive", -1), "count must be nonnegative"),
     (verify_t_minus1, (4, 2, (3, 2, 1), ()), "strict partitions do not fit the block sizes"),
     (Polynomial, (2, {(1, 0): 1}), "exponent tuple (1, 0) does not match arity 2"),
     # a point of a permutation, which indexed its images unchecked

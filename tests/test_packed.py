@@ -14,8 +14,8 @@ from hlgysin import (
     t_factorial_product,
 )
 from hlgysin import identities
-from hlgysin.hallittlewood import _class_norm, _p_orbits, _r_bound, _r_orbits
-from hlgysin.identities import _row_bound, _witness, verify_theorem_main
+from hlgysin.hallittlewood import _class_norm, _p_orbits, _r_bound, _r_orbits, _rows
+from hlgysin.identities import _row_bound, _witness, verify_prop_juxtaposition, verify_theorem_main
 from hlgysin.polyring import _pack, _packed_t, _unpack, linear_factor_product
 
 
@@ -102,7 +102,7 @@ def test_the_class_bounds_hold():
             assert norm(r) <= _r_bound(seq)
             assert _class_norm(_r_orbits(seq)) == norm(r)
             try:
-                orbits = _p_orbits(seq, t_factorial_product(seq))
+                orbits = _p_orbits(seq, t_factorial_product(seq), _r_orbits(seq))
             except NotDivisibleError:
                 with pytest.raises(NotDivisibleError):
                     hall_littlewood_p(n, seq)
@@ -128,7 +128,7 @@ def test_the_theorem_bound_covers_both_sides():
                     joined = lam + mu
                     sides = [(v_joined, _r_orbits(joined), hall_littlewood_r)]
                     try:
-                        sides.append((coefficient, _p_orbits(joined, v_joined), hall_littlewood_p))
+                        sides.append((coefficient, _p_orbits(joined, v_joined, _r_orbits(joined)), hall_littlewood_p))
                     except NotDivisibleError:
                         pass
                     for scale, orbits, make in sides:
@@ -137,7 +137,7 @@ def test_the_theorem_bound_covers_both_sides():
                         assert _class_norm(scaled) == norm(expanded), (lam, mu)
                     inputs = [(_r_orbits(lam), _r_orbits(mu), hall_littlewood_r)]
                     try:
-                        p_inputs = _p_orbits(lam, v_lam), _p_orbits(mu, v_mu)
+                        p_inputs = _p_orbits(lam, v_lam, _r_orbits(lam)), _p_orbits(mu, v_mu, _r_orbits(mu))
                         inputs.append((*p_inputs, hall_littlewood_p))
                     except NotDivisibleError:
                         pass
@@ -147,10 +147,17 @@ def test_the_theorem_bound_covers_both_sides():
                         assert norm(grassmann_pushforward(product, q, r)) <= bound, (lam, mu)
 
 
-def test_theorem_main_packs_at_the_width_its_sides_need(monkeypatch):
-    """At n = 8, q = 4, lam = mu = (1, 0, 0, 0) both sides' norms stay below
-    2**63, so the check packs at t = 2**64; a bound on the quotient P taken
-    before dividing chose 2**128."""
+@pytest.mark.parametrize(
+    "verify, n, mu",
+    [(verify_theorem_main, 8, (1, 0, 0, 0)), (verify_prop_juxtaposition, 11, (1, 0, 0, 0, 0, 0, 0))],
+    ids=["theorem-main", "prop-juxtaposition"],
+)
+def test_the_grassmann_checks_pack_at_the_width_their_sides_need(monkeypatch, verify, n, mu):
+    """At q = 4, lam = (1, 0, 0, 0), mu = (1, 0^(n-5)) the measured norms of
+    both sides stay below 2**63, so the check packs at t = 2**64.
+    theorem-main at n = 8 chose 2**128 from a bound on the quotient P taken
+    before dividing, and prop-juxtaposition at n = 11 from the a priori
+    bound 2^(n(n-1)/2) q^|lam| r^|mu| n^|lam mu| on its inputs."""
     chosen = []
 
     def recorded(bound):
@@ -158,28 +165,18 @@ def test_theorem_main_packs_at_the_width_its_sides_need(monkeypatch):
         return chosen[-1]
 
     monkeypatch.setattr(identities, "_packed_t", recorded)
-    report = verify_theorem_main(8, 4, (1, 0, 0, 0), (1, 0, 0, 0))
+    report = verify(n, 4, (1, 0, 0, 0), mu)
     assert report.passed
     assert chosen == [1 << 64]
 
 
-def test_the_juxtaposition_bound_covers_its_right_side():
-    """prop-juxtaposition packs at its left side's bound alone:
-    2^(n(n-1)/2) q^|lam| r^|mu| n^|lam mu| >= _r_bound(lam + mu).  Both
-    depend on lam and mu only through their lengths and weights, so every
-    split with n <= 8 and entries <= 3 is covered by one lam and one mu of
-    each length and weight."""
-
-    def of_weight(length, weight):
-        return tuple(min(3, max(0, weight - 3 * i)) for i in range(length))
-
-    for n in range(2, 9):
-        for q in range(1, n):
-            r = n - q
-            for a in range(3 * q + 1):
-                for b in range(3 * r + 1):
-                    lam, mu = of_weight(q, a), of_weight(r, b)
-                    assert sum(lam) == a and sum(mu) == b
-                    lhs = _row_bound(n, q, _r_bound(lam), _r_bound(mu), a + b)
-                    assert lhs == (1 << n * (n - 1) // 2) * q**a * r**b * n ** (a + b)
-                    assert lhs >= _r_bound(lam + mu)
+def test_prop_juxtaposition_reads_the_rows_that_r_caches():
+    """Once hall_littlewood_r has built R_lam, R_mu and R_(lam mu), the
+    check builds no row of its own: every class is read at R's packed t.
+    A t chosen by the verifier, 2**128 here, built a second tower."""
+    n, q, lam, mu = 7, 3, (2, 2, 2), (2, 2, 2, 1)
+    for seq in (lam, mu, lam + mu):
+        hall_littlewood_r(len(seq), seq)
+    misses = _rows.cache_info().misses
+    assert verify_prop_juxtaposition(n, q, lam, mu).passed
+    assert _rows.cache_info().misses == misses

@@ -147,8 +147,8 @@ MUTANTS = [
     (
         "divided-orbits",
         "engine",
-        "return {key: f.divide_exact(v) for key, f in _r_orbits(seq).items()}",
-        "return _r_orbits(seq)",
+        "return {key: f.divide_exact(v) for key, f in orbits.items()}",
+        "return orbits",
     ),
     # hallittlewood._class_norm: an orbit's norm counts each of its terms
     (
